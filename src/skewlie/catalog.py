@@ -7,7 +7,7 @@ from fractions import Fraction
 from .errors import ComputationError
 from .groups import Group, abelian_group, build_group, sign_characters, symmetric_group
 from .involutions import AlgebraElement, Involution
-from .linalg import ZERO, solve
+from .linalg import solve
 
 CATALOG_SPECS: tuple[str, ...] = tuple(
     [f"cyclic:{n}" for n in range(1, 31)]
@@ -36,10 +36,10 @@ def catalog_groups(selector: str | None = None, max_order: int | None = None) ->
 
 def builtin_involutions(group: Group) -> list[tuple[str, Involution]]:
     """Canonical plus every oriented involution g -> alpha(g) g^-1, alpha: G -> {1,-1}."""
-    out = [("canonical", Involution.canonical(group).validate())]
+    out = [("canonical", Involution.canonical(group))]
     for alpha in sign_characters(group):
         label = "oriented:" + "".join("+" if a == 1 else "-" for a in alpha)
-        out.append((label, Involution.oriented(group, alpha).validate()))
+        out.append((label, Involution.oriented(group, alpha)))
     return out
 
 
@@ -53,17 +53,13 @@ def klein_swap_involution() -> tuple[Group, Involution]:
     group = abelian_group([2, 2])
     # indices: 0 = (0,0), 1 = (0,1), 2 = (1,0), 3 = (1,1); swap the generators
     mapping = [0, 2, 1, 3]
-    return group, Involution.anti_automorphism(group, mapping).validate()
+    return group, Involution.anti_automorphism(group, mapping)
 
 
 def klein_swap_linear_involution() -> tuple[Group, Involution]:
     """The same component swap packaged as a general linear involution matrix."""
     group, ga = klein_swap_involution()
-    n = group.order
-    matrix = [[ZERO] * n for _ in range(n)]
-    for g in range(n):
-        matrix[ga.mapping[g]][g] = Fraction(1)
-    return group, Involution.linear(group, matrix).validate()
+    return group, Involution.linear(group, ga.matrix)
 
 
 def c3c3_swap_involution() -> tuple[Group, Involution]:
@@ -81,7 +77,7 @@ def c3c3_swap_involution() -> tuple[Group, Involution]:
         return b * 3 + a
 
     mapping = [inv[swap(g)] for g in range(group.order)]
-    return group, Involution.anti_automorphism(group, mapping).validate()
+    return group, Involution.anti_automorphism(group, mapping)
 
 
 def algebra_unit_inverse(u: AlgebraElement) -> AlgebraElement:
@@ -105,7 +101,7 @@ def conjugated_canonical_involution(group: Group, unit: AlgebraElement) -> Invol
     Requires sigma(u) = u (canonical sigma), which makes sigma_u an involution;
     the resulting matrix is generally not induced by any group map.
     """
-    canonical = Involution.canonical(group).validate()
+    canonical = Involution.canonical(group)
     if canonical.apply(unit) != unit:
         raise ComputationError("conjugating unit must be fixed by the canonical involution")
     uinv = algebra_unit_inverse(unit)
@@ -115,7 +111,7 @@ def conjugated_canonical_involution(group: Group, unit: AlgebraElement) -> Invol
         image = uinv * AlgebraElement.basis(group, group.inv[g]) * unit
         cols.append(image.coeffs)
     matrix = [[cols[g][h] for g in range(n)] for h in range(n)]
-    return Involution.linear(group, matrix).validate()
+    return Involution.linear(group, matrix)
 
 
 def s3_conjugated_fixture() -> tuple[Group, Involution]:

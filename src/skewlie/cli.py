@@ -50,12 +50,12 @@ def _resolve_group(spec: str, max_order: int):
 
 def _resolve_involution(group, spec: str) -> Involution:
     if spec == "canonical":
-        return Involution.canonical(group).validate()
+        return Involution.canonical(group)
     if spec.lstrip().startswith("{"):
-        return Involution.from_json(group, json.loads(spec)).validate()
+        return Involution.from_json(group, json.loads(spec))
     path = Path(spec)
     if spec.endswith(".json") and path.exists():
-        return Involution.from_json(group, json.loads(path.read_text())).validate()
+        return Involution.from_json(group, json.loads(path.read_text()))
     raise SpecError(f"unrecognized involution spec {spec!r}")
 
 
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
     summary = run_verification(
         selector=selector,
         seed=args.seed,
-        max_order=args.max_order_filter,
+        max_order=args.max_order,
         include_fixtures=selector is None,
     )
     if not summary.lines:
@@ -207,11 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is None:
             args.seed = _env_int(ENV_SEED, 0)
-        env_cap = _env_int(ENV_MAX_ORDER, DEFAULT_MAX_ORDER)
+        if args.max_order is None:
+            args.max_order = _env_int(ENV_MAX_ORDER, DEFAULT_MAX_ORDER)
         if args.command == "verify":
-            args.max_order_filter = args.max_order
             return cmd_verify(args)
-        args.max_order = args.max_order if args.max_order is not None else env_cap
         if args.command == "decompose":
             return cmd_decompose(args)
         if args.command == "form":

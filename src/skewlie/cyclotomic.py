@@ -85,6 +85,15 @@ def reduce_root_vector(e: int, mults: Sequence) -> list[Fraction]:
     return out
 
 
+def twist_root_vector(mv: Sequence[int], k: int, e: int) -> tuple[int, ...]:
+    """Root multiplicities of the value under the Galois twist zeta -> zeta^k."""
+    out = [0] * e
+    for idx, c in enumerate(mv):
+        if c:
+            out[(idx * k) % e] += c
+    return tuple(out)
+
+
 class Cyclotomic:
     """An element of Q(zeta_e) with exact rational coordinates."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ComputationError, SpecError
 from .involutions import Involution, skew_space
@@ -61,23 +61,25 @@ def _symmetry_of(gram: QMatrix) -> str:
     raise ComputationError("gram matrix is neither symmetric nor skew-symmetric")
 
 
+def _require_group_induced(inv: Involution, what: str) -> None:
+    """Group-induced involutions are exactly those with one signed entry per column."""
+    if any(len(col) != 1 for col in inv.columns):
+        raise SpecError(f"{what} needs a group-induced involution")
+
+
 def canonical_regular_form(inv: Involution) -> AdjointRealization:
     """The coefficient-of-identity form for a group-induced involution.
 
     h(g, h) = identity coefficient of sigma(g) h, which is a signed permutation
     matrix: symmetric and nonsingular by construction.
     """
-    inv.require_validated()
-    if not inv.is_group_induced:
-        raise SpecError("canonical regular form needs a group-induced involution")
+    _require_group_induced(inv, "canonical regular form")
     group = inv.group
     n = group.order
-    mapping = inv.mapping
-    signs = inv.signs()
     gram = [[ZERO] * n for _ in range(n)]
-    for g in range(n):
-        h = group.inv[mapping[g]]
-        gram[g][h] = ONE if signs[g] == 1 else -ONE
+    for g, col in enumerate(inv.columns):
+        for k, c in col:
+            gram[g][group.inv[k]] += c
     functional = tuple([ONE] + [ZERO] * (n - 1))
     form = BilinearForm(gram=gram, symmetry=_symmetry_of(gram))
     if form.symmetry != SYMMETRIC:
@@ -85,77 +87,38 @@ def canonical_regular_form(inv: Involution) -> AdjointRealization:
     return AdjointRealization(form=form, involution=inv, functional=functional)
 
 
-def _sigma_product_rows(inv: Involution) -> list[list[Fraction]]:
-    """Row g*|G|+h holds the coefficients of sigma(g) h."""
-    group = inv.group
-    n = group.order
-    rows = []
-    if inv.is_group_induced:
-        mapping = inv.mapping
-        signs = inv.signs()
-        mult = group.mult
-        for g in range(n):
-            mg = mapping[g]
-            sg = ONE if signs[g] == 1 else -ONE
-            for h in range(n):
-                row = [ZERO] * n
-                row[mult[mg][h]] = sg
-                rows.append(row)
-    else:
-        images = [inv.apply_basis(g) for g in range(n)]
-        for g in range(n):
-            for h in range(n):
-                rows.append(list(images[g].right_basis_mul(h).coeffs))
-    return rows
-
-
-def _functional_space(inv: Involution, want: str) -> QMatrix:
-    """Basis of functionals lam with lam(sigma(g)h) -+ lam(sigma(h)g) = 0."""
-    n = inv.group.order
-    prod = _sigma_product_rows(inv)
-    sign = -ONE if want == SYMMETRIC else ONE
-    seen = set()
-    constraints = []
-    for g in range(n):
-        for h in range(g, n):
-            row = [a + sign * b for a, b in zip(prod[g * n + h], prod[h * n + g])]
-            if not any(row):
-                continue
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                constraints.append(row)
+def _solution_space(rows: Iterable[list[Fraction]], n: int) -> QMatrix:
+    """Null space basis of the distinct nonzero constraint rows; all of Q^n if none."""
+    constraints = list({tuple(row): row for row in rows if any(row)}.values())
     if not constraints:
         return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     return nullspace_rows(constraints)
 
 
+def _functional_space(inv: Involution, want: str) -> QMatrix:
+    """Basis of functionals lam with lam(sigma(g)h) -+ lam(sigma(h)g) = 0."""
+    n = inv.group.order
+    mult = inv.group.mult
+    cols = inv.columns
+    sign = -1 if want == SYMMETRIC else 1
+
+    def constraint(g: int, h: int) -> list[Fraction]:
+        row = [ZERO] * n
+        for k, c in cols[g]:
+            row[mult[k][h]] += c
+        for k, c in cols[h]:
+            row[mult[k][g]] += sign * c
+        return row
+
+    return _solution_space((constraint(g, h) for g in range(n) for h in range(g, n)), n)
+
+
 def _gram_from_functional(inv: Involution, lam: Sequence[Fraction]) -> QMatrix:
-    group = inv.group
-    n = group.order
-    mult = group.mult
-    if inv.is_group_induced:
-        mapping = inv.mapping
-        signs = inv.signs()
-        gram = []
-        for g in range(n):
-            row_m = mult[mapping[g]]
-            if signs[g] == 1:
-                gram.append([lam[row_m[h]] for h in range(n)])
-            else:
-                gram.append([-lam[row_m[h]] for h in range(n)])
-        return gram
-    images = [inv.apply_basis(g) for g in range(n)]
-    gram = []
-    for g in range(n):
-        coeffs = images[g].coeffs
-        row = []
-        for h in range(n):
-            hinv = group.inv[h]
-            row.append(sum((lam[z] * coeffs[mult[z][hinv]] for z in range(n)
-                            if coeffs[mult[z][hinv]]), ZERO))
-        gram.append(row)
-    return gram
+    """gram[g][h] = lam(sigma(g) h)."""
+    n = inv.group.order
+    mult = inv.group.mult
+    return [[sum((c * lam[mult[k][h]] for k, c in col), ZERO) for h in range(n)]
+            for col in inv.columns]
 
 
 def realize_adjoint_form(
@@ -170,7 +133,6 @@ def realize_adjoint_form(
     nonsingular gram matrix, drawing fixed-seed rational combinations of the
     constraint-space basis.
     """
-    inv.require_validated()
     n = inv.group.order
     rng = random.Random(seed)
     for want in (SYMMETRIC, SKEW):
@@ -211,12 +173,11 @@ def check_adjoint_identity(
     n = group.order
     gram = r.form.gram
     mult = group.mult
-    images = [inv.apply_basis(f) for f in range(n)]
+    columns = inv.columns
 
     def holds(f: int, x: int, y: int) -> bool:
         lhs = gram[mult[f][x]][y]
-        w = images[f].coeffs
-        rhs = sum((w[z] * gram[x][mult[z][y]] for z in range(n) if w[z]), ZERO)
+        rhs = sum((w * gram[x][mult[z][y]] for z, w in columns[f]), ZERO)
         return lhs == rhs
 
     if n <= full_limit:
@@ -238,20 +199,9 @@ def skew_adjoint_space(r: AdjointRealization) -> QMatrix:
     n = group.order
     gram = r.form.gram
     mult = group.mult
-    seen = set()
-    constraints = []
-    for x in range(n):
-        for y in range(n):
-            row = [gram[mult[z][x]][y] + gram[x][mult[z][y]] for z in range(n)]
-            if not any(row):
-                continue
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                constraints.append(row)
-    if not constraints:
-        return rref_rows([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-    return rref_rows(nullspace_rows(constraints))
+    rows = ([gram[mult[z][x]][y] + gram[x][mult[z][y]] for z in range(n)]
+            for x in range(n) for y in range(n))
+    return rref_rows(_solution_space(rows, n))
 
 
 def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization | None = None) -> bool:
@@ -261,26 +211,28 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization | Non
     return skew_adjoint_space(r) == skew_space(inv).skew_basis
 
 
+def skew_lattice_generators(inv: Involution) -> list[list[int]]:
+    """The nonzero integer rows g - sigma(g) of a group-induced involution."""
+    _require_group_induced(inv, "integral lattice")
+    n = inv.group.order
+    gens = []
+    for g, col in enumerate(inv.columns):
+        row = [0] * n
+        row[g] += 1
+        for k, c in col:
+            row[k] -= int(c)
+        if any(row):
+            gens.append(row)
+    return gens
+
+
 def integral_skew_lattice(inv: Involution) -> list[list[int]]:
     """HNF basis of ZG intersected with the skew-adjoint solution space.
 
     Saturation via HNF of the integer generators {g - sigma(g)} stacked with
     the denominator-cleared kernel basis of the rational solution space.
     """
-    inv.require_validated()
-    if not inv.is_group_induced:
-        raise SpecError("integral lattice needs a group-induced involution")
-    group = inv.group
-    n = group.order
-    mapping = inv.mapping
-    signs = inv.signs()
-    gens = []
-    for g in range(n):
-        row = [0] * n
-        row[g] += 1
-        row[mapping[g]] -= signs[g]
-        if any(row):
-            gens.append(row)
+    gens = skew_lattice_generators(inv)
     space = skew_adjoint_space(canonical_regular_form(inv))
     cleared = [clear_denominators(row) for row in space]
     lattice = hnf(gens + cleared)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from math import isqrt, lcm
 
 from .errors import SpecError
@@ -22,15 +22,19 @@ _ASSOC_SEED = 0x5EED
 
 
 class Group:
-    """Immutable finite group on indices 0..order-1 with identity 0."""
+    """Immutable finite group on indices 0..order-1 with identity 0.
 
-    __slots__ = ("name", "order", "mult", "inv")
+    ``derived`` caches what is computed from the table, for the group's lifetime.
+    """
+
+    __slots__ = ("name", "order", "mult", "inv", "derived")
 
     def __init__(self, name: str, mult: tuple[tuple[int, ...], ...], inv: tuple[int, ...]):
         self.name = name
         self.order = len(mult)
         self.mult = mult
         self.inv = inv
+        self.derived: dict = {}
 
     def __repr__(self) -> str:
         return f"Group({self.name!r}, order={self.order})"
@@ -307,7 +311,17 @@ def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     raise SpecError(f"unknown group family {family!r}")
 
 
-@lru_cache(maxsize=None)
+def _per_group(fn):
+    """Compute fn(group) once per group and keep it in ``group.derived``."""
+    @wraps(fn)
+    def cached(group: Group):
+        if fn not in group.derived:
+            group.derived[fn] = fn(group)
+        return group.derived[fn]
+    return cached
+
+
+@_per_group
 def conjugacy_classes(group: Group) -> ConjugacyData:
     n = group.order
     mult, inv = group.mult, group.inv
@@ -337,7 +351,7 @@ def conjugacy_classes(group: Group) -> ConjugacyData:
     )
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def exponent(group: Group) -> int:
     value = 1
     for rep in conjugacy_classes(group).class_reps:
@@ -350,7 +364,7 @@ def square_root_count(group: Group) -> int:
     return sum(1 for g in range(group.order) if group.mult[g][g] == 0)
 
 
-@lru_cache(maxsize=None)
+@_per_group
 def sign_characters(group: Group) -> tuple[tuple[int, ...], ...]:
     """All homomorphisms G -> {1, -1} as coefficient tuples, trivial one first.
 

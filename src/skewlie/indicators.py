@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .cyclotomic import reduce_root_vector
+from .cyclotomic import reduce_root_vector, twist_root_vector
 from .errors import ComputationError
 from .groups import square_root_count
 
@@ -43,7 +43,7 @@ def fs_indicator(table: "CharacterTable", index: int) -> int:
 
 @dataclass(frozen=True)
 class IndicatorReport:
-    """Indicator per character plus the type partition of the table."""
+    """Indicator per character, the type partition of the table, and the ledger parts."""
 
     indicators: tuple[int, ...]
     real: tuple[int, ...]
@@ -51,6 +51,11 @@ class IndicatorReport:
     complex_pairs: tuple[tuple[int, int], ...]
     eq1_identity: bool
     involution_count_identity: bool
+    orthogonal_part: int
+    symplectic_part: int
+    pair_part: int
+    square_roots: int
+    indicator_weighted_degrees: int
 
     def to_json(self) -> dict:
         return {
@@ -64,64 +69,50 @@ class IndicatorReport:
         }
 
 
-def _conjugate_partner(table: "CharacterTable", index: int) -> int:
-    e = table.conductor
-    k = e - 1 if e > 1 else 1
-    twisted = []
-    for mv in table.root_mults[index]:
-        new = [0] * e
-        for idx, c in enumerate(mv):
-            if c:
-                new[(idx * k) % e] += c
-        twisted.append(tuple(new))
-    row_index = {row: i for i, row in enumerate(table.root_mults)}
-    j = row_index.get(tuple(twisted))
-    if j is None:
-        raise ComputationError("conjugate character missing from the table")
-    return j
-
-
 def complex_dimension_identity(table: "CharacterTable") -> tuple[bool, dict]:
     """Dimension bookkeeping of the skew part of CG under g -> g^-1.
 
     Checks sum_real d(d-1)/2 + sum_symplectic d(d+1)/2 + sum_pairs d^2
-    against (|G| - #{g : g^2 = 1}) / 2, all exactly.
+    against (|G| - #{g : g^2 = 1}) / 2, all exactly; |G| - #{g : g^2 = 1}
+    counts the elements paired with a distinct inverse, so it is even.
     """
     report = indicator_report(table)
-    sqrt_count = square_root_count(table.group)
-    lhs_real = sum(table.degrees[i] * (table.degrees[i] - 1) // 2 for i in report.real)
-    lhs_symp = sum(table.degrees[i] * (table.degrees[i] + 1) // 2 for i in report.symplectic)
-    lhs_pairs = sum(table.degrees[i] * table.degrees[i] for i, _ in report.complex_pairs)
-    rhs2 = table.group.order - sqrt_count
-    ok = 2 * (lhs_real + lhs_symp + lhs_pairs) == rhs2
     detail = {
-        "orthogonal_part": lhs_real,
-        "symplectic_part": lhs_symp,
-        "pair_part": lhs_pairs,
-        "rhs": rhs2 // 2 if rhs2 % 2 == 0 else Fraction(rhs2, 2),
-        "square_roots_of_identity": sqrt_count,
+        "orthogonal_part": report.orthogonal_part,
+        "symplectic_part": report.symplectic_part,
+        "pair_part": report.pair_part,
+        "rhs": (table.group.order - report.square_roots) // 2,
+        "square_roots_of_identity": report.square_roots,
     }
-    return ok, detail
+    return report.eq1_identity, detail
 
 
 def involution_count_identity(table: "CharacterTable") -> tuple[bool, dict]:
     """sum_chi nu2(chi) chi(1) equals the number of solutions of g^2 = 1."""
-    indicators = [fs_indicator(table, i) for i in range(len(table))]
-    lhs = sum(nu * d for nu, d in zip(indicators, table.degrees))
-    rhs = square_root_count(table.group)
-    return lhs == rhs, {"indicator_weighted_degrees": lhs, "square_roots_of_identity": rhs}
+    report = indicator_report(table)
+    detail = {
+        "indicator_weighted_degrees": report.indicator_weighted_degrees,
+        "square_roots_of_identity": report.square_roots,
+    }
+    return report.involution_count_identity, detail
 
 
 def indicator_report(table: "CharacterTable") -> IndicatorReport:
+    e = table.conductor
     indicators = tuple(fs_indicator(table, i) for i in range(len(table)))
     real = tuple(i for i, nu in enumerate(indicators) if nu == 1)
     symp = tuple(i for i, nu in enumerate(indicators) if nu == -1)
+    row_index = {row: i for i, row in enumerate(table.root_mults)}
     pairs = []
     paired = set()
     for i, nu in enumerate(indicators):
         if nu != 0 or i in paired:
             continue
-        j = _conjugate_partner(table, i)
+        conjugate = tuple(twist_root_vector(mv, e - 1 if e > 1 else 1, e)
+                          for mv in table.root_mults[i])
+        j = row_index.get(conjugate)
+        if j is None:
+            raise ComputationError("conjugate character missing from the table")
         if j == i or indicators[j] != 0:
             raise ComputationError("complex-type character without a conjugate partner")
         paired.update((i, j))
@@ -131,12 +122,17 @@ def indicator_report(table: "CharacterTable") -> IndicatorReport:
     lhs_symp = sum(table.degrees[i] * (table.degrees[i] + 1) // 2 for i in symp)
     lhs_pairs = sum(table.degrees[i] * table.degrees[i] for i, _ in pairs)
     eq1 = 2 * (lhs_real + lhs_symp + lhs_pairs) == table.group.order - sqrt_count
-    count_ok = sum(nu * d for nu, d in zip(indicators, table.degrees)) == sqrt_count
+    weighted = sum(nu * d for nu, d in zip(indicators, table.degrees))
     return IndicatorReport(
         indicators=indicators,
         real=real,
         symplectic=symp,
         complex_pairs=tuple(pairs),
         eq1_identity=eq1,
-        involution_count_identity=count_ok,
+        involution_count_identity=weighted == sqrt_count,
+        orthogonal_part=lhs_real,
+        symplectic_part=lhs_symp,
+        pair_part=lhs_pairs,
+        square_roots=sqrt_count,
+        indicator_weighted_degrees=weighted,
     )

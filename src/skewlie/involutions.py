@@ -1,9 +1,11 @@
 """Rational group algebra elements, involutions, and the skew/symmetric split.
 
 An involution is additive, reverses products, and squares to the identity.
-Group-induced variants (canonical g -> g^-1, oriented g -> alpha(g) g^-1, or a
-general anti-automorphism of G) act by a signed index permutation; the linear
-variant is an arbitrary rational matrix checked against the same axioms.
+All four spec kinds (canonical g -> g^-1, oriented g -> alpha(g) g^-1, a
+general anti-automorphism of G, or an arbitrary rational matrix) are stored
+the same way, as the sparse images of the basis elements, and are checked
+against the axioms once, when they are built.  The group-induced kinds are the
+case where every image is a single signed basis element.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import SpecError
 from .groups import Group
-from .linalg import QMatrix, ZERO, ONE, mat, matmul, identity, nullspace_rows, rref_rows
+from .linalg import QMatrix, ZERO, ONE, mat, rref_rows
 
 CANONICAL = "canonical"
 ORIENTED = "oriented"
@@ -83,14 +85,14 @@ class AlgebraElement:
                         out[row[h]] += a * b
         return AlgebraElement(self.group, out)
 
-    def right_basis_mul(self, g: int, sign: int = 1) -> "AlgebraElement":
-        """self * (sign * g) without a full convolution."""
+    def right_basis_mul(self, g: int, coeff=1) -> "AlgebraElement":
+        """self * (coeff * g) without a full convolution."""
         mult = self.group.mult
         ginv = self.group.inv[g]
         coeffs = self.coeffs
         out = [coeffs[mult[h][ginv]] for h in range(self.group.order)]
-        if sign == -1:
-            out = [-x for x in out]
+        if coeff != 1:
+            out = [coeff * x for x in out]
         return AlgebraElement(self.group, out)
 
     def __eq__(self, other) -> bool:
@@ -123,34 +125,63 @@ def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
 
+@dataclass(frozen=True, eq=False)
 class Involution:
-    """A validated involution spec for QG."""
+    """An involution of QG, checked against the axioms when it is built.
 
-    __slots__ = ("group", "kind", "alpha", "mapping", "matrix", "_validated")
+    ``columns[g]`` is the image sigma(g) as a tuple of (index, coeff) pairs,
+    sorted by index with no zero coefficient.  Group-induced involutions are
+    the one-entry case with coeff +1 or -1; ``kind`` is only the JSON label.
+    """
 
-    def __init__(self, group: Group, kind: str, *, alpha=None, mapping=None, matrix=None):
-        self.group = group
-        self.kind = kind
-        self.alpha = tuple(alpha) if alpha is not None else None
-        self.mapping = tuple(mapping) if mapping is not None else None
-        self.matrix = matrix
-        self._validated = False
+    group: Group
+    kind: str
+    columns: tuple[tuple[tuple[int, int | Fraction], ...], ...]
+
+    def __post_init__(self) -> None:
+        """sigma(sigma(g)) = g and sigma(gh) = sigma(h) sigma(g) on all basis pairs."""
+        mult = self.group.mult
+        cols = self.columns
+        for g, cg in enumerate(cols):
+            if _sparse_sum((k, c * a) for h, a in cg for k, c in cols[h]) != ((g, 1),):
+                raise SpecError(f"not an involution at element {g}")
+        for g, cg in enumerate(cols):
+            row = mult[g]
+            for h, ch in enumerate(cols):
+                if len(ch) == 1 == len(cg):
+                    ((i, a),), ((j, b),) = ch, cg
+                    product = ((mult[i][j], a * b),)
+                else:
+                    product = _sparse_sum((mult[i][j], a * b) for i, a in ch for j, b in cg)
+                if product != cols[row[h]]:
+                    raise SpecError(f"not an anti-homomorphism at pair ({g},{h})")
 
     @classmethod
     def canonical(cls, group: Group) -> "Involution":
-        return cls(group, CANONICAL, mapping=group.inv)
+        return cls(group, CANONICAL, tuple(((h, 1),) for h in group.inv))
 
     @classmethod
     def oriented(cls, group: Group, alpha: Sequence[int]) -> "Involution":
-        return cls(group, ORIENTED, alpha=alpha, mapping=group.inv)
+        if len(alpha) != group.order:
+            raise SpecError("alpha length must equal the group order")
+        if any(a not in (1, -1) for a in alpha):
+            raise SpecError("alpha values must be +1 or -1")
+        return cls(group, ORIENTED, tuple(((h, a),) for h, a in zip(group.inv, alpha)))
 
     @classmethod
     def anti_automorphism(cls, group: Group, mapping: Sequence[int]) -> "Involution":
-        return cls(group, ANTI_AUTOMORPHISM, mapping=mapping)
+        if sorted(mapping) != list(range(group.order)):
+            raise SpecError("map is not a permutation of the group elements")
+        return cls(group, ANTI_AUTOMORPHISM, tuple(((h, 1),) for h in mapping))
 
     @classmethod
     def linear(cls, group: Group, matrix: Sequence[Sequence]) -> "Involution":
-        return cls(group, LINEAR, matrix=mat(matrix))
+        m = mat(matrix)
+        n = group.order
+        if len(m) != n or any(len(row) != n for row in m):
+            raise SpecError("linear involution matrix must be |G| x |G|")
+        cols = tuple(tuple((h, m[h][g]) for h in range(n) if m[h][g]) for g in range(n))
+        return cls(group, LINEAR, cols)
 
     @classmethod
     def from_json(cls, group: Group, obj: dict) -> "Involution":
@@ -169,98 +200,52 @@ class Involution:
         if self.kind == CANONICAL:
             return {"kind": CANONICAL}
         if self.kind == ORIENTED:
-            return {"kind": ORIENTED, "alpha": list(self.alpha)}
+            return {"kind": ORIENTED, "alpha": [col[0][1] for col in self.columns]}
         if self.kind == ANTI_AUTOMORPHISM:
-            return {"kind": ANTI_AUTOMORPHISM, "map": list(self.mapping)}
+            return {"kind": ANTI_AUTOMORPHISM, "map": [col[0][0] for col in self.columns]}
         return {
             "kind": LINEAR,
             "matrix": [[_frac_str(x) for x in row] for row in self.matrix],
         }
 
     @property
-    def is_group_induced(self) -> bool:
-        return self.kind != LINEAR
-
-    def signs(self) -> tuple[int, ...]:
-        if self.alpha is not None:
-            return self.alpha
-        return (1,) * self.group.order
+    def matrix(self) -> QMatrix:
+        """Dense matrix with column g holding the coefficients of sigma(g)."""
+        n = self.group.order
+        m = [[ZERO] * n for _ in range(n)]
+        for g, col in enumerate(self.columns):
+            for h, c in col:
+                m[h][g] = Fraction(c)
+        return m
 
     def validate(self) -> "Involution":
-        """Check all involution axioms exhaustively over basis pairs."""
-        n = self.group.order
-        mult = self.group.mult
-        if self.is_group_induced:
-            mapping = self.mapping
-            if sorted(mapping) != list(range(n)):
-                raise SpecError("map is not a permutation of the group elements")
-            signs = self.signs()
-            if self.alpha is not None:
-                if len(self.alpha) != n:
-                    raise SpecError("alpha length must equal the group order")
-                if any(a not in (1, -1) for a in self.alpha):
-                    raise SpecError("alpha values must be +1 or -1")
-                for g in range(n):
-                    row = mult[g]
-                    ag = self.alpha[g]
-                    for h in range(n):
-                        if self.alpha[row[h]] != ag * self.alpha[h]:
-                            raise SpecError(
-                                f"alpha not a homomorphism at pair ({g},{h})"
-                            )
-            for g in range(n):
-                if mapping[mapping[g]] != g or signs[g] * signs[mapping[g]] != 1:
-                    raise SpecError(f"not an involution at element {g}")
-            for g in range(n):
-                row = mult[g]
-                for h in range(n):
-                    if mapping[row[h]] != mult[mapping[h]][mapping[g]]:
-                        raise SpecError(f"not an anti-homomorphism at pair ({g},{h})")
-        else:
-            m = self.matrix
-            if len(m) != n or any(len(row) != n for row in m):
-                raise SpecError("linear involution matrix must be |G| x |G|")
-            if matmul(m, m) != identity(n):
-                raise SpecError("linear involution matrix does not square to the identity")
-            images = [AlgebraElement(self.group, [m[h][g] for h in range(n)]) for g in range(n)]
-            for g in range(n):
-                row = mult[g]
-                for h in range(n):
-                    if images[row[h]] != images[h] * images[g]:
-                        raise SpecError(
-                            f"linear map does not reverse multiplication at ({g},{h})"
-                        )
-        self._validated = True
+        """The axioms were checked at construction; kept for callers that chain it."""
         return self
-
-    def require_validated(self) -> None:
-        if not self._validated:
-            raise SpecError("involution spec has not been validated")
 
     def apply_basis(self, g: int) -> AlgebraElement:
         """Image of the basis element g."""
-        self.require_validated()
-        if self.is_group_induced:
-            return AlgebraElement.basis(self.group, self.mapping[g], self.signs()[g])
-        n = self.group.order
-        return AlgebraElement(self.group, [self.matrix[h][g] for h in range(n)])
+        coeffs = [ZERO] * self.group.order
+        for h, c in self.columns[g]:
+            coeffs[h] = c
+        return AlgebraElement(self.group, coeffs)
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
-        self.require_validated()
         if x.group is not self.group:
             raise SpecError("group mismatch between involution and element")
-        n = self.group.order
-        if self.is_group_induced:
-            out = [ZERO] * n
-            signs = self.signs()
-            mapping = self.mapping
-            for g, c in enumerate(x.coeffs):
-                if c:
-                    out[mapping[g]] = c if signs[g] == 1 else -c
-            return AlgebraElement(self.group, out)
-        out = [sum((self.matrix[h][g] * c for g, c in enumerate(x.coeffs) if c), ZERO)
-               for h in range(n)]
+        out = [ZERO] * self.group.order
+        for g, a in enumerate(x.coeffs):
+            if a:
+                for h, c in self.columns[g]:
+                    out[h] += c * a
         return AlgebraElement(self.group, out)
+
+
+def _sparse_sum(terms) -> tuple:
+    """Sum of (index, coeff) terms as sorted pairs without zero coefficients."""
+    acc: dict = {}
+    for k, c in terms:
+        acc[k] = acc.get(k, 0) + c
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
 def validate_involution(inv: Involution) -> Involution:
@@ -284,44 +269,26 @@ class SkewSpaceReport:
 
 
 def skew_space(inv: Involution) -> SkewSpaceReport:
-    """Split QG into symmetric and skew-symmetric parts under the involution."""
-    inv.require_validated()
-    group = inv.group
-    n = group.order
-    if inv.is_group_induced:
-        mapping = inv.mapping
-        signs = inv.signs()
-        minus_rows: QMatrix = []
-        plus_rows: QMatrix = []
-        for g in range(n):
-            row_m = [ZERO] * n
-            row_p = [ZERO] * n
-            row_m[g] += ONE
-            row_p[g] += ONE
-            s = ONE if signs[g] == 1 else -ONE
-            row_m[mapping[g]] -= s
-            row_p[mapping[g]] += s
-            minus_rows.append(row_m)
-            plus_rows.append(row_p)
-        skew_basis = rref_rows(minus_rows)
-        sym_basis = rref_rows(plus_rows)
-        fixed_plus = sum(1 for g in range(n) if mapping[g] == g and signs[g] == 1)
-        fixed_minus = sum(1 for g in range(n) if mapping[g] == g and signs[g] == -1)
-    else:
-        m = inv.matrix
-        plus = [[m[i][j] + (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
-        minus = [[m[i][j] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
-        # -1 eigenspace solves (M + I) x = 0, +1 eigenspace solves (M - I) x = 0
-        skew_basis = rref_rows(nullspace_rows(plus))
-        sym_basis = rref_rows(nullspace_rows(minus))
-        fixed_plus = sum(
-            1 for g in range(n)
-            if all(m[h][g] == (ONE if h == g else ZERO) for h in range(n))
-        )
-        fixed_minus = sum(
-            1 for g in range(n)
-            if all(m[h][g] == (-ONE if h == g else ZERO) for h in range(n))
-        )
+    """Split QG into symmetric and skew-symmetric parts under the involution.
+
+    The -1 and +1 eigenspaces are spanned by the rows g - sigma(g) and
+    g + sigma(g); their RREF bases are unique, so the split is canonical.
+    """
+    n = inv.group.order
+    minus_rows: QMatrix = []
+    plus_rows: QMatrix = []
+    for g, col in enumerate(inv.columns):
+        row_m = [ZERO] * n
+        row_p = [ZERO] * n
+        row_m[g] += ONE
+        row_p[g] += ONE
+        for h, c in col:
+            row_m[h] -= c
+            row_p[h] += c
+        minus_rows.append(row_m)
+        plus_rows.append(row_p)
+    skew_basis = rref_rows(minus_rows)
+    sym_basis = rref_rows(plus_rows)
     skew_dim = len(skew_basis)
     sym_dim = len(sym_basis)
     if skew_dim + sym_dim != n:
@@ -331,8 +298,8 @@ def skew_space(inv: Involution) -> SkewSpaceReport:
         sym_basis=sym_basis,
         skew_dim=skew_dim,
         sym_dim=sym_dim,
-        fixed_plus=fixed_plus,
-        fixed_minus=fixed_minus,
+        fixed_plus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, 1),)),
+        fixed_minus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, -1),)),
     )
 
 

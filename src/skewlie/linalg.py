@@ -36,10 +36,6 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
 
 
-def mat_vec(a: QMatrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
-
-
 def _primitive_int_rows(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row to a primitive integer vector (zero rows stay zero)."""
     out = []

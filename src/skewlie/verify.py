@@ -5,16 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import catalog
-from .forms import (
-    check_adjoint_identity,
-    integral_skew_lattice,
-    realize_adjoint_form,
-    skew_adjoint_space,
-)
+from .forms import form_report, integral_skew_lattice, skew_lattice_generators
 from .groups import Group
 from .indicators import complex_dimension_identity, involution_count_identity
-from .involutions import Involution, skew_space
-from .linalg import hnf, rank
+from .involutions import Involution
+from .linalg import hnf
 from .wedderburn import (
     CharacterTable,
     character_table,
@@ -81,28 +76,20 @@ def _table_integrity(summary: VerificationSummary, group: Group, table: Characte
 
 def _forms_checks(summary: VerificationSummary, group: Group, label: str,
                   inv: Involution, seed: int) -> None:
-    name = group.name
-    realization = realize_adjoint_form(inv, seed=seed)
-    nonsingular = rank(realization.form.gram) == group.order
-    summary.add(name, f"form-nonsingular[{label}]", nonsingular)
-    summary.add(name, f"adjoint-identity[{label}]", check_adjoint_identity(realization))
-    summary.add(
-        name, f"skew-solution-space[{label}]",
-        skew_adjoint_space(realization) == skew_space(inv).skew_basis,
-    )
+    """The three checks that `skewlie form` reports for this involution."""
+    checks = form_report(inv, seed=seed)["checks"]
+    summary.add(group.name, f"form-nonsingular[{label}]", checks["nonsingular"])
+    summary.add(group.name, f"adjoint-identity[{label}]", checks["adjoint_identity"])
+    summary.add(group.name, f"skew-solution-space[{label}]",
+                checks["eq_1_2_matches_skew_span"])
 
 
 def _lattice_check(summary: VerificationSummary, group: Group) -> None:
-    inv = Involution.canonical(group).validate()
+    # the expected side is the HNF of the generators alone, not the saturation
+    inv = Involution.canonical(group)
     lattice = integral_skew_lattice(inv)
-    gens = []
-    for g in range(group.order):
-        row = [0] * group.order
-        row[g] += 1
-        row[group.inv[g]] -= 1
-        if any(row):
-            gens.append(row)
-    expected = hnf(gens) if gens else []
+    gens = skew_lattice_generators(inv)
+    expected = hnf(gens)
     summary.add(group.name, "integral-skew-lattice", lattice == expected)
 
 

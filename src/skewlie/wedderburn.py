@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
-from .cyclotomic import Cyclotomic, reduce_root_vector
+from .cyclotomic import Cyclotomic, reduce_root_vector, twist_root_vector
 from .errors import ComputationError, SpecError
 from .groups import ConjugacyData, Group, conjugacy_classes, exponent
 from .indicators import IndicatorReport, indicator_report
@@ -71,14 +71,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def find_dixon_prime(group: Group, bound: int = DEFAULT_PRIME_BOUND) -> int:
-    """Smallest prime p = 1 (mod exponent) with p > 2*ceil(sqrt(|G|))*|G|."""
-    e = exponent(group)
+def _dixon_threshold(group: Group) -> tuple[int, int]:
+    """The exponent e and the bound 2*ceil(sqrt(|G|))*|G| a Dixon prime must exceed."""
     n = group.order
     root = isqrt(n)
     if root * root < n:
         root += 1
-    threshold = 2 * root * n
+    return exponent(group), 2 * root * n
+
+
+def find_dixon_prime(group: Group, bound: int = DEFAULT_PRIME_BOUND) -> int:
+    """Smallest prime p = 1 (mod exponent) with p > 2*ceil(sqrt(|G|))*|G|."""
+    e, threshold = _dixon_threshold(group)
     p = threshold - (threshold - 1) % e  # largest p <= threshold with p = 1 mod e
     while True:
         p += e
@@ -91,17 +95,13 @@ def find_dixon_prime(group: Group, bound: int = DEFAULT_PRIME_BOUND) -> int:
 
 
 def check_dixon_prime(group: Group, p: int) -> int:
-    e = exponent(group)
-    n = group.order
-    root = isqrt(n)
-    if root * root < n:
-        root += 1
+    e, threshold = _dixon_threshold(group)
     if not _is_prime(p):
         raise SpecError(f"{p} is not prime")
     if p % e != (1 % e):
         raise SpecError(f"{p} is not 1 mod the group exponent {e}")
-    if p <= 2 * root * n:
-        raise SpecError(f"{p} is not larger than 2*ceil(sqrt(|G|))*|G| = {2 * root * n}")
+    if p <= threshold:
+        raise SpecError(f"{p} is not larger than 2*ceil(sqrt(|G|))*|G| = {threshold}")
     return p
 
 
@@ -465,17 +465,6 @@ class GaloisOrbit:
         return self.degree * self.degree * self.field_degree
 
 
-def _twist_row(row: tuple[tuple[int, ...], ...], k: int, e: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for mv in row:
-        new = [0] * e
-        for idx, c in enumerate(mv):
-            if c:
-                new[(idx * k) % e] += c
-        out.append(tuple(new))
-    return tuple(out)
-
-
 def galois_orbits(table: CharacterTable) -> list[GaloisOrbit]:
     e = table.conductor
     units = [k for k in range(1, e + 1) if gcd(k, e) == 1]
@@ -487,7 +476,7 @@ def galois_orbits(table: CharacterTable) -> list[GaloisOrbit]:
             continue
         members = set()
         for k in units:
-            j = row_index.get(_twist_row(table.root_mults[i], k, e))
+            j = row_index.get(tuple(twist_root_vector(mv, k, e) for mv in table.root_mults[i]))
             if j is None:
                 raise ComputationError("Galois twist left the character table")
             members.add(j)
@@ -604,29 +593,18 @@ class ComponentReport:
 
 def component_skew_dim(idem: CentralIdempotent, inv: Involution) -> int:
     """Rank over Q of {e*(g - sigma(g)) : g in G}."""
-    inv.require_validated()
     elem = idem.element
-    group = elem.group
-    n = group.order
     rows = []
-    if inv.is_group_induced:
-        mapping = inv.mapping
-        signs = inv.signs()
-        for g in range(n):
-            a = elem.right_basis_mul(g)
-            b = elem.right_basis_mul(mapping[g], signs[g])
-            rows.append((a - b).coeffs)
-    else:
-        for g in range(n):
-            a = elem.right_basis_mul(g)
-            b = elem * inv.apply_basis(g)
-            rows.append((a - b).coeffs)
+    for g, col in enumerate(inv.columns):
+        row = elem.right_basis_mul(g)
+        for h, c in col:
+            row = row - elem.right_basis_mul(h, c)
+        rows.append(row.coeffs)
     return rank(rows)
 
 
 def sigma_action_on_components(idems: Sequence[CentralIdempotent], inv: Involution) -> tuple[int, ...]:
     """The permutation sigma(e_i) = e_perm[i]; always an involution."""
-    inv.require_validated()
     index = {ci.element.coeffs: i for i, ci in enumerate(idems)}
     perm = []
     for ci in idems:
@@ -662,7 +640,6 @@ def classify_components(
     inv: Involution,
 ) -> list[ComponentReport]:
     """Theorem-level classification of every component; pairs reported once."""
-    inv.require_validated()
     perm = sigma_action_on_components(idems, inv)
     cd = table.classes
     reports = []
@@ -742,7 +719,7 @@ class DecompositionReport:
         return all(self.checks.values())
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "group": self.group.name,
             "involution": self.involution.to_json(),
             "components": [c.to_json() for c in self.components],
@@ -751,10 +728,8 @@ class DecompositionReport:
                 "sum_components": self.sum_components,
             },
             "checks": dict(self.checks),
+            "indicators": self.indicators.to_json(),
         }
-        if self.indicators is not None:
-            out["indicators"] = self.indicators.to_json()
-        return out
 
 
 def decomposition_report(
@@ -765,7 +740,6 @@ def decomposition_report(
     idems: Sequence[CentralIdempotent] | None = None,
 ) -> DecompositionReport:
     """Classify every component and verify the global skew-dimension identity."""
-    inv.require_validated()
     if table is None:
         table = character_table(group)
     if orbits is None:

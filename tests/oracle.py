@@ -109,3 +109,30 @@ def element_orders(mult):
             k += 1
         orders.append(k)
     return orders
+
+
+def involution_axioms_hold(mult, matrix) -> bool:
+    """Dense check that a matrix is an involution of QG, for a multiplication table.
+
+    Column g of ``matrix`` holds the coefficients of sigma(g).  The oracle asks
+    for M*M = I by an explicit matrix product, and for sigma(gh) =
+    sigma(h)sigma(g) by multiplying the dense image columns out over all pairs
+    of group elements.
+    """
+    n = len(mult)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    for i in range(n):
+        for j in range(n):
+            entry = sum((m[i][k] * m[k][j] for k in range(n)), Fraction(0))
+            if entry != (1 if i == j else 0):
+                return False
+    col = [[m[i][g] for i in range(n)] for g in range(n)]
+    for g in range(n):
+        for h in range(n):
+            prod = [Fraction(0)] * n
+            for a in range(n):
+                for b in range(n):
+                    prod[mult[a][b]] += col[h][a] * col[g][b]
+            if prod != col[mult[g][h]]:
+                return False
+    return True

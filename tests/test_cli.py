@@ -148,6 +148,24 @@ def test_max_order_env(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+def test_verify_reads_max_order_env(capsys, monkeypatch):
+    from skewlie import build_group
+
+    monkeypatch.setenv("SKEWLIE_MAX_ORDER", "4")
+    code, out, _ = run_cli(capsys, "verify", "--format", "json")
+    assert code == EXIT_OK
+    # fixture checks carry "fixture:" in the group or in the check name
+    catalog_names = {c["group"] for c in json.loads(out)["checks"]
+                     if "fixture:" not in c["group"] + c["name"]}
+    assert "cyclic:4" in catalog_names
+    assert all(build_group(n).order <= 4 for n in catalog_names)
+    # explicit flag wins over the environment
+    code, out, _ = run_cli(capsys, "verify", "--catalog", "cyclic", "--max-order", "6",
+                           "--format", "json")
+    assert code == EXIT_OK
+    assert "cyclic:6" in {c["group"] for c in json.loads(out)["checks"]}
+
+
 def test_exit_code_two_on_check_failure(capsys, monkeypatch):
     import skewlie.cli as cli_mod
 

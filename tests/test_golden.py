@@ -1,0 +1,49 @@
+"""Golden digests of the JSON the CLI prints, frozen before refactors.
+
+Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
+``decompose`` and ``form`` for every catalog group of order <= 12 under every
+built-in involution, and ``decompose`` and ``form`` for the linear fixtures.
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when an
+output is meant to change.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from skewlie import character_table, decomposition_report, form_report
+from skewlie.catalog import builtin_involutions, catalog_groups, linear_fixtures
+from skewlie.serialize import dumps
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+MAX_ORDER = 12
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(dumps(obj).encode()).hexdigest()
+
+
+def digests() -> dict[str, str]:
+    out = {}
+    for group in catalog_groups(max_order=MAX_ORDER):
+        table = character_table(group)
+        out[f"chartab {group.name}"] = _sha(table.to_json())
+        for label, inv in builtin_involutions(group):
+            report = decomposition_report(group, inv, table=table)
+            out[f"decompose {group.name} {label}"] = _sha(report.to_json())
+            out[f"form {group.name} {label}"] = _sha(form_report(inv, seed=0))
+    for label, group, inv in linear_fixtures():
+        out[f"decompose {label}"] = _sha(decomposition_report(group, inv).to_json())
+        out[f"form {label}"] = _sha(form_report(inv, seed=0))
+    return out
+
+
+def test_outputs_match_golden_digests():
+    expected = json.loads(GOLDEN.read_text())
+    got = digests()
+    assert sorted(got) == sorted(expected)
+    assert [k for k in expected if got[k] != expected[k]] == []
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")

@@ -1,9 +1,11 @@
+import gc
 from math import lcm
 
 import pytest
 
 from oracle import conjugation_orbits, element_orders, permutation_closure
 from skewlie import (
+    Group,
     SpecError,
     build_group,
     conjugacy_classes,
@@ -11,7 +13,7 @@ from skewlie import (
     sign_characters,
     square_root_count,
 )
-from skewlie.groups import group_from_permutations, group_from_table
+from skewlie.groups import cyclic_group, group_from_permutations, group_from_table
 
 
 def test_trivial_group():
@@ -152,3 +154,14 @@ def test_unknown_specs_rejected():
         build_group("frobnicator:3")
     with pytest.raises(SpecError):
         build_group("symmetric:6")
+
+
+def test_derived_data_dies_with_the_group():
+    name = "cache-lifetime-probe"
+    group = cyclic_group(6, name=name)
+    conjugacy_classes(group)
+    exponent(group)
+    sign_characters(group)
+    del group
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, Group) and o.name == name]

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import involution_axioms_hold
 
 from skewlie import (
     AlgebraElement,
@@ -11,9 +14,11 @@ from skewlie import (
     bracket,
     build_group,
     multiply,
+    sign_characters,
     skew_space,
     validate_involution,
 )
+from skewlie.catalog import builtin_involutions, conjugated_canonical_involution
 from skewlie.linalg import mat, rank, rref_rows
 
 
@@ -114,10 +119,16 @@ def test_linear_matrix_must_be_involutive(c3):
         validate_involution(Involution.linear(c3, not_involutive))
 
 
-def test_unvalidated_spec_rejected(q8):
-    inv = Involution.canonical(q8)
+def test_bad_spec_rejected_at_construction(c3, q8):
+    # no .validate() call: the axioms are checked when the spec is built
     with pytest.raises(SpecError):
-        inv.apply(basis(q8, 1))
+        Involution.anti_automorphism(c3, [0, 1, 1])
+    inv = Involution.canonical(q8)
+    assert inv.validate() is inv
+    with pytest.raises(AttributeError):
+        inv.columns = Involution.canonical(c3).columns
+    with pytest.raises(AttributeError):
+        inv.kind = "linear"
 
 
 def test_q8_skew_dim(q8, canonical):
@@ -230,3 +241,90 @@ def test_linear_involution_json_round_trip(c3):
     assert all(isinstance(x, str) for row in obj["matrix"] for x in row)
     rebuilt = validate_involution(Involution.from_json(c3, obj))
     assert rebuilt.matrix == inv.matrix
+
+
+SMALL_GROUPS = [build_group(spec) for spec in (
+    "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6", "cyclic:8",
+    "dihedral:3", "dihedral:4", "dicyclic:2", "abelian:2,2", "abelian:2,2,2",
+)]
+
+
+def _signed_permutation(mapping, signs):
+    n = len(mapping)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for g in range(n):
+        m[mapping[g]][g] = Fraction(signs[g])
+    return m
+
+
+def _agrees_with_oracle(group, build, matrix):
+    """Construction succeeds exactly when the dense oracle accepts the matrix."""
+    expected = involution_axioms_hold(group.mult, matrix)
+    try:
+        build()
+    except SpecError:
+        assert not expected
+    else:
+        assert expected
+
+
+@st.composite
+def maps_and_signs(draw):
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    n = group.order
+    mapping = draw(st.one_of(
+        st.sampled_from([list(group.inv), list(range(n))]),
+        st.permutations(range(n)),
+    ))
+    signs = draw(st.one_of(
+        st.sampled_from(sign_characters(group)),
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n),
+    ))
+    return group, mapping, signs
+
+
+@settings(max_examples=80, deadline=None)
+@given(maps_and_signs())
+def test_group_induced_construction_matches_dense_oracle(case):
+    group, mapping, signs = case
+    _agrees_with_oracle(group, lambda: Involution.anti_automorphism(group, mapping),
+                        _signed_permutation(mapping, [1] * group.order))
+    _agrees_with_oracle(group, lambda: Involution.oriented(group, signs),
+                        _signed_permutation(group.inv, signs))
+    signed = _signed_permutation(mapping, signs)
+    _agrees_with_oracle(group, lambda: Involution.linear(group, signed), signed)
+
+
+@st.composite
+def perturbed_linear(draw):
+    if draw(st.booleans()):
+        # u = 5 + g + g^-1 + h + h^-1 is a unit fixed by the canonical
+        # involution; on a nonabelian group it need not be central
+        group = draw(st.sampled_from([g for g in SMALL_GROUPS if not g.is_abelian()]))
+        unit = AlgebraElement.basis(group, 0, 5)
+        for g in draw(st.lists(st.integers(1, group.order - 1), min_size=2, max_size=2)):
+            unit = unit + basis(group, g) + basis(group, group.inv[g])
+        matrix = conjugated_canonical_involution(group, unit).matrix
+    else:
+        group = draw(st.sampled_from(SMALL_GROUPS))
+        matrix = draw(st.sampled_from(builtin_involutions(group)))[1].matrix
+    n = group.order
+    change = draw(st.sampled_from(("keep", "perturb", "shear")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    t = draw(st.sampled_from((Fraction(1), Fraction(-1), Fraction(1, 2))))
+    if change == "perturb":
+        matrix[i][j] += t
+    elif change == "shear" and i != j:
+        # E M E^-1 with E = I + t*E_ij still squares to I, but it is an
+        # anti-automorphism only if E commutes with M
+        for row in matrix:
+            row[j] -= t * row[i]
+        matrix[i] = [a + t * b for a, b in zip(matrix[i], matrix[j])]
+    return group, matrix
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed_linear())
+def test_linear_construction_matches_dense_oracle(case):
+    group, matrix = case
+    _agrees_with_oracle(group, lambda: Involution.linear(group, matrix), matrix)
