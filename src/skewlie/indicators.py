@@ -76,7 +76,7 @@ def complex_dimension_identity(table: "CharacterTable") -> tuple[bool, dict]:
     against (|G| - #{g : g^2 = 1}) / 2, all exactly; |G| - #{g : g^2 = 1}
     counts the elements paired with a distinct inverse, so it is even.
     """
-    report = indicator_report(table)
+    report = table.indicators
     detail = {
         "orthogonal_part": report.orthogonal_part,
         "symplectic_part": report.symplectic_part,
@@ -89,7 +89,7 @@ def complex_dimension_identity(table: "CharacterTable") -> tuple[bool, dict]:
 
 def involution_count_identity(table: "CharacterTable") -> tuple[bool, dict]:
     """sum_chi nu2(chi) chi(1) equals the number of solutions of g^2 = 1."""
-    report = indicator_report(table)
+    report = table.indicators
     detail = {
         "indicator_weighted_degrees": report.indicator_weighted_degrees,
         "square_roots_of_identity": report.square_roots,

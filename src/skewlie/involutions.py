@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .errors import SpecError
 from .groups import Group
 from .linalg import QMatrix, ZERO, ONE, mat, rref_rows
+from .serialize import frac_str
 
 CANONICAL = "canonical"
 ORIENTED = "oriented"
@@ -162,38 +163,52 @@ class Involution:
 
     @classmethod
     def oriented(cls, group: Group, alpha: Sequence[int]) -> "Involution":
-        if len(alpha) != group.order:
+        if not isinstance(alpha, Sequence) or len(alpha) != group.order:
             raise SpecError("alpha length must equal the group order")
-        if any(a not in (1, -1) for a in alpha):
+        if any(type(a) is not int or a not in (1, -1) for a in alpha):
             raise SpecError("alpha values must be +1 or -1")
         return cls(group, ORIENTED, tuple(((h, a),) for h, a in zip(group.inv, alpha)))
 
     @classmethod
     def anti_automorphism(cls, group: Group, mapping: Sequence[int]) -> "Involution":
+        if not isinstance(mapping, Sequence) or any(type(h) is not int for h in mapping):
+            raise SpecError("map entries must be integers")
         if sorted(mapping) != list(range(group.order)):
             raise SpecError("map is not a permutation of the group elements")
         return cls(group, ANTI_AUTOMORPHISM, tuple(((h, 1),) for h in mapping))
 
     @classmethod
     def linear(cls, group: Group, matrix: Sequence[Sequence]) -> "Involution":
-        m = mat(matrix)
         n = group.order
-        if len(m) != n or any(len(row) != n for row in m):
+        if (not isinstance(matrix, Sequence) or len(matrix) != n
+                or any(not isinstance(row, Sequence) or len(row) != n for row in matrix)):
             raise SpecError("linear involution matrix must be |G| x |G|")
+        try:
+            m = mat(matrix)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise SpecError("linear involution matrix entries must be rationals") from None
         cols = tuple(tuple((h, m[h][g]) for h in range(n) if m[h][g]) for g in range(n))
         return cls(group, LINEAR, cols)
 
     @classmethod
     def from_json(cls, group: Group, obj: dict) -> "Involution":
+        if not isinstance(obj, dict):
+            raise SpecError("involution spec must be a JSON object")
         kind = obj.get("kind")
+
+        def field(name: str):
+            if name not in obj:
+                raise SpecError(f"{kind} involution spec has no {name!r} field")
+            return obj[name]
+
         if kind == CANONICAL:
             return cls.canonical(group)
         if kind == ORIENTED:
-            return cls.oriented(group, obj["alpha"])
+            return cls.oriented(group, field("alpha"))
         if kind == ANTI_AUTOMORPHISM:
-            return cls.anti_automorphism(group, obj["map"])
+            return cls.anti_automorphism(group, field("map"))
         if kind == LINEAR:
-            return cls.linear(group, obj["matrix"])
+            return cls.linear(group, field("matrix"))
         raise SpecError(f"unknown involution kind {kind!r}")
 
     def to_json(self) -> dict:
@@ -205,7 +220,7 @@ class Involution:
             return {"kind": ANTI_AUTOMORPHISM, "map": [col[0][0] for col in self.columns]}
         return {
             "kind": LINEAR,
-            "matrix": [[_frac_str(x) for x in row] for row in self.matrix],
+            "matrix": [[frac_str(x) for x in row] for row in self.matrix],
         }
 
     @property
@@ -301,7 +316,3 @@ def skew_space(inv: Involution) -> SkewSpaceReport:
         fixed_plus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, 1),)),
         fixed_minus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, -1),)),
     )
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

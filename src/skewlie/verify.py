@@ -10,14 +10,7 @@ from .groups import Group
 from .indicators import complex_dimension_identity, involution_count_identity
 from .involutions import Involution
 from .linalg import hnf
-from .wedderburn import (
-    CharacterTable,
-    character_table,
-    decomposition_report,
-    galois_orbits,
-    rational_idempotents,
-    table_orthogonality,
-)
+from .wedderburn import CharacterTable, character_table, decomposition_report
 
 FORMS_ORDER_LIMIT = 24
 
@@ -58,7 +51,7 @@ class VerificationSummary:
 
 def _table_integrity(summary: VerificationSummary, group: Group, table: CharacterTable) -> None:
     name = group.name
-    summary.add(name, "orthogonality", table_orthogonality(table))
+    summary.add(name, "orthogonality", table.checks["orthogonality"])
     summary.add(
         name, "degree-squares",
         sum(d * d for d in table.degrees) == group.order,
@@ -96,14 +89,12 @@ def _lattice_check(summary: VerificationSummary, group: Group) -> None:
 def verify_group(group: Group, summary: VerificationSummary, seed: int = 0) -> None:
     table = character_table(group)
     _table_integrity(summary, group, table)
-    orbits = galois_orbits(table)
-    idems = rational_idempotents(table, orbits)
     summary.add(
         group.name, "component-dimensions",
-        sum(o.dim_q for o in orbits) == group.order,
+        sum(o.dim_q for o in table.orbits) == group.order,
     )
     for label, inv in catalog.builtin_involutions(group):
-        report = decomposition_report(group, inv, table=table, orbits=orbits, idems=idems)
+        report = decomposition_report(group, inv, table=table)
         summary.add(
             group.name, f"skew-decomposition[{label}]",
             report.checks["theorem2_identity"],
@@ -117,9 +108,9 @@ def verify_group(group: Group, summary: VerificationSummary, seed: int = 0) -> N
             fixed = all(c.paired_with is None for c in report.components)
             summary.add(group.name, "canonical-fixes-components", fixed)
             symplectic_neg = all(
-                report.indicators.indicators[m] == -1
+                table.indicators.indicators[m] == -1
                 for c in report.components if c.type == "symplectic"
-                for m in orbits[c.component_id].members
+                for m in table.orbits[c.component_id].members
             )
             summary.add(group.name, "symplectic-indicator", symplectic_neg)
         if group.order <= FORMS_ORDER_LIMIT:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Sequence
 
@@ -273,7 +274,9 @@ class CharacterTable:
 
     ``values[i][j]`` is the value of character i on class j; ``root_mults``
     carries the same value as the integer multiplicities of the eigenvalue
-    roots of unity, which is what the fast exact checks work on.
+    roots of unity, which is what the fast exact checks work on.  The results
+    that depend on G alone, not on an involution, are computed on first use
+    and kept on the table.
     """
 
     group: Group
@@ -286,6 +289,23 @@ class CharacterTable:
 
     def __len__(self) -> int:
         return len(self.degrees)
+
+    @cached_property
+    def orbits(self) -> tuple[GaloisOrbit, ...]:
+        return tuple(galois_orbits(self))
+
+    @cached_property
+    def idempotents(self) -> tuple[CentralIdempotent, ...]:
+        return tuple(rational_idempotents(self, self.orbits))
+
+    @cached_property
+    def indicators(self) -> IndicatorReport:
+        return indicator_report(self)
+
+    @cached_property
+    def checks(self) -> dict[str, bool]:
+        return {"idempotent_axioms": idempotent_axioms_hold(self.idempotents),
+                "orthogonality": table_orthogonality(self)}
 
     def to_json(self) -> dict:
         return {
@@ -633,13 +653,10 @@ def _center_basis(idem: CentralIdempotent, cd: ConjugacyData) -> list[AlgebraEle
     return [AlgebraElement(group, row) for row in rref_rows(rows)]
 
 
-def classify_components(
-    table: CharacterTable,
-    orbits: Sequence[GaloisOrbit],
-    idems: Sequence[CentralIdempotent],
-    inv: Involution,
-) -> list[ComponentReport]:
+def classify_components(table: CharacterTable, inv: Involution) -> list[ComponentReport]:
     """Theorem-level classification of every component; pairs reported once."""
+    orbits = table.orbits
+    idems = table.idempotents
     perm = sigma_action_on_components(idems, inv)
     cd = table.classes
     reports = []
@@ -706,13 +723,10 @@ class DecompositionReport:
     group: Group
     involution: Involution
     table: CharacterTable
-    orbits: tuple[GaloisOrbit, ...]
-    idempotents: tuple[CentralIdempotent, ...]
     components: tuple[ComponentReport, ...]
     skew_dim: int
     sum_components: int
     checks: dict
-    indicators: IndicatorReport
 
     @property
     def all_checks_pass(self) -> bool:
@@ -728,43 +742,26 @@ class DecompositionReport:
                 "sum_components": self.sum_components,
             },
             "checks": dict(self.checks),
-            "indicators": self.indicators.to_json(),
+            "indicators": self.table.indicators.to_json(),
         }
 
 
-def decomposition_report(
-    group: Group,
-    inv: Involution,
-    table: CharacterTable | None = None,
-    orbits: Sequence[GaloisOrbit] | None = None,
-    idems: Sequence[CentralIdempotent] | None = None,
-) -> DecompositionReport:
+def decomposition_report(group: Group, inv: Involution,
+                         table: CharacterTable | None = None) -> DecompositionReport:
     """Classify every component and verify the global skew-dimension identity."""
     if table is None:
         table = character_table(group)
-    if orbits is None:
-        orbits = galois_orbits(table)
-    if idems is None:
-        idems = rational_idempotents(table, orbits)
-    components = classify_components(table, orbits, idems, inv)
+    components = classify_components(table, inv)
     ssr = skew_space(inv)
     total = sum(c.skew_dim_q for c in components)
-    if sum(o.dim_q for o in orbits) != group.order:
+    if sum(o.dim_q for o in table.orbits) != group.order:
         raise ComputationError("component dimensions do not sum to |G|")
-    checks = {
-        "theorem2_identity": total == ssr.skew_dim,
-        "idempotent_axioms": idempotent_axioms_hold(idems),
-        "orthogonality": table_orthogonality(table),
-    }
     return DecompositionReport(
         group=group,
         involution=inv,
         table=table,
-        orbits=tuple(orbits),
-        idempotents=tuple(idems),
         components=tuple(components),
         skew_dim=ssr.skew_dim,
         sum_components=total,
-        checks=checks,
-        indicators=indicator_report(table),
+        checks={"theorem2_identity": total == ssr.skew_dim, **table.checks},
     )

@@ -85,7 +85,7 @@ def test_criterion_2_global_identity(catalog_ctx):
     for g, t, orbits, idems, invs in catalog_ctx:
         groups += 1
         for label, inv in invs:
-            rep = decomposition_report(g, inv, table=t, orbits=orbits, idems=idems)
+            rep = decomposition_report(g, inv, table=t)
             reports += 1
             if rep.sum_components != rep.skew_dim:
                 failures.append((g.name, label))

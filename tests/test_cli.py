@@ -138,6 +138,22 @@ def test_input_errors_exit_one(capsys):
     assert code == EXIT_INPUT
 
 
+def test_malformed_involution_json_exits_one(capsys):
+    cases = [
+        ('{"kind": "oriented"}', "'alpha'"),
+        ('{"kind": "anti_automorphism", "map": [0.0, 1.0]}', "integers"),
+        ('{"kind": "linear", "matrix": [["x", "0"], ["0", "1"]]}', "rationals"),
+        ('{"kind": "linear", "matrix": 5}', "|G| x |G|"),
+        ('{"kind": "oriented", "alpha": [1.0, -1.0]}', "+1 or -1"),
+    ]
+    for spec, message in cases:
+        code, out, err = run_cli(capsys, "decompose", "--group", "cyclic:2",
+                                 "--involution", spec)
+        assert code == EXIT_INPUT, spec
+        assert out == ""
+        assert err.startswith("error: ") and message in err, err
+
+
 def test_max_order_env(capsys, monkeypatch):
     monkeypatch.setenv("SKEWLIE_MAX_ORDER", "5")
     code, _, _ = run_cli(capsys, "group-info", "--group", "cyclic:10")

@@ -2,7 +2,8 @@
 
 Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
 ``decompose`` and ``form`` for every catalog group of order <= 12 under every
-built-in involution, and ``decompose`` and ``form`` for the linear fixtures.
+built-in involution, ``decompose`` and ``form`` for the linear fixtures, and
+``verify`` for each of those catalog groups alone and for the fixtures alone.
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when an
 output is meant to change.
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 from skewlie import character_table, decomposition_report, form_report
 from skewlie.catalog import builtin_involutions, catalog_groups, linear_fixtures
 from skewlie.serialize import dumps
+from skewlie.verify import run_verification
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 MAX_ORDER = 12
@@ -32,9 +34,13 @@ def digests() -> dict[str, str]:
             report = decomposition_report(group, inv, table=table)
             out[f"decompose {group.name} {label}"] = _sha(report.to_json())
             out[f"form {group.name} {label}"] = _sha(form_report(inv, seed=0))
+        summary = run_verification(selector=group.name, include_fixtures=False)
+        out[f"verify {group.name}"] = _sha(summary.to_json())
     for label, group, inv in linear_fixtures():
         out[f"decompose {label}"] = _sha(decomposition_report(group, inv).to_json())
         out[f"form {label}"] = _sha(form_report(inv, seed=0))
+    # no catalog group has order <= 0, so only the linear fixtures run
+    out["verify fixtures"] = _sha(run_verification(max_order=0).to_json())
     return out
 
 

@@ -124,4 +124,4 @@ def test_symplectic_components_have_indicator_minus_one(q8, q8_table):
     for comp in rep.components:
         if comp.type == "symplectic":
             for member in orbits[comp.component_id].members:
-                assert rep.indicators.indicators[member] == -1
+                assert rep.table.indicators.indicators[member] == -1

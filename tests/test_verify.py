@@ -36,3 +36,34 @@ def test_verification_json_shape():
     assert obj["all_pass"] is True
     assert obj["failed"] == 0
     assert obj["total"] == len(obj["checks"]) == len(summary.lines)
+
+
+def test_table_results_computed_once_per_table(monkeypatch):
+    """verify_group serves every involution of a group from one table's results."""
+    import sys
+
+    import skewlie.wedderburn as wedderburn
+    from skewlie import build_group
+    from skewlie.verify import VerificationSummary, verify_group
+
+    names = ("galois_orbits", "rational_idempotents", "indicator_report",
+             "idempotent_axioms_hold", "table_orthogonality")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for k, m in sys.modules.items() if k.startswith("skewlie.")]
+    for name in names:
+        original = getattr(wedderburn, name)
+        wrapper = counted(name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    summary = VerificationSummary()
+    verify_group(build_group("dihedral:4"), summary)
+    assert summary.all_pass
+    assert calls == dict.fromkeys(names, 1)

@@ -237,7 +237,7 @@ def test_pair_swap_fixture_klein():
     perm = sigma_action_on_components(idems, inv)
     swapped = [i for i, j in enumerate(perm) if j != i]
     assert len(swapped) == 2
-    reports = classify_components(t, orbits, idems, inv)
+    reports = classify_components(t, inv)
     pair = [c for c in reports if c.kind == "pair"]
     assert len(pair) == 1
     assert pair[0].type == "unitary"
