@@ -71,11 +71,11 @@ def power_basis_table(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def reduce_root_vector(e: int, mults: Sequence) -> list[Fraction]:
-    """Power-basis coordinates of sum_k mults[k] * zeta_e^k."""
+def reduce_root_vector(e: int, mults: Sequence) -> list:
+    """Power-basis coordinates of sum_k mults[k] * zeta_e^k; ints for int mults."""
     phi = euler_phi(e)
     table = power_basis_table(e)
-    out = [ZERO] * phi
+    out = [0] * phi
     for k, c in enumerate(mults):
         if c:
             t = table[k % e]

@@ -263,20 +263,30 @@ def _split_product_args(text: str) -> list[str]:
     return parts
 
 
+def _int_rows(value, field: str) -> list:
+    """A JSON field that must be a list of lists of integers."""
+    if not isinstance(value, (list, tuple)) or any(
+            not isinstance(row, (list, tuple)) or any(type(x) is not int for x in row)
+            for row in value):
+        raise SpecError(f"{field} must be a list of lists of integers")
+    return value
+
+
 def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Resolve a group spec: builtin string, JSON dict, or Group passthrough."""
     if isinstance(spec, Group):
         return spec
     if isinstance(spec, dict):
         if "mult_table" in spec:
-            if "order" in spec and spec["order"] != len(spec["mult_table"]):
+            table = _int_rows(spec["mult_table"], "mult_table")
+            if "order" in spec and spec["order"] != len(table):
                 raise SpecError("declared order does not match the table size")
-            return group_from_table(
-                spec["mult_table"], spec.get("name", "table-group"), max_order
-            )
+            return group_from_table(table, spec.get("name", "table-group"), max_order)
         if "permutation_generators" in spec:
+            if type(spec.get("degree")) is not int:
+                raise SpecError("permutation_generators need an integer 'degree'")
             return group_from_permutations(
-                spec["permutation_generators"],
+                _int_rows(spec["permutation_generators"], "permutation_generators"),
                 spec["degree"],
                 spec.get("name"),
                 max_order,

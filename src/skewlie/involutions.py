@@ -86,16 +86,6 @@ class AlgebraElement:
                         out[row[h]] += a * b
         return AlgebraElement(self.group, out)
 
-    def right_basis_mul(self, g: int, coeff=1) -> "AlgebraElement":
-        """self * (coeff * g) without a full convolution."""
-        mult = self.group.mult
-        ginv = self.group.inv[g]
-        coeffs = self.coeffs
-        out = [coeffs[mult[h][ginv]] for h in range(self.group.order)]
-        if coeff != 1:
-            out = [coeff * x for x in out]
-        return AlgebraElement(self.group, out)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraElement)

@@ -13,7 +13,7 @@ orthogonal, symplectic, or unitary from the dimension of its skew part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
@@ -21,10 +21,10 @@ from typing import Sequence
 
 from .cyclotomic import Cyclotomic, reduce_root_vector, twist_root_vector
 from .errors import ComputationError, SpecError
-from .groups import ConjugacyData, Group, conjugacy_classes, exponent
+from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent
 from .indicators import IndicatorReport, indicator_report
 from .involutions import AlgebraElement, Involution, skew_space
-from .linalg import rank, rref_rows
+from .linalg import rank
 from .serialize import frac_row
 
 DEFAULT_PRIME_BOUND = 10**8
@@ -55,6 +55,50 @@ def class_structure_constants(group: Group) -> list[list[list[int]]]:
                     raise ComputationError("class sum product is not class-constant")
                 table[i][j][k] = q
     return table
+
+
+@_per_group
+def _class_products(group: Group) -> tuple:
+    """The structure constants, computed once per group: a[i][j] as its nonzero (k, a[i][j][k])."""
+    return tuple(tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in block)
+                 for block in class_structure_constants(group))
+
+
+def _class_coords(elem: AlgebraElement, cd: ConjugacyData) -> list[int] | None:
+    """|G|*elem on the class representatives; None unless elem is a class
+    function (that is, central) with coefficients in (1/|G|)Z."""
+    coeffs = elem.coeffs
+    at_reps = [coeffs[r] for r in cd.class_reps]
+    if any(c != at_reps[k] for c, k in zip(coeffs, cd.class_of)):
+        return None
+    scaled = [elem.group.order * c for c in at_reps]
+    if any(c.denominator != 1 for c in scaled):
+        return None
+    return [c.numerator for c in scaled]
+
+
+def _combine(x: Sequence, rows: Sequence, size: int) -> list:
+    """sum_j x[j] * rows[j], each row given by its (k, value) pairs."""
+    out = [0] * size
+    for xj, row in zip(x, rows):
+        if xj:
+            for k, v in row:
+                out[k] += xj * v
+    return out
+
+
+def _sigma_on_class_sums(inv: Involution, cd: ConjugacyData) -> list[tuple]:
+    """Row j: sigma(class sum j), central again, read on the class representatives."""
+    rep_class = {r: k for k, r in enumerate(cd.class_reps)}
+    out = []
+    for cls in cd.classes:
+        row = [0] * len(cd)
+        for g in cls:
+            for h, c in inv.columns[g]:
+                if h in rep_class:
+                    row[rep_class[h]] += c
+        out.append(tuple((k, v) for k, v in enumerate(row) if v))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +270,14 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
     return poly
 
 
-def _split_space(vectors: list[list[int]], m: list[list[int]], p: int) -> list[list[list[int]]]:
-    """Split an invariant subspace (ambient column vectors) into eigenspaces of m."""
+def _split_space(vectors: list[list[int]], m: tuple, p: int) -> list[list[list[int]]]:
+    """Split an invariant subspace (ambient column vectors) into eigenspaces of m.
+
+    Row j of m is given by its nonzero (k, m[j][k]); the entries are below p.
+    """
     if len(vectors) == 1:
         return [vectors]
-    images = [[sum(m[i][j] * v[j] for j in range(len(v))) % p for i in range(len(v))]
-              for v in vectors]
+    images = [[sum(a * v[k] for k, a in row) % p for row in m] for v in vectors]
     restriction = _solve_columns_mod(vectors, images, p)
     poly = _charpoly_mod(restriction, p)
     k = len(vectors)
@@ -326,7 +372,7 @@ def character_table(group: Group, prime: int | None = None,
     n = group.order
     e = exponent(group)
     p = check_dixon_prime(group, prime) if prime is not None else find_dixon_prime(group, prime_bound)
-    constants = class_structure_constants(group)
+    products = _class_products(group)
     sizes = cd.sizes()
 
     # simultaneous eigenvectors of the class matrices M_i[j][k] = a[i][j][k]
@@ -334,8 +380,7 @@ def character_table(group: Group, prime: int | None = None,
     for i in range(1, s):
         if all(len(w) == 1 for w in spaces):
             break
-        m = [[constants[i][j][k] % p for k in range(s)] for j in range(s)]
-        spaces = [piece for w in spaces for piece in _split_space(w, m, p)]
+        spaces = [piece for w in spaces for piece in _split_space(w, products[i], p)]
     if any(len(w) > 1 for w in spaces):
         raise ComputationError(
             "eigenspace splitting failed to fully diagonalize (signals an implementation bug)"
@@ -416,56 +461,35 @@ def character_table(group: Group, prime: int | None = None,
 # exact value arithmetic on root-multiplicity vectors
 # ---------------------------------------------------------------------------
 
-def _mv_mul(a: Sequence[int], b: Sequence[int], e: int) -> list[int]:
-    out = [0] * e
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % e] += x * y
-    return out
-
-
-def _mv_rational(mv: Sequence, e: int) -> Fraction:
-    red = reduce_root_vector(e, mv)
-    if any(red[1:]):
-        raise ComputationError("expected a rational value")
-    return Fraction(red[0])
-
-
 def table_orthogonality(table: CharacterTable) -> bool:
     """Exact row and column orthogonality of the character table."""
     e = table.conductor
-    cd = table.classes
-    s = len(table)
     n = table.group.order
-    sizes = cd.sizes()
-    inv = cd.class_inverse
-    for i in range(s):
-        for j in range(i, s):
-            acc = [0] * e
-            for k in range(s):
-                prod = _mv_mul(table.root_mults[i][k], table.root_mults[j][inv[k]], e)
-                for t, v in enumerate(prod):
-                    if v:
-                        acc[t] += sizes[k] * v
-            red = reduce_root_vector(e, acc)
-            expected = Fraction(n if i == j else 0)
-            if any(red[1:]) or red[0] != expected:
-                return False
-    for j in range(s):
-        for k in range(j, s):
-            acc = [0] * e
-            for i in range(s):
-                prod = _mv_mul(table.root_mults[i][j], table.root_mults[i][inv[k]], e)
-                for t, v in enumerate(prod):
-                    if v:
-                        acc[t] += v
-            red = reduce_root_vector(e, acc)
-            expected = Fraction(n, sizes[j]) if j == k else Fraction(0)
-            if any(red[1:]) or red[0] != expected:
-                return False
-    return True
+    s = len(table)
+    sizes = table.classes.sizes()
+    inv = table.classes.class_inverse
+    # each value as its nonzero root multiplicities (t, m): m copies of zeta_e^t
+    terms = [[[(t, m) for t, m in enumerate(mv) if m] for mv in row] for row in table.root_mults]
+
+    def equals(products, expected) -> bool:
+        """Whether the sum of w*x*y over the (w, x, y) in products is the rational expected."""
+        acc = [0] * e
+        for w, x, y in products:
+            for t, a in x:
+                for u, b in y:
+                    acc[(t + u) % e] += w * a * b
+        red = reduce_root_vector(e, acc)
+        return not any(red[1:]) and red[0] == expected
+
+    return all(
+        equals(((sizes[k], terms[i][k], terms[j][inv[k]]) for k in range(s)),
+               n if i == j else 0)
+        for i in range(s) for j in range(i, s)
+    ) and all(
+        equals(((1, terms[i][j], terms[i][inv[k]]) for i in range(s)),
+               Fraction(n, sizes[j]) if j == k else 0)
+        for j in range(s) for k in range(j, s)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,44 +555,37 @@ def rational_idempotents(table: CharacterTable, orbits: Sequence[GaloisOrbit]) -
         d = orbit.degree
         class_coeffs = []
         for j in range(s):
-            acc = [0] * e
-            for i in orbit.members:
-                mv = table.root_mults[i][cd.class_inverse[j]]
-                for t, v in enumerate(mv):
-                    if v:
-                        acc[t] += v
-            value = _mv_rational(acc, e)
-            class_coeffs.append(Fraction(d, n) * value)
+            acc = [sum(col) for col in zip(*(table.root_mults[i][cd.class_inverse[j]]
+                                             for i in orbit.members))]
+            value = reduce_root_vector(e, acc)
+            if any(value[1:]):
+                raise ComputationError("expected a rational value")
+            class_coeffs.append(Fraction(d, n) * value[0])
         coeffs = [class_coeffs[cd.class_of[g]] for g in range(n)]
         idems.append(CentralIdempotent(AlgebraElement(group, coeffs), oi))
     return idems
 
 
 def idempotent_axioms_hold(idems: Sequence[CentralIdempotent]) -> bool:
-    """e_i e_j = delta_ij e_i, sum e_i = 1, and each e_i is central."""
+    """Each e_i is central, sum e_i = 1 and e_i e_j = delta_ij e_i.
+
+    Checked in the class algebra: E_i = |G| e_i in class coordinates must be
+    integral, sum to |G|*1 and satisfy E_i E_j = delta_ij |G| E_i, multiplied
+    through the class structure constants.
+    """
     if not idems:
         return False
     group = idems[0].element.group
-    n = group.order
-    total = AlgebraElement.zero(group)
-    for ci in idems:
-        total = total + ci.element
-    if total != AlgebraElement.one(group):
+    cd = conjugacy_classes(group)
+    products = _class_products(group)
+    coords = [_class_coords(ci.element, cd) for ci in idems]
+    if None in coords or [sum(col) for col in zip(*coords)] != [group.order] + [0] * (len(cd) - 1):
         return False
-    for i, ci in enumerate(idems):
-        for j, cj in enumerate(idems):
-            prod = ci.element * cj.element
-            expect = ci.element if i == j else AlgebraElement.zero(group)
-            if prod != expect:
-                return False
-    mult = group.mult
-    inv = group.inv
-    for ci in idems:
-        c = ci.element.coeffs
-        for g in range(n):
-            ginv = inv[g]
-            # e*g has coefficient c[h g^-1] at h; g*e has c[g^-1 h]
-            if any(c[mult[h][ginv]] != c[mult[ginv][h]] for h in range(n)):
+    for i, ei in enumerate(coords):
+        times_ei = [tuple(enumerate(_combine(ei, block, len(cd)))) for block in products]  # K_b E_i
+        for j, ej in enumerate(coords):
+            expect = [group.order * x for x in ei] if i == j else [0] * len(cd)
+            if _combine(ej, times_ei, len(cd)) != expect:
                 return False
     return True
 
@@ -599,58 +616,43 @@ class ComponentReport:
     paired_with: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "id": self.component_id,
-            "dim_q": self.dim_q,
-            "center_degree": self.center_degree,
-            "degree_n": self.degree_n,
-            "kind": self.kind,
-            "type": self.type,
-            "skew_dim_q": self.skew_dim_q,
-            "paired_with": self.paired_with,
-        }
+        fields = asdict(self)
+        return {"id": fields.pop("component_id"), **fields}
 
 
 def component_skew_dim(idem: CentralIdempotent, inv: Involution) -> int:
-    """Rank over Q of {e*(g - sigma(g)) : g in G}."""
-    elem = idem.element
-    rows = []
-    for g, col in enumerate(inv.columns):
-        row = elem.right_basis_mul(g)
-        for h, c in col:
-            row = row - elem.right_basis_mul(h, c)
-        rows.append(row.coeffs)
-    return rank(rows)
+    """dim_Q (fQG)^- = (|G| f[1] - tr(sigma L_f))/2 for f = e, or e + sigma(e) if sigma moves e.
+
+    f is central and sigma-fixed, so sigma commutes with the projection L_f onto
+    fQG, and tr(sigma L_f) = sum_g sum_{(h, m) in sigma(g)} m f[g h^-1].  For a
+    swapped pair (fQG)^- is isomorphic to eQG: the trace must vanish.
+    """
+    group = idem.element.group
+    n = group.order
+    cd = conjugacy_classes(group)
+    e = _class_coords(idem.element, cd)
+    if e is None:
+        raise ComputationError("component idempotent is not central over (1/|G|)Z")
+    sigma_e = _combine(e, _sigma_on_class_sums(inv, cd), len(cd))
+    f = e if sigma_e == e else [a + b for a, b in zip(e, sigma_e)]
+    mult, ginv, class_of = group.mult, group.inv, cd.class_of
+    trace = sum(m * f[class_of[mult[g][ginv[h]]]]  # |G| tr(sigma L_f)
+                for g, col in enumerate(inv.columns) for h, m in col)
+    twice, rem = divmod(n * f[0] - trace, n)
+    if twice < 0 or rem or twice % 2:
+        raise ComputationError(f"trace formula gives the skew dimension {(twice + rem / n) / 2}")
+    return twice // 2
 
 
 def sigma_action_on_components(idems: Sequence[CentralIdempotent], inv: Involution) -> tuple[int, ...]:
     """The permutation sigma(e_i) = e_perm[i]; always an involution."""
     index = {ci.element.coeffs: i for i, ci in enumerate(idems)}
-    perm = []
-    for ci in idems:
-        image = inv.apply(ci.element)
-        j = index.get(image.coeffs)
-        if j is None:
-            raise ComputationError(
-                "involution image of a central idempotent matches no idempotent"
-            )
-        perm.append(j)
-    for i, j in enumerate(perm):
-        if perm[j] != i:
-            raise ComputationError("component action of the involution is not involutive")
-    return tuple(perm)
-
-
-def _center_basis(idem: CentralIdempotent, cd: ConjugacyData) -> list[AlgebraElement]:
-    """RREF basis of e * (class sums), a Q-basis of the component's center."""
-    group = idem.element.group
-    rows = []
-    for cls in cd.classes:
-        acc = AlgebraElement.zero(group)
-        for g in cls:
-            acc = acc + idem.element.right_basis_mul(g)
-        rows.append(acc.coeffs)
-    return [AlgebraElement(group, row) for row in rref_rows(rows)]
+    perm = tuple(index.get(inv.apply(ci.element).coeffs) for ci in idems)
+    if None in perm:
+        raise ComputationError("involution image of a central idempotent matches no idempotent")
+    if any(perm[j] != i for i, j in enumerate(perm)):
+        raise ComputationError("component action of the involution is not involutive")
+    return perm
 
 
 def classify_components(table: CharacterTable, inv: Involution) -> list[ComponentReport]:
@@ -659,37 +661,32 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
     idems = table.idempotents
     perm = sigma_action_on_components(idems, inv)
     cd = table.classes
+    products = _class_products(table.group)
+    sigma_sums = _sigma_on_class_sums(inv, cd)
     reports = []
-    seen = set()
     for i, orbit in enumerate(orbits):
-        if i in seen:
-            continue
-        seen.add(i)
+        j = perm[i]
+        if j < i:
+            continue  # reported with its twin j
         ndeg = orbit.degree
         cdeg = orbit.field_degree
-        j = perm[i]
+        skew = component_skew_dim(idems[i], inv)
+        coords = _class_coords(idems[i].element, cd)  # not None: component_skew_dim checked it
+        # the z_C = |G| e K_C over all classes C span the center of eQG, of dimension [Z:Q]
+        center = [_combine(coords, block, len(cd)) for block in products]
+        if rank(center) != cdeg:
+            raise ComputationError("center basis has the wrong dimension")
         if j != i:
-            seen.add(j)
             twin = orbits[j]
             if (twin.degree, twin.field_degree) != (ndeg, cdeg):
                 raise ComputationError("swapped components have mismatched invariants")
-            skew = component_skew_dim(idems[i], inv)
             if skew != ndeg * ndeg * cdeg:
                 raise ComputationError(
                     f"component {i}: pair skew dimension {skew} != n^2*[Z:Q] "
                     f"= {ndeg * ndeg * cdeg}"
                 )
-            reports.append(ComponentReport(
-                component_id=i, dim_q=orbit.dim_q, center_degree=cdeg, degree_n=ndeg,
-                kind=PAIR, type=UNITARY, skew_dim_q=skew, paired_with=j,
-            ))
-            continue
-        skew = component_skew_dim(idems[i], inv)
-        center = _center_basis(idems[i], cd)
-        if len(center) != cdeg:
-            raise ComputationError("center basis has the wrong dimension")
-        first_kind = all(inv.apply(z) == z for z in center)
-        if first_kind:
+            kind, typ = PAIR, UNITARY
+        elif all(_combine(z, sigma_sums, len(cd)) == z for z in center):
             dz, rem = divmod(skew, cdeg)
             if rem == 0 and dz == ndeg * (ndeg - 1) // 2:
                 typ = ORTHOGONAL
@@ -709,7 +706,7 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
             kind, typ = SECOND, UNITARY
         reports.append(ComponentReport(
             component_id=i, dim_q=orbit.dim_q, center_degree=cdeg, degree_n=ndeg,
-            kind=kind, type=typ, skew_dim_q=skew, paired_with=None,
+            kind=kind, type=typ, skew_dim_q=skew, paired_with=None if j == i else j,
         ))
     return reports
 

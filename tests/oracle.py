@@ -136,3 +136,45 @@ def involution_axioms_hold(mult, matrix) -> bool:
             if prod != col[mult[g][h]]:
                 return False
     return True
+
+
+def convolve(mult, a, b):
+    """Product of two elements of QG, given as dense coefficient lists."""
+    out = [Fraction(0)] * len(mult)
+    for g, x in enumerate(a):
+        if x:
+            row = mult[g]
+            for h, y in enumerate(b):
+                if y:
+                    out[row[h]] += x * y
+    return out
+
+
+def idempotent_axioms_by_convolution(mult, idempotents) -> bool:
+    """sum e_i = 1, e_i e_j = delta_ij e_i and e_i g = g e_i for all g, by dense products."""
+    n = len(mult)
+    if not idempotents:
+        return False
+    if [sum(col, Fraction(0)) for col in zip(*idempotents)] != [1] + [0] * (n - 1):
+        return False
+    basis = [[1 if h == g else 0 for h in range(n)] for g in range(n)]
+    for i, a in enumerate(idempotents):
+        for j, b in enumerate(idempotents):
+            if convolve(mult, a, b) != (list(a) if i == j else [0] * n):
+                return False
+        if any(convolve(mult, a, x) != convolve(mult, x, a) for x in basis):
+            return False
+    return True
+
+
+def skew_dim_by_rank(mult, columns, e) -> int:
+    """Rank of {e(g - sigma(g)) : g in G}, where columns[g] holds sigma(g) as (index, coeff) pairs."""
+    n = len(mult)
+    rows = []
+    for g, col in enumerate(columns):
+        diff = [Fraction(0)] * n
+        diff[g] += 1
+        for h, c in col:
+            diff[h] -= c
+        rows.append(convolve(mult, e, diff))
+    return len(division_rref(rows))

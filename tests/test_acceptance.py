@@ -17,10 +17,8 @@ from skewlie import (
     complex_dimension_identity,
     decomposition_report,
     fs_indicator,
-    galois_orbits,
     integral_skew_lattice,
     involution_count_identity,
-    rational_idempotents,
     realize_adjoint_form,
     sigma_action_on_components,
     skew_adjoint_space,
@@ -49,9 +47,7 @@ def catalog_ctx():
     ctx = []
     for g in catalog_groups():
         t = character_table(g)
-        orbits = galois_orbits(t)
-        idems = rational_idempotents(t, orbits)
-        ctx.append((g, t, orbits, idems, builtin_involutions(g)))
+        ctx.append((g, t, t.orbits, t.idempotents, builtin_involutions(g)))
     return ctx
 
 

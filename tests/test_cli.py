@@ -154,6 +154,20 @@ def test_malformed_involution_json_exits_one(capsys):
         assert err.startswith("error: ") and message in err, err
 
 
+def test_malformed_group_json_exits_one(capsys):
+    cases = [
+        ('{"permutation_generators": [[1, 0]]}', "'degree'"),
+        ('{"permutation_generators": 5, "degree": 2}', "list of lists of integers"),
+        ('{"mult_table": 5}', "list of lists of integers"),
+        ('{"mult_table": [[0.0]]}', "list of lists of integers"),
+    ]
+    for spec, message in cases:
+        code, out, err = run_cli(capsys, "group-info", "--group", spec)
+        assert code == EXIT_INPUT, spec
+        assert out == ""
+        assert err.startswith("error: ") and message in err, err
+
+
 def test_max_order_env(capsys, monkeypatch):
     monkeypatch.setenv("SKEWLIE_MAX_ORDER", "5")
     code, _, _ = run_cli(capsys, "group-info", "--group", "cyclic:10")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from skewlie import (
+    AlgebraElement,
     Involution,
     SpecError,
     adjoint_space_matches_skew_span,
@@ -60,7 +61,7 @@ def test_realize_returns_valid_witness(q8, canonical):
     for g in range(q8.order):
         sg = inv.apply_basis(g)
         for h in range(q8.order):
-            prod = sg.right_basis_mul(h)
+            prod = sg * AlgebraElement.basis(q8, h)
             value = sum(l * c for l, c in zip(r.functional, prod.coeffs))
             assert value == r.form.gram[g][h]
 

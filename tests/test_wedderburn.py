@@ -21,8 +21,19 @@ from skewlie import (
     skew_space,
     table_orthogonality,
 )
-from skewlie.catalog import c3c3_swap_involution, klein_swap_involution
-from skewlie.wedderburn import idempotent_axioms_hold
+from skewlie.catalog import (
+    builtin_involutions,
+    c3c3_swap_involution,
+    catalog_groups,
+    klein_swap_involution,
+    linear_fixtures,
+)
+from skewlie.errors import ComputationError
+from skewlie.wedderburn import CentralIdempotent, idempotent_axioms_hold
+
+from oracle import idempotent_axioms_by_convolution, skew_dim_by_rank
+
+ORACLE_LIMIT = 24
 
 
 def class_sum(group, cls):
@@ -91,6 +102,19 @@ def test_s3_table(s3_table, s3):
     assert all(v.is_rational() for row in s3_table.values for v in row)
     assert sum(d * d for d in s3_table.degrees) == s3.order
     assert table_orthogonality(s3_table)
+
+
+def test_orthogonality_rejects_a_changed_value(c3_table, s3_table, q8_table):
+    from dataclasses import replace
+
+    for table in (c3_table, s3_table, q8_table):
+        for i in range(len(table)):
+            rows = [list(row) for row in table.root_mults]
+            mv = list(rows[i][-1])
+            mv[0] += 1  # one more copy of 1 in the value on the last class
+            rows[i][-1] = tuple(mv)
+            changed = replace(table, root_mults=tuple(tuple(row) for row in rows))
+            assert not table_orthogonality(changed)
 
 
 def test_c3_table_is_dft(c3_table):
@@ -313,3 +337,87 @@ def test_report_json_shape(q8, canonical):
         for c in obj["components"]
     )
     assert obj["indicators"]["eq1_identity"] is True
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(group, table, involutions): catalog groups of order <= 24 under every
+    built-in involution, and the linear fixtures."""
+    cases = [(g, [inv for _, inv in builtin_involutions(g)])
+             for g in catalog_groups(max_order=ORACLE_LIMIT)]
+    cases += [(g, [inv]) for _, g, inv in linear_fixtures()]
+    return [(g, character_table(g), invs) for g, invs in cases]
+
+
+def test_skew_dims_match_rank_oracle(oracle_cases):
+    """The trace formula against the rank of {e(g - sigma(g))}, swapped components included."""
+    swapped = 0
+    for g, t, invs in oracle_cases:
+        for inv in invs:
+            for ci in t.idempotents:
+                expected = skew_dim_by_rank(g.mult, inv.columns, ci.element.coeffs)
+                assert component_skew_dim(ci, inv) == expected, (g.name, inv.to_json())
+                swapped += inv.apply(ci.element) != ci.element
+    assert swapped > 0
+
+
+def _axiom_mutants(group, idems):
+    """Idempotent lists that break an axiom, by name."""
+    idems = list(idems)
+    last = len(idems) - 1
+
+    def replace(changes):
+        return [CentralIdempotent(changes.get(k, ci.element), ci.orbit_index)
+                for k, ci in enumerate(idems)]
+
+    coeffs = list(idems[last].element.coeffs)
+    cls = max(conjugacy_classes(group).classes, key=len)
+    coeffs[cls[-1]] += 1  # one coefficient inside the largest class
+    mutants = {
+        "scaled by 2": replace({last: idems[last].element.scale(2)}),
+        "coefficient changed inside a class": replace({last: AlgebraElement(group, coeffs)}),
+        "dropped": idems[:-1],
+    }
+    if len(idems) > 1:  # the same sum, but the products fail
+        e0, e1 = idems[0].element, idems[1].element
+        mutants["shifted"] = replace({0: e0.scale(2), 1: e1 - e0})
+    return mutants
+
+
+def test_idempotent_axioms_match_convolution_oracle(oracle_cases):
+    for g, t, _ in oracle_cases:
+        idems = list(t.idempotents)
+        assert idempotent_axioms_hold(idems), g.name
+        assert idempotent_axioms_by_convolution(g.mult, [ci.element.coeffs for ci in idems])
+        for name, mutant in _axiom_mutants(g, idems).items():
+            assert not idempotent_axioms_hold(mutant), (g.name, name)
+            coeffs = [ci.element.coeffs for ci in mutant]
+            assert not idempotent_axioms_by_convolution(g.mult, coeffs), (g.name, name)
+
+
+def test_classification_checks_raise_on_mismatch(monkeypatch, q8, c3, canonical):
+    """The skew-dimension formulas, the pair check and the center dimension are real checks."""
+    import skewlie.wedderburn as wedderburn
+
+    true_dim = wedderburn.component_skew_dim
+    klein, swap = klein_swap_involution()
+    pair = next(i for i, j in enumerate(sigma_action_on_components(
+        character_table(klein).idempotents, swap)) if j != i)
+    quaternion = next(i for i, o in enumerate(character_table(q8).orbits) if o.degree == 2)
+    field = next(i for i, o in enumerate(character_table(c3).orbits) if o.field_degree == 2)
+    cases = [(q8, canonical(q8), quaternion, f"component {quaternion}: first-kind skew dimension 4"),
+             (c3, canonical(c3), field, f"component {field}: second-kind skew dimension 2"),
+             (klein, swap, pair, f"component {pair}: pair skew dimension 2")]
+    for g, inv, target, message in cases:
+        monkeypatch.setattr(wedderburn, "component_skew_dim",
+                            lambda ci, s, k=target: true_dim(ci, s) + (ci.orbit_index == k))
+        with pytest.raises(ComputationError, match=message):
+            classify_components(character_table(g), inv)
+    monkeypatch.setattr(wedderburn, "component_skew_dim", true_dim)
+
+    t = character_table(q8)
+    idems = list(t.idempotents)
+    merged = CentralIdempotent(idems[0].element + idems[1].element, 0)
+    vars(t)["idempotents"] = (merged, *idems[1:])
+    with pytest.raises(ComputationError, match="center basis has the wrong dimension"):
+        classify_components(t, canonical(q8))
