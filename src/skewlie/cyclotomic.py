@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -71,26 +72,28 @@ def power_basis_table(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _power_terms(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """power_basis_table(e) with each row as its nonzero (i, coefficient) pairs."""
+    return tuple(tuple((i, t) for i, t in enumerate(row) if t) for row in power_basis_table(e))
+
+
 def reduce_root_vector(e: int, mults: Sequence) -> list:
     """Power-basis coordinates of sum_k mults[k] * zeta_e^k; ints for int mults."""
-    phi = euler_phi(e)
-    table = power_basis_table(e)
-    out = [0] * phi
-    for k, c in enumerate(mults):
-        if c:
-            t = table[k % e]
-            for i, ti in enumerate(t):
-                if ti:
-                    out[i] += c * ti
+    table = _power_terms(e)
+    out = [0] * euler_phi(e)
+    for k in compress(range(len(mults)), mults):
+        c = mults[k]
+        for i, t in table[k % e]:
+            out[i] += c * t
     return out
 
 
 def twist_root_vector(mv: Sequence[int], k: int, e: int) -> tuple[int, ...]:
     """Root multiplicities of the value under the Galois twist zeta -> zeta^k."""
     out = [0] * e
-    for idx, c in enumerate(mv):
-        if c:
-            out[(idx * k) % e] += c
+    for idx in compress(range(len(mv)), mv):
+        out[idx * k % e] += mv[idx]
     return tuple(out)
 
 

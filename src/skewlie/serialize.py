@@ -8,8 +8,9 @@ from typing import Sequence
 
 
 def frac_str(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """"p/q", or "p" for an integer; an exact int or Fraction prints as itself
+    (a bool is not exact here: True prints as 1)."""
+    return str(x if type(x) in (int, Fraction) else Fraction(x))
 
 
 def frac_row(row: Sequence) -> list[str]:

@@ -1,10 +1,15 @@
 """Exact complex character tables and the decomposition of (QG, sigma).
 
-The character table comes from the classic modular method: class-sum structure
-constants give commuting integer matrices whose simultaneous eigenvectors over
-a suitable prime field are the central characters; degrees and class values are
-recovered mod p and lifted to exact sums of roots of unity by inverse discrete
-Fourier transforms over the power maps of class representatives.
+The character table comes from the modular method of Dixon and Schneider:
+class-sum structure constants give commuting integer matrices whose common
+eigenvectors over F_p are the central characters.  One cyclic vector per piece
+of the eigenbasis splits it: the Krylov vectors of the piece's vector under a
+class matrix give its minimal polynomial, and each root gives the projection
+onto one eigenspace.  Degrees and class values are recovered mod p and lifted
+to exact sums of roots of unity on one class per rational class, by an inverse
+discrete Fourier transform over the powers of its representative (a discrete
+log for a linear character); every other class g^k of the rational class takes
+the Galois twist by k.
 
 Galois orbits of characters give the rational central primitive idempotents,
 and each simple component of QG is classified against an involution as
@@ -16,7 +21,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 from .cyclotomic import Cyclotomic, reduce_root_vector, twist_root_vector
@@ -49,11 +56,12 @@ def class_structure_constants(group: Group) -> list[list[list[int]]]:
                 row = mult[x]
                 for y in cd.classes[j]:
                     counts[class_of[row[y]]] += 1
-            for k in range(s):
-                q, r = divmod(counts[k], sizes[k])
-                if r:
-                    raise ComputationError("class sum product is not class-constant")
-                table[i][j][k] = q
+            for k, c in enumerate(counts):
+                if c:
+                    q, r = divmod(c, sizes[k])
+                    if r:
+                        raise ComputationError("class sum product is not class-constant")
+                    table[i][j][k] = q
     return table
 
 
@@ -102,7 +110,7 @@ def _sigma_on_class_sums(inv: Involution, cd: ConjugacyData) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# mod-p linear algebra (internal to the table construction)
+# the Dixon prime and the eigenbasis mod p (internal to the table construction)
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:
@@ -170,144 +178,127 @@ def _primitive_root(p: int) -> int:
     raise ComputationError(f"no primitive root mod {p}")
 
 
-def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    rows = [row[:] for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((k for k in range(r, nrows) if rows[k][c] % p), None)
+def _minimal_polynomial(v: list[int], m: tuple, p: int) -> tuple[list[list[int]], list[int]]:
+    """The Krylov vectors v, mv, ..., m^(d-1) v and the monic minimal polynomial
+    of v under m (low degree first), by one incremental elimination.  Row j of
+    m is given by its nonzero (k, m[j][k])."""
+    krylov: list[list[int]] = []
+    echelon = []  # (pivot, row with a 1 at the pivot, the row as a combination of krylov)
+    w = v
+    while True:
+        r, comb = w, [0] * len(krylov) + [1]
+        for piv, row, c in echelon:
+            f = r[piv]
+            if f:
+                r = [(x - f * y) % p for x, y in zip(r, row)]
+                for t, b in enumerate(c):
+                    comb[t] = (comb[t] - f * b) % p
+        piv = next((k for k, x in enumerate(r) if x), None)
         if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for k in range(nrows):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [(x - f * y) % p for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+            return krylov, comb
+        f = pow(r[piv], p - 2, p)
+        echelon.append((piv, [x * f % p for x in r], [x * f % p for x in comb]))
+        krylov.append(w)
+        w = [sum(a * w[k] for k, a in row) % p for row in m]
 
 
-def _kernel_mod(a: list[list[int]], p: int) -> list[list[int]]:
-    """Column vectors spanning the null space of a over F_p."""
-    red, pivots = _rref_mod(a, p)
-    ncols = len(a[0]) if a else 0
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-red[i][f]) % p
-        basis.append(v)
-    return basis
+def _split(v: list[int], m: tuple, p: int) -> list[list[int]]:
+    """Split the piece of v by m: one child w = (mu/(x - lam))(m) v per root lam
+    of the minimal polynomial mu of v, a nonzero multiple of the projection of v
+    on the lam-eigenspace of m."""
+    krylov, mu = _minimal_polynomial(v, m, p)
+    deg = len(krylov)
+    if deg == 1:
+        return [v]
+    values = [1] * p  # mu(lam) for every lam in F_p, by Horner
+    for c in reversed(mu[:-1]):
+        values = [(x * lam + c) % p for lam, x in enumerate(values)]
+    roots = [lam for lam, x in enumerate(values) if not x]
+    if len(roots) != deg:
+        raise ComputationError("class matrix is not split semisimple mod p")
+    columns = list(zip(*krylov))
+    children = []
+    for lam in roots:
+        q, acc = [0] * deg, 0
+        for k in range(deg, 0, -1):  # synthetic division: q = mu / (x - lam)
+            acc = (acc * lam + mu[k]) % p
+            q[k - 1] = acc
+        children.append([sum(map(mul, q, col)) % p for col in columns])
+    return children
 
 
-def _solve_columns_mod(b_cols: list[list[int]], y_cols: list[list[int]], p: int) -> list[list[int]]:
-    """Solve B X = Y column-wise, B given by columns of full column rank."""
-    s = len(b_cols[0])
-    k = len(b_cols)
-    t = len(y_cols)
-    aug = [[b_cols[j][i] for j in range(k)] + [y_cols[j][i] for j in range(t)]
-           for i in range(s)]
-    red, pivots = _rref_mod(aug, p)
-    if pivots[:k] != list(range(k)) or any(pc >= k for pc in pivots[k:]):
-        raise ComputationError("subspace is not invariant under the class matrix")
-    return [[red[i][k + j] for j in range(t)] for i in range(k)]
+def _central_characters(products: tuple, sizes: Sequence[int], p: int) -> list[list[int]]:
+    """One vector per central character omega_chi = (omega_chi(K_j))_j, up to a unit.
 
-
-def _det_mod(a: list[list[int]], p: int) -> int:
-    a = [row[:] for row in a]
-    n = len(a)
-    det = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det = det * a[c][c] % p
-        inv = pow(a[c][c], p - 2, p)
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv % p
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
-    return det % p
-
-
-def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
-    """Coefficients of det(xI - a) over F_p, low degree first, via interpolation."""
-    k = len(a)
-    xs = list(range(k + 1))
-    ys = []
-    for x in xs:
-        m = [[(x if i == j else 0) - a[i][j] for j in range(k)] for i in range(k)]
-        ys.append(_det_mod(m, p))
-    # Newton divided differences, then expansion to coefficient form
-    coeffs = ys[:]
-    for level in range(1, k + 1):
-        for i in range(k, level - 1, -1):
-            num = (coeffs[i] - coeffs[i - 1]) % p
-            den = (xs[i] - xs[i - level]) % p
-            coeffs[i] = num * pow(den, p - 2, p) % p
-    poly = [0] * (k + 1)
-    acc = [1]  # product (x - xs[0])...(x - xs[i-1])
-    for i in range(k + 1):
-        for j, c in enumerate(acc):
-            poly[j] = (poly[j] + coeffs[i] * c) % p
-        if i < k:
-            shifted = [0] + acc  # x * acc
-            acc = [(u - xs[i] * v) % p for u, v in zip(shifted, acc + [0])]
-    return poly
-
-
-def _split_space(vectors: list[list[int]], m: tuple, p: int) -> list[list[list[int]]]:
-    """Split an invariant subspace (ambient column vectors) into eigenspaces of m.
-
-    Row j of m is given by its nonzero (k, m[j][k]); the entries are below p.
+    Each piece of the eigenbasis is kept as one vector whose coordinate on
+    every omega_chi of the piece is nonzero.  The first piece is
+    e_0 = sum_chi (chi(1)^2/|G|) omega_chi, nonzero on every omega_chi since
+    p > |G|.  The class matrices, largest class first, split every piece
+    until there is one piece per class.
     """
-    if len(vectors) == 1:
-        return [vectors]
-    images = [[sum(a * v[k] for k, a in row) % p for row in m] for v in vectors]
-    restriction = _solve_columns_mod(vectors, images, p)
-    poly = _charpoly_mod(restriction, p)
-    k = len(vectors)
-    pieces: list[list[list[int]]] = []
-    total = 0
-    for lam in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * lam + c) % p
-        if acc:
-            continue
-        shifted = [[(restriction[i][j] - (lam if i == j else 0)) % p for j in range(k)]
-                   for i in range(k)]
-        coords = _kernel_mod(shifted, p)
-        if not coords:
-            raise ComputationError("eigenvalue without eigenvector (splitting bug)")
-        piece = []
-        for coord in coords:
-            vec = [sum(coord[t] * vectors[t][i] for t in range(k)) % p
-                   for i in range(len(vectors[0]))]
-            piece.append(vec)
-        pieces.append(piece)
-        total += len(coords)
-        if total == k:
+    s = len(products)
+    pieces = [[1] + [0] * (s - 1)]
+    for i in sorted(range(1, s), key=lambda i: -sizes[i]):
+        if len(pieces) >= s:
             break
-    if total != k:
+        pieces = [w for v in pieces for w in _split(v, products[i], p)]
+    if len(pieces) != s:
         raise ComputationError(
-            "eigenspace splitting failed to fully diagonalize (signals an implementation bug)"
+            f"eigenspace splitting ended with {len(pieces)} pieces for {s} classes"
         )
     return pieces
+
+
+def _rational_classes(group: Group, cd: ConjugacyData) -> list[tuple[list[int], tuple]]:
+    """One entry per rational class: the classes of g^0, ..., g^(o-1) for the
+    representative g of its first class, and each class of a generator g^k of
+    <g> as (class, k), gcd(k, o) = 1.  chi(g^k) is the Galois twist of chi(g) by k."""
+    out: list[tuple[list[int], tuple]] = []
+    seen: set[int] = set()
+    for j, rep in enumerate(cd.class_reps):
+        if j in seen:
+            continue
+        powers, x = [0], rep
+        while x != 0:
+            powers.append(cd.class_of[x])
+            x = group.mult[x][rep]
+        o = len(powers)
+        twins = {powers[k % o]: k for k in range(o, 0, -1) if gcd(k, o) == 1}
+        seen.update(twins)
+        out.append((powers, tuple(twins.items())))
+    return out
+
+
+def _lift(xs: list[int], d: int, e: int, p: int, dft: dict, dlog: dict) -> list[int]:
+    """Root multiplicities of chi(g), as a length-e vector, from x[l] = chi(g^l)
+    mod p for l < o = o(g).
+
+    In degree 1, x(g^l) = x(g)^l for every l and x(g)^o = 1, and x(g) = z^t is
+    read off by discrete log; this is exactly the one-hot case of the inverse
+    DFT, which lifts every other degree: the multiplicity of each o-th root of
+    unity must be at most d, and they must sum to d.
+    """
+    mv = [0] * e
+    if d == 1:
+        xg, acc = xs[1 % len(xs)], 1
+        for x in xs + [1]:  # the last entry is x(g^o) = x(1)
+            if x != acc:
+                raise ComputationError("linear character is not multiplicative on a cyclic subgroup")
+            acc = acc * xg % p
+        mv[dlog[xg]] = 1
+        return mv
+    o_inv, matrix = dft[len(xs)]
+    step = e // len(xs)
+    total = 0
+    for m, col in enumerate(matrix):
+        c = sum(map(mul, xs, col)) * o_inv % p
+        if c > d:
+            raise ComputationError("lifted root multiplicity exceeds the degree")
+        mv[step * m] = c
+        total += c
+    if total != d:
+        raise ComputationError("root multiplicities do not sum to the degree")
+    return mv
 
 
 # ---------------------------------------------------------------------------
@@ -372,38 +363,24 @@ def character_table(group: Group, prime: int | None = None,
     n = group.order
     e = exponent(group)
     p = check_dixon_prime(group, prime) if prime is not None else find_dixon_prime(group, prime_bound)
-    products = _class_products(group)
     sizes = cd.sizes()
+    vectors = _central_characters(_class_products(group), sizes, p)
 
-    # simultaneous eigenvectors of the class matrices M_i[j][k] = a[i][j][k]
-    spaces: list[list[list[int]]] = [[[1 if i == j else 0 for i in range(s)] for j in range(s)]]
-    for i in range(1, s):
-        if all(len(w) == 1 for w in spaces):
-            break
-        spaces = [piece for w in spaces for piece in _split_space(w, products[i], p)]
-    if any(len(w) > 1 for w in spaces):
-        raise ComputationError(
-            "eigenspace splitting failed to fully diagonalize (signals an implementation bug)"
-        )
-
-    # normalize so the identity-class coordinate is 1, recover degrees mod p
     size_inv = [pow(sz, p - 2, p) for sz in sizes]
     z = pow(_primitive_root(p), (p - 1) // e, p)
-    powmap = []
-    orders = []
-    for rep in cd.class_reps:
-        o = group.element_order(rep)
-        orders.append(o)
-        powers = []
-        x = 0
-        for _ in range(o):
-            powers.append(cd.class_of[x])
-            x = group.mult[x][rep]
-        powmap.append(powers)
+    dlog = {pow(z, t, p): t for t in range(e)}
+    lifts = _rational_classes(group, cd)
+    dft = {}  # order o -> (1/o mod p, rows m of zeta_o^(-m l) over l)
+    for powers, _ in lifts:
+        o = len(powers)
+        if o not in dft:
+            zo = pow(z, e // o, p)
+            dft[o] = (pow(o, p - 2, p),
+                      [[pow(zo, -m * l % o, p) for l in range(o)] for m in range(o)])
 
     rows = []
-    for w in spaces:
-        v = w[0]
+    for v in vectors:
+        # normalize so the identity-class coordinate is 1, recover the degree mod p
         if v[0] % p == 0:
             raise ComputationError("eigenvector vanishes on the identity class")
         u0_inv = pow(v[0], p - 2, p)
@@ -415,25 +392,11 @@ def character_table(group: Group, prime: int | None = None,
             raise ComputationError("character degree recovery failed")
         x_mod = [d * u[j] * size_inv[j] % p for j in range(s)]
 
-        mults = []
-        for j in range(s):
-            o = orders[j]
-            zo = pow(z, e // o, p)
-            zo_pows = [pow(zo, m, p) for m in range(o)]
-            o_inv = pow(o, p - 2, p)
-            mv = [0] * e
-            total = 0
-            for m in range(o):
-                c = sum(x_mod[powmap[j][l]] * zo_pows[(-m * l) % o] for l in range(o))
-                c = c * o_inv % p
-                if c > d:
-                    raise ComputationError("lifted root multiplicity exceeds the degree")
-                if c:
-                    mv[(e // o) * m % e] += c
-                total += c
-            if total != d:
-                raise ComputationError("root multiplicities do not sum to the degree")
-            mults.append(tuple(mv))
+        mults: list = [None] * s
+        for powers, twins in lifts:
+            mv = _lift([x_mod[c] for c in powers], d, e, p, dft, dlog)
+            for twin, k in twins:
+                mults[twin] = twist_root_vector(mv, k, e)
         rows.append((d, tuple(mults)))
 
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -443,9 +406,8 @@ def character_table(group: Group, prime: int | None = None,
         raise ComputationError("degree squares do not sum to the group order")
     if len(set(root_mults)) != s:
         raise ComputationError("character rows are not distinct")
-    values = tuple(
-        tuple(Cyclotomic.from_root_vector(e, mv) for mv in row) for row in root_mults
-    )
+    exact = {mv: Cyclotomic.from_root_vector(e, mv) for mv in set(chain.from_iterable(root_mults))}
+    values = tuple(tuple(exact[mv] for mv in row) for row in root_mults)
     return CharacterTable(
         group=group,
         classes=cd,
@@ -645,9 +607,20 @@ def component_skew_dim(idem: CentralIdempotent, inv: Involution) -> int:
 
 
 def sigma_action_on_components(idems: Sequence[CentralIdempotent], inv: Involution) -> tuple[int, ...]:
-    """The permutation sigma(e_i) = e_perm[i]; always an involution."""
-    index = {ci.element.coeffs: i for i, ci in enumerate(idems)}
-    perm = tuple(index.get(inv.apply(ci.element).coeffs) for ci in idems)
+    """The permutation sigma(e_i) = e_perm[i]; always an involution.
+
+    Each E_i = |G| e_i is mapped in integer class coordinates, through sigma on
+    the class sums, and looked up among the E_j.
+    """
+    if not idems:
+        return ()
+    cd = conjugacy_classes(idems[0].element.group)
+    coords = [_class_coords(ci.element, cd) for ci in idems]
+    if None in coords:
+        raise ComputationError("component idempotent is not central over (1/|G|)Z")
+    sigma_sums = _sigma_on_class_sums(inv, cd)
+    index = {tuple(c): i for i, c in enumerate(coords)}
+    perm = tuple(index.get(tuple(_combine(c, sigma_sums, len(cd)))) for c in coords)
     if None in perm:
         raise ComputationError("involution image of a central idempotent matches no idempotent")
     if any(perm[j] != i for i, j in enumerate(perm)):

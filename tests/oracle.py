@@ -7,6 +7,7 @@ minor search, spans through division-based Gaussian elimination.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt
 
 
 def permutation_sign(perm) -> int:
@@ -178,3 +179,166 @@ def skew_dim_by_rank(mult, columns, e) -> int:
             diff[h] -= c
         rows.append(convolve(mult, e, diff))
     return len(division_rref(rows))
+
+
+# ---------------------------------------------------------------------------
+# character table by eigenspace kernels and a DFT on every class
+# ---------------------------------------------------------------------------
+
+def _rref_mod(rows, p):
+    rows = [row[:] for row in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((k for k in range(r, nrows) if rows[k][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for k in range(nrows):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [(x - f * y) % p for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _kernel_mod(a, p):
+    """Column vectors spanning the null space of a over F_p."""
+    red, pivots = _rref_mod(a, p)
+    ncols = len(a[0]) if a else 0
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-red[i][f]) % p
+        basis.append(v)
+    return basis
+
+
+def _det_mod(a, p):
+    a = [row[:] for row in a]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], p - 2, p)
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] * inv % p
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
+def _charpoly_mod(a, p):
+    """Coefficients of det(xI - a) over F_p, low degree first, by interpolation."""
+    k = len(a)
+    xs = list(range(k + 1))
+    coeffs = [_det_mod([[(x if i == j else 0) - a[i][j] for j in range(k)] for i in range(k)], p)
+              for x in xs]
+    for level in range(1, k + 1):  # Newton divided differences
+        for i in range(k, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * pow(xs[i] - xs[i - level], p - 2, p) % p
+    poly = [0] * (k + 1)
+    acc = [1]  # (x - xs[0]) ... (x - xs[i-1])
+    for i in range(k + 1):
+        for j, c in enumerate(acc):
+            poly[j] = (poly[j] + coeffs[i] * c) % p
+        if i < k:
+            acc = [(u - xs[i] * v) % p for u, v in zip([0] + acc, acc + [0])]
+    return poly
+
+
+def _split_space(vectors, m, p):
+    """Eigenspaces of the dense matrix m on the invariant span of vectors."""
+    if len(vectors) == 1:
+        return [vectors]
+    k = len(vectors)
+    images = [[sum(a * x for a, x in zip(row, v)) % p for row in m] for v in vectors]
+    aug = [[vectors[j][i] for j in range(k)] + [images[j][i] for j in range(k)]
+           for i in range(len(vectors[0]))]
+    red, pivots = _rref_mod(aug, p)
+    assert pivots[:k] == list(range(k)) and all(pc < k for pc in pivots[k:])
+    restriction = [[red[i][k + j] for j in range(k)] for i in range(k)]
+    poly = _charpoly_mod(restriction, p)
+    pieces = []
+    for lam in range(p):
+        if sum(c * pow(lam, t, p) for t, c in enumerate(poly)) % p:
+            continue
+        shifted = [[(restriction[i][j] - (lam if i == j else 0)) % p for j in range(k)]
+                   for i in range(k)]
+        pieces.append([[sum(c[t] * vectors[t][i] for t in range(k)) % p
+                        for i in range(len(vectors[0]))] for c in _kernel_mod(shifted, p)])
+    assert sum(len(piece) for piece in pieces) == k, "not diagonalizable over F_p"
+    return pieces
+
+
+def _smallest_primitive_root(p):
+    for g in range(2, p):
+        x, order = g, 1
+        while x != 1:
+            x = x * g % p
+            order += 1
+        if order == p - 1:
+            return g
+    return 1
+
+
+def table_by_kernels(group, classes, constants, e, p):
+    """(degrees, root_mults) of the character table, sorted as the package sorts them.
+
+    The eigenspaces of every class matrix are split by charpoly and kernels,
+    and each character is lifted by an inverse DFT on every class.
+    """
+    s = len(classes)
+    n = group.order
+    sizes = classes.sizes()
+    spaces = [[[int(i == j) for i in range(s)] for j in range(s)]]
+    for i in range(1, s):
+        m = constants[i]
+        spaces = [piece for w in spaces for piece in _split_space(w, m, p)]
+    assert all(len(w) == 1 for w in spaces), "the class matrices do not split F_p^s"
+    z = pow(_smallest_primitive_root(p), (p - 1) // e, p)
+    powmap = []
+    for rep in classes.class_reps:
+        powers, x = [], 0
+        while True:
+            powers.append(classes.class_of[x])
+            x = group.mult[x][rep]
+            if x == 0:
+                break
+        powmap.append(powers)
+    rows = []
+    for (v,) in spaces:
+        u = [x * pow(v[0], p - 2, p) % p for x in v]
+        t = sum(u[j] * u[classes.class_inverse[j]] * pow(sizes[j], p - 2, p) for j in range(s)) % p
+        d = isqrt(n * pow(t, p - 2, p) % p)
+        x_mod = [d * u[j] * pow(sizes[j], p - 2, p) % p for j in range(s)]
+        mults = []
+        for powers in powmap:
+            o = len(powers)
+            zo = pow(z, e // o, p)
+            mv = [0] * e
+            for m in range(o):
+                c = sum(x_mod[powers[l]] * pow(zo, -m * l % o, p) for l in range(o))
+                mv[(e // o) * m] = c * pow(o, p - 2, p) % p
+            assert sum(mv) == d and max(mv) <= d
+            mults.append(tuple(mv))
+        rows.append((d, tuple(mults)))
+    rows.sort()
+    return tuple(d for d, _ in rows), tuple(mv for _, mv in rows)

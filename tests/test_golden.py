@@ -2,8 +2,9 @@
 
 Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
 ``decompose`` and ``form`` for every catalog group of order <= 12 under every
-built-in involution, ``decompose`` and ``form`` for the linear fixtures, and
-``verify`` for each of those catalog groups alone and for the fixtures alone.
+built-in involution, ``decompose`` and ``form`` for the linear fixtures,
+``verify`` for each of those catalog groups alone and for the fixtures alone,
+and ``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes).
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when an
 output is meant to change.
 """
@@ -12,13 +13,20 @@ import hashlib
 import json
 from pathlib import Path
 
-from skewlie import character_table, decomposition_report, form_report
+from skewlie import build_group, character_table, decomposition_report, form_report
 from skewlie.catalog import builtin_involutions, catalog_groups, linear_fixtures
 from skewlie.serialize import dumps
 from skewlie.verify import run_verification
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 MAX_ORDER = 12
+WIDE_CHARTAB = (
+    [f"cyclic:{n}" for n in (24, 30, 32, 36, 40, 42, 45, 48, 56, 60)]
+    + [f"abelian:{a}" for a in ("2,2,2,2,2", "3,3,3", "4,4,4", "2,4,8", "2,2,2,2,2,2")]
+    + ["dicyclic:15", "dihedral:30"]
+    + ["product:cyclic:5,dicyclic:4", "product:cyclic:9,dicyclic:2",
+       "product:cyclic:8,alternating:4"]
+)
 
 
 def _sha(obj) -> str:
@@ -41,6 +49,8 @@ def digests() -> dict[str, str]:
         out[f"form {label}"] = _sha(form_report(inv, seed=0))
     # no catalog group has order <= 0, so only the linear fixtures run
     out["verify fixtures"] = _sha(run_verification(max_order=0).to_json())
+    for spec in WIDE_CHARTAB:
+        out[f"chartab {spec}"] = _sha(character_table(build_group(spec)).to_json())
     return out
 
 

@@ -31,7 +31,7 @@ from skewlie.catalog import (
 from skewlie.errors import ComputationError
 from skewlie.wedderburn import CentralIdempotent, idempotent_axioms_hold
 
-from oracle import idempotent_axioms_by_convolution, skew_dim_by_rank
+from oracle import idempotent_axioms_by_convolution, skew_dim_by_rank, table_by_kernels
 
 ORACLE_LIMIT = 24
 
@@ -421,3 +421,109 @@ def test_classification_checks_raise_on_mismatch(monkeypatch, q8, c3, canonical)
     vars(t)["idempotents"] = (merged, *idems[1:])
     with pytest.raises(ComputationError, match="center basis has the wrong dimension"):
         classify_components(t, canonical(q8))
+
+
+ORACLE_WIDE = ("cyclic:24", "abelian:3,3,3", "dicyclic:15", "dihedral:30")
+
+
+def test_table_matches_kernel_oracle():
+    """Cyclic-vector splitting and one lift per rational class against the
+    charpoly-and-kernel split with a DFT on every class, at the same prime."""
+    groups = catalog_groups() + [build_group(spec) for spec in ORACLE_WIDE]
+    for g in groups:
+        t = character_table(g)
+        assert t.prime == find_dixon_prime(g)
+        expected = table_by_kernels(g, conjugacy_classes(g), class_structure_constants(g),
+                                    t.conductor, t.prime)
+        assert (t.degrees, t.root_mults) == expected, g.name
+
+
+def test_orthogonality_rejects_an_irrational_change():
+    """A value that moves only an irrational coordinate: 1 -> 1 + zeta_5 on the
+    identity class of the trivial character of C5 leaves the rational part of
+    every inner product as it was, so only the irrational parts catch it."""
+    from dataclasses import replace
+
+    table = character_table(build_group("cyclic:5"))
+    trivial = next(i for i, row in enumerate(table.root_mults)
+                   if all(mv == (1, 0, 0, 0, 0) for mv in row))
+    rows = [list(row) for row in table.root_mults]
+    rows[trivial][0] = (1, 1, 0, 0, 0)
+    changed = replace(table, root_mults=tuple(tuple(row) for row in rows))
+    assert Cyclotomic.from_root_vector(5, rows[trivial][0]).coeffs == (1, 1, 0, 0)
+    assert table_orthogonality(table)
+    assert not table_orthogonality(changed)
+
+
+def _sparse(matrix):
+    """Rows of a dense matrix as their nonzero (k, entry) pairs, as _class_products keeps them."""
+    return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in matrix)
+
+
+@pytest.mark.parametrize("spec, matrices, message", [
+    # a Jordan block: e_0 is no eigenvector, and (x - 3)^2 has one root
+    ("cyclic:2", [[[3, 0], [1, 3]]], "not split semisimple mod p"),
+    # x^2 + 1 has no root mod 11
+    ("cyclic:2", [[[0, 10], [1, 0]]], "not split semisimple mod p"),
+    # scalar class matrices never split the first piece
+    ("cyclic:3", [[[2, 0, 0], [0, 2, 0], [0, 0, 2]]] * 2, "ended with 1 pieces for 3 classes"),
+    # two swaps that do not commute split e_0 into four pieces
+    ("cyclic:3", [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]],
+     "ended with 4 pieces for 3 classes"),
+])
+def test_splitting_guards(monkeypatch, spec, matrices, message):
+    import skewlie.wedderburn as wedderburn
+
+    g = build_group(spec)
+    identity = [[int(i == j) for j in range(g.order)] for i in range(g.order)]
+    products = tuple(_sparse(m) for m in [identity] + matrices)
+    monkeypatch.setattr(wedderburn, "_class_products", lambda group: products)
+    with pytest.raises(ComputationError, match=message):
+        character_table(g)
+
+
+def test_lifting_guards():
+    """The lift of one class from chi mod p on the powers of its representative."""
+    from skewlie.wedderburn import _lift
+
+    p = 13
+    dft = {2: (pow(2, p - 2, p), [[1, 1], [1, p - 1]])}  # order 2: zeta_2 = -1
+    dlog = {1: 0, p - 1: 1}
+    assert _lift([2, 0], 2, 2, p, dft, dlog) == [1, 1]
+    assert _lift([1, p - 1], 1, 2, p, dft, dlog) == [0, 1]
+    with pytest.raises(ComputationError, match="exceeds the degree"):
+        _lift([2, 4], 2, 2, p, dft, dlog)  # 3 copies of 1 in a degree-2 value
+    with pytest.raises(ComputationError, match="do not sum to the degree"):
+        _lift([1, 1], 2, 2, p, dft, dlog)
+    dlog4 = {1: 0, 5: 1, p - 1: 2, 8: 3}  # 5 has order 4 mod 13
+    assert _lift([1, 5, p - 1, 8], 1, 4, p, {}, dlog4) == [0, 1, 0, 0]
+    with pytest.raises(ComputationError, match="not multiplicative"):
+        _lift([1, 5, 1, 5], 1, 4, p, {}, dlog4)  # x(g^2) != x(g)^2
+    with pytest.raises(ComputationError, match="not multiplicative"):
+        _lift([1, 5], 1, 4, p, {}, dlog4)  # g has order 2, but 5^2 != 1
+
+
+@pytest.mark.parametrize("spec, change, message", [
+    ("dicyclic:2", "perturb", "degree recovery failed"),
+    ("dicyclic:2", "repeat", "degree squares do not sum to the group order"),
+    ("cyclic:3", "duplicate", "character rows are not distinct"),  # every degree is 1
+])
+def test_table_guards(monkeypatch, spec, change, message):
+    """The degree, the sum of squares and the distinctness checks on the recovered rows."""
+    import skewlie.wedderburn as wedderburn
+
+    true_split = wedderburn._central_characters
+
+    def changed(products, sizes, p):
+        vectors = true_split(products, sizes, p)
+        if change == "perturb":
+            vectors[0] = [(x + 1) % p for x in vectors[0]]
+        elif change == "repeat":
+            vectors = [vectors[0]] * len(vectors)
+        else:
+            vectors[0] = vectors[1]
+        return vectors
+
+    monkeypatch.setattr(wedderburn, "_central_characters", changed)
+    with pytest.raises(ComputationError, match=message):
+        character_table(build_group(spec))
