@@ -210,11 +210,16 @@ def _split(v: list[int], m: tuple, p: int) -> list[list[int]]:
     deg = len(krylov)
     if deg == 1:
         return [v]
-    values = [1] * p  # mu(lam) for every lam in F_p, by Horner
-    for c in reversed(mu[:-1]):
-        values = [(x * lam + c) % p for lam, x in enumerate(values)]
-    roots = [lam for lam, x in enumerate(values) if not x]
-    if len(roots) != deg:
+    roots = []  # scanned in O(1) memory: a --dixon-prime may be large
+    for lam in range(p):
+        acc = 0
+        for c in reversed(mu):
+            acc = (acc * lam + c) % p
+        if not acc:
+            roots.append(lam)
+            if len(roots) == deg:
+                break
+    else:
         raise ComputationError("class matrix is not split semisimple mod p")
     columns = list(zip(*krylov))
     children = []
