@@ -55,15 +55,16 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def power_basis_table(e: int) -> tuple[tuple[int, ...], ...]:
-    """x^k mod Phi_e for k in 0..e-1, each as a phi(e)-vector of ints."""
+def power_basis_table(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_e for k in 0..e-1, each as its nonzero (i, coefficient)
+    pairs in the power basis; past phi(e) most rows have few terms."""
     phi = euler_phi(e)
     top = [-c for c in cyclotomic_polynomial(e)[:phi]]
     table = []
     cur = [0] * phi
     cur[0] = 1
     for _ in range(e):
-        table.append(tuple(cur))
+        table.append(tuple((i, c) for i, c in enumerate(cur) if c))
         lead = cur[phi - 1]
         nxt = [0] + cur[: phi - 1]
         if lead:
@@ -72,27 +73,21 @@ def power_basis_table(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _power_terms(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """power_basis_table(e) with each row as its nonzero (i, coefficient) pairs."""
-    return tuple(tuple((i, t) for i, t in enumerate(row) if t) for row in power_basis_table(e))
-
-
 def reduce_root_vector(e: int, mults: Sequence) -> list:
     """Power-basis coordinates of sum_k mults[k] * zeta_e^k; ints for int mults."""
-    table = _power_terms(e)
+    table = power_basis_table(e)
     out = [0] * euler_phi(e)
-    for k in compress(range(len(mults)), mults):
-        c = mults[k]
-        for i, t in table[k % e]:
-            out[i] += c * t
+    for k, c in enumerate(mults):
+        if c:
+            for i, t in table[k % e]:
+                out[i] += c * t
     return out
 
 
 def twist_root_vector(mv: Sequence[int], k: int, e: int) -> tuple[int, ...]:
     """Root multiplicities of the value under the Galois twist zeta -> zeta^k."""
     out = [0] * e
-    for idx in compress(range(len(mv)), mv):
+    for idx in compress(range(len(mv)), mv):  # mv is mostly zeros at large e
         out[idx * k % e] += mv[idx]
     return tuple(out)
 
@@ -131,7 +126,7 @@ class Cyclotomic:
     @classmethod
     def root(cls, e: int, k: int = 1) -> "Cyclotomic":
         """zeta_e^k."""
-        return cls(e, power_basis_table(e)[k % e])
+        return cls.from_root_vector(e, [0] * (k % e) + [1])
 
     @classmethod
     def from_root_vector(cls, e: int, mults: Sequence) -> "Cyclotomic":
@@ -169,10 +164,8 @@ class Cyclotomic:
         for j in range(phi, 2 * phi - 1):
             c = prod[j]
             if c:
-                t = table[j % e]
-                for i, ti in enumerate(t):
-                    if ti:
-                        out[i] += c * ti
+                for i, t in table[j % e]:
+                    out[i] += c * t
         return Cyclotomic(e, out)
 
     def scale(self, q) -> "Cyclotomic":
@@ -213,10 +206,8 @@ class Cyclotomic:
         out = [ZERO] * len(self.coeffs)
         for j, c in enumerate(self.coeffs):
             if c:
-                t = table[(j * k) % e]
-                for i, ti in enumerate(t):
-                    if ti:
-                        out[i] += c * ti
+                for i, t in table[(j * k) % e]:
+                    out[i] += c * t
         return Cyclotomic(e, out)
 
     def conjugate(self) -> "Cyclotomic":

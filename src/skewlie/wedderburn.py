@@ -375,13 +375,7 @@ def character_table(group: Group, prime: int | None = None,
     z = pow(_primitive_root(p), (p - 1) // e, p)
     dlog = {pow(z, t, p): t for t in range(e)}
     lifts = _rational_classes(group, cd)
-    dft = {}  # order o -> (1/o mod p, rows m of zeta_o^(-m l) over l)
-    for powers, _ in lifts:
-        o = len(powers)
-        if o not in dft:
-            zo = pow(z, e // o, p)
-            dft[o] = (pow(o, p - 2, p),
-                      [[pow(zo, -m * l % o, p) for l in range(o)] for m in range(o)])
+    dft = {}  # order o -> (1/o mod p, rows m of zeta_o^(-m l) over l); degree > 1 only
 
     rows = []
     for v in vectors:
@@ -399,6 +393,11 @@ def character_table(group: Group, prime: int | None = None,
 
         mults: list = [None] * s
         for powers, twins in lifts:
+            o = len(powers)
+            if d > 1 and o not in dft:
+                zo = pow(z, e // o, p)
+                dft[o] = (pow(o, p - 2, p),
+                          [[pow(zo, -m * l % o, p) for l in range(o)] for m in range(o)])
             mv = _lift([x_mod[c] for c in powers], d, e, p, dft, dlog)
             for twin, k in twins:
                 mults[twin] = twist_root_vector(mv, k, e)

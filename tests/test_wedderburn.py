@@ -268,6 +268,26 @@ def test_pair_swap_fixture_klein():
     assert pair[0].skew_dim_q == 1  # n^2 [Z:Q] with n = 1, [Z:Q] = 1
 
 
+def test_sigma_action_rejects_foreign_idempotents(q8, q8_table, canonical):
+    """Inputs off the integer class coordinates, and an image that matches no E_j."""
+    idems = list(q8_table.idempotents)
+    last = idems[-1]
+    coeffs = list(last.element.coeffs)
+    coeffs[max(conjugacy_classes(q8).classes, key=len)[-1]] += 1  # one coefficient inside a class
+    noncentral = AlgebraElement(q8, coeffs)
+    fractional = last.element + AlgebraElement.basis(q8, 0, Fraction(1, 2 * q8.order))
+    for elem in (noncentral, fractional):
+        changed = idems[:-1] + [CentralIdempotent(elem, last.orbit_index)]
+        with pytest.raises(ComputationError, match=r"not central over \(1/\|G\|\)Z"):
+            sigma_action_on_components(changed, canonical(q8))
+
+    g, inv = klein_swap_involution()
+    idems = list(character_table(g).idempotents)
+    j = next(j for i, j in enumerate(sigma_action_on_components(idems, inv)) if j != i)
+    with pytest.raises(ComputationError, match="matches no idempotent"):
+        sigma_action_on_components(idems[:j] + idems[j + 1:], inv)
+
+
 def test_pair_swap_fixture_c3c3():
     g, inv = c3c3_swap_involution()
     rep = decomposition_report(g, inv)
