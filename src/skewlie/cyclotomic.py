@@ -172,18 +172,6 @@ class Cyclotomic:
         q = Fraction(q)
         return Cyclotomic(self.conductor, [q * a for a in self.coeffs])
 
-    def __pow__(self, n: int) -> "Cyclotomic":
-        if n < 0:
-            raise SpecError("negative powers not supported")
-        result = Cyclotomic.one(self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cyclotomic)
@@ -220,19 +208,6 @@ class Cyclotomic:
         if not self.is_rational():
             raise ArithmeticError(f"{self} is not rational")
         return self.coeffs[0]
-
-    def embed(self, new_conductor: int) -> "Cyclotomic":
-        """Rewrite at a larger conductor divisible by the current one."""
-        e = self.conductor
-        if new_conductor % e != 0:
-            raise SpecError(f"{e} does not divide {new_conductor}")
-        step = new_conductor // e
-        mults = [ZERO] * new_conductor
-        # expand current coordinates into root multiplicities at the old conductor
-        for j, c in enumerate(self.coeffs):
-            if c:
-                mults[(j * step) % new_conductor] += c
-        return Cyclotomic.from_root_vector(new_conductor, mults)
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.conductor}, {[str(c) for c in self.coeffs]})"

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ComputationError, SpecError
+from .groups import generators
 from .involutions import Involution, skew_space
 from .linalg import (
     QMatrix,
@@ -23,6 +24,7 @@ from .linalg import (
     ONE,
     clear_denominators,
     hnf,
+    identity,
     nullspace_rows,
     rank,
     rref_rows,
@@ -91,7 +93,7 @@ def _solution_space(rows: Iterable[list[Fraction]], n: int) -> QMatrix:
     """Null space basis of the distinct nonzero constraint rows; all of Q^n if none."""
     constraints = list({tuple(row): row for row in rows if any(row)}.values())
     if not constraints:
-        return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        return identity(n)
     return nullspace_rows(constraints)
 
 
@@ -161,13 +163,14 @@ def realize_adjoint_form(
     )
 
 
-def check_adjoint_identity(
-    r: AdjointRealization,
-    full_limit: int = 16,
-    samples: int = 1000,
-    seed: int = 0,
-) -> bool:
-    """h(f x, y) == h(x, sigma(f) y): all basis triples up to full_limit, sampled above."""
+def check_adjoint_identity(r: AdjointRealization) -> bool:
+    """h(f x, y) == h(x, sigma(f) y) for f in the generating set S and all basis x, y.
+
+    This is exact at every order.  If the identity holds for f1 and f2, then by
+    bilinearity and the anti-multiplicativity of sigma, checked when sigma was
+    built, h(f1 f2 x, y) = h(f2 x, sigma(f1) y) = h(x, sigma(f2) sigma(f1) y)
+    = h(x, sigma(f1 f2) y); and f = 1 holds because sigma(1) = 1.
+    """
     inv = r.involution
     group = inv.group
     n = group.order
@@ -180,13 +183,7 @@ def check_adjoint_identity(
         rhs = sum((w * gram[x][mult[z][y]] for z, w in columns[f]), ZERO)
         return lhs == rhs
 
-    if n <= full_limit:
-        return all(holds(f, x, y) for f in range(n) for x in range(n) for y in range(n))
-    rng = random.Random(seed)
-    return all(
-        holds(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-        for _ in range(samples)
-    )
+    return all(holds(f, x, y) for f in generators(group) for x in range(n) for y in range(n))
 
 
 def skew_adjoint_space(r: AdjointRealization) -> QMatrix:

@@ -9,16 +9,13 @@ multiplication.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import wraps
-from math import isqrt, lcm
+from math import lcm
 
 from .errors import SpecError
 
 DEFAULT_MAX_ORDER = 2000
-FULL_ASSOCIATIVITY_LIMIT = 128
-_ASSOC_SEED = 0x5EED
 
 
 class Group:
@@ -97,23 +94,19 @@ def _check_table(name: str, mult: list[list[int]], max_order: int) -> Group:
         if mult[h][g] != 0:
             raise SpecError(f"{name}: element {g} has no two-sided inverse")
         inv[g] = h
-    if n <= FULL_ASSOCIATIVITY_LIMIT:
-        for a in range(n):
-            ra = mult[a]
-            for b in range(n):
-                ab = ra[b]
-                rb = mult[b]
-                rab = mult[ab]
-                for c in range(n):
-                    if rab[c] != ra[rb[c]]:
-                        raise SpecError(f"{name}: non-associative table at ({a},{b},{c})")
-    else:
-        rng = random.Random(_ASSOC_SEED)
-        for _ in range(10 * n * isqrt(n)):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
-                raise SpecError(f"{name}: non-associative table at ({a},{b},{c})")
-    return Group(name, tuple(tuple(row) for row in mult), tuple(inv))
+    group = Group(name, tuple(tuple(row) for row in mult), tuple(inv))
+    # Light's test: the a with (xa)y = x(ay) for all x, y are closed under
+    # products and include the identity, so they are all of G once they include
+    # S.  While the members of S pass, each closure is a subgroup that the next
+    # member doubles, so a non-associative table fails within log2 n + 1 members.
+    rows = group.mult
+    for a in generators(group):
+        ra = rows[a]
+        for x, rx in enumerate(rows):
+            if rows[rx[a]] != tuple(map(rx.__getitem__, ra)):
+                y = next(y for y in range(n) if rows[rx[a]][y] != rx[ra[y]])
+                raise SpecError(f"{name}: non-associative table at ({x},{a},{y})")
+    return group
 
 
 def cyclic_group(n: int, name: str | None = None, max_order: int = DEFAULT_MAX_ORDER) -> Group:
@@ -329,6 +322,37 @@ def _per_group(fn):
             group.derived[fn] = fn(group)
         return group.derived[fn]
     return cached
+
+
+@_per_group
+def generators(group: Group) -> tuple[int, ...]:
+    """A generating set S, each member the least element outside the closure of
+    the identity under right multiplication by the members before it.
+
+    For a group each closure is a subgroup, and each new member at least doubles
+    it, so |S| <= log2 |G|.  Only the Latin-square property is used, so
+    ``_check_table`` can take S before it knows that the table is associative.
+    """
+    mult = group.mult
+    reached = [False] * group.order
+    reached[0] = True
+    closure = [0]
+    gens: list[int] = []
+    for g in range(group.order):
+        if reached[g]:
+            continue
+        gens.append(g)
+        # the old closure is closed under the old members: it needs only g
+        old, i = len(closure), 0
+        while i < len(closure):
+            row = mult[closure[i]]
+            for s in (gens if i >= old else (g,)):
+                y = row[s]
+                if not reached[y]:
+                    reached[y] = True
+                    closure.append(y)
+            i += 1
+    return tuple(gens)
 
 
 @_per_group

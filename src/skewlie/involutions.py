@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import SpecError
-from .groups import Group
+from .groups import Group, generators
 from .linalg import QMatrix, ZERO, ONE, mat, rref_rows
 from .serialize import frac_str
 
@@ -130,22 +130,25 @@ class Involution:
     columns: tuple[tuple[tuple[int, int | Fraction], ...], ...]
 
     def __post_init__(self) -> None:
-        """sigma(sigma(g)) = g and sigma(gh) = sigma(h) sigma(g) on all basis pairs."""
+        """sigma(sigma(g)) = g for every g, and sigma(gs) = sigma(s) sigma(g) for
+        every g and every s in the generating set S or s = 1.
+
+        s = 1 gives sigma(1) sigma(g) = sigma(g) for all g, and sigma is onto,
+        so sigma(1) = 1.  Induction on the length of h as a word in S then gives
+        sigma(gh) = sigma(h) sigma(g) for every h: sigma(g(hs)) = sigma(s)
+        sigma(gh) = sigma(s) sigma(h) sigma(g) = sigma(hs) sigma(g).
+        """
         mult = self.group.mult
         cols = self.columns
         for g, cg in enumerate(cols):
             if _sparse_sum((k, c * a) for h, a in cg for k, c in cols[h]) != ((g, 1),):
                 raise SpecError(f"not an involution at element {g}")
-        for g, cg in enumerate(cols):
-            row = mult[g]
-            for h, ch in enumerate(cols):
-                if len(ch) == 1 == len(cg):
-                    ((i, a),), ((j, b),) = ch, cg
-                    product = ((mult[i][j], a * b),)
-                else:
-                    product = _sparse_sum((mult[i][j], a * b) for i, a in ch for j, b in cg)
-                if product != cols[row[h]]:
-                    raise SpecError(f"not an anti-homomorphism at pair ({g},{h})")
+        for s in (0, *generators(self.group)):
+            cs = cols[s]
+            for g, cg in enumerate(cols):
+                product = _sparse_sum((mult[i][j], a * b) for i, a in cs for j, b in cg)
+                if product != cols[mult[g][s]]:
+                    raise SpecError(f"not an anti-homomorphism at pair ({g},{s})")
 
     @classmethod
     def canonical(cls, group: Group) -> "Involution":

@@ -27,15 +27,6 @@ def identity(n: int) -> QMatrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def transpose(m: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*m)] if m else []
-
-
-def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
-
-
 def _primitive_int_rows(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row to a primitive integer vector (zero rows stay zero)."""
     out = []
@@ -122,11 +113,6 @@ def rref_rows(m: Sequence[Sequence[Fraction]]) -> QMatrix:
     return out[:rnk]
 
 
-def row_space_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact row-span equality via RREF canonical forms."""
-    return rref_rows(a) == rref_rows(b)
-
-
 def nullspace_rows(m: Sequence[Sequence[Fraction]]) -> QMatrix:
     """Basis vectors of the right null space, one per row, in canonical form.
 
@@ -209,8 +195,3 @@ def clear_denominators(row: Sequence[Fraction]) -> list[int]:
     for x in row:
         den = lcm(den, x.denominator)
     return [x.numerator * (den // x.denominator) for x in row]
-
-
-def in_integer_row_span(h: list[list[int]], row: Sequence[int]) -> bool:
-    """Whether ``row`` lies in the integer row span of HNF basis ``h``."""
-    return hnf(h + [list(row)]) == hnf(h)

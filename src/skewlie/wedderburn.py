@@ -428,34 +428,36 @@ def character_table(group: Group, prime: int | None = None,
 # ---------------------------------------------------------------------------
 
 def table_orthogonality(table: CharacterTable) -> bool:
-    """Exact row and column orthogonality of the character table."""
+    """Exact row orthogonality of a square character table.
+
+    With X the s x s table, D the diagonal of class sizes and P the permutation
+    of the classes by inversion, the row relations say X (DP) X^T = |G| I.  So X
+    is invertible with inverse (DP) X^T / |G|, and X^T X = |G| (DP)^-1: those are
+    the column relations.  That is why the table must be square, s rows of s
+    values, and why the column relations are not checked again.
+    """
     e = table.conductor
     n = table.group.order
-    s = len(table)
+    s = len(table.classes)
     sizes = table.classes.sizes()
     inv = table.classes.class_inverse
+    if len(table.root_mults) != s or any(len(row) != s for row in table.root_mults):
+        return False
     # each value as its nonzero root multiplicities (t, m): m copies of zeta_e^t
     terms = [[[(t, m) for t, m in enumerate(mv) if m] for mv in row] for row in table.root_mults]
 
-    def equals(products, expected) -> bool:
-        """Whether the sum of w*x*y over the (w, x, y) in products is the rational expected."""
+    def equals(i: int, j: int) -> bool:
+        """Whether sum_k |K_k| chi_i(K_k) chi_j(K_k^-1) is |G| for i = j and 0 otherwise."""
         acc = [0] * e
-        for w, x, y in products:
-            for t, a in x:
+        for k in range(s):
+            w, y = sizes[k], terms[j][inv[k]]
+            for t, a in terms[i][k]:
                 for u, b in y:
                     acc[(t + u) % e] += w * a * b
         red = reduce_root_vector(e, acc)
-        return not any(red[1:]) and red[0] == expected
+        return not any(red[1:]) and red[0] == (n if i == j else 0)
 
-    return all(
-        equals(((sizes[k], terms[i][k], terms[j][inv[k]]) for k in range(s)),
-               n if i == j else 0)
-        for i in range(s) for j in range(i, s)
-    ) and all(
-        equals(((1, terms[i][j], terms[i][inv[k]]) for i in range(s)),
-               Fraction(n, sizes[j]) if j == k else 0)
-        for j in range(s) for k in range(j, s)
-    )
+    return all(equals(i, j) for i in range(s) for j in range(i, s))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import isqrt
 
+from skewlie import Cyclotomic
+
 
 def permutation_sign(perm) -> int:
     sign = 1
@@ -75,6 +77,74 @@ def division_rref(m):
         if r == nrows:
             break
     return [row for row in rows if any(row)]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)] if m else []
+
+
+def matmul(a, b):
+    bt = transpose(b)
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+
+
+def row_space_equal(a, b) -> bool:
+    """Rational row-span equality by the division RREF."""
+    return division_rref(a) == division_rref(b)
+
+
+def in_integer_row_span(h, row) -> bool:
+    """Whether row is an integer combination of the rows of h, an echelon basis
+    such as an HNF: each pivot in turn must divide what is left in its column."""
+    row = list(row)
+    for basis_row in h:
+        c = next(k for k, x in enumerate(basis_row) if x)
+        q, r = divmod(row[c], basis_row[c])
+        if r:
+            return False
+        row = [x - q * y for x, y in zip(row, basis_row)]
+    return not any(row)
+
+
+def cyclotomic_power(z, k):
+    """z**k by k multiplications."""
+    out = Cyclotomic.one(z.conductor)
+    for _ in range(k):
+        out = out * z
+    return out
+
+
+def embed(z, conductor):
+    """z written in Q(zeta_conductor), a multiple of z's conductor e, through
+    zeta_e = zeta_conductor^(conductor/e)."""
+    step = conductor // z.conductor
+    out = Cyclotomic.zero(conductor)
+    for j, c in enumerate(z.coeffs):
+        out = out + Cyclotomic.root(conductor, j * step).scale(c)
+    return out
+
+
+def associativity_failure(mult):
+    """The first triple (a, b, c) with (ab)c != a(bc), over all n^3 triples, or None."""
+    n = len(mult)
+    for a in range(n):
+        ra = mult[a]
+        for b in range(n):
+            rb, rab = mult[b], mult[ra[b]]
+            for c in range(n):
+                if rab[c] != ra[rb[c]]:
+                    return a, b, c
+    return None
+
+
+def adjoint_identity_by_triples(mult, columns, gram) -> bool:
+    """h(fx, y) == h(x, sigma(f) y) over all n^3 basis triples, where
+    columns[f] holds sigma(f) as (index, coeff) pairs and h(a, b) = gram[a][b]."""
+    n = len(mult)
+    return all(
+        gram[mult[f][x]][y] == sum((c * gram[x][mult[z][y]] for z, c in columns[f]), Fraction(0))
+        for f in range(n) for x in range(n) for y in range(n)
+    )
 
 
 def conjugation_orbits(mult, inv):

@@ -1,0 +1,27 @@
+"""No check in the package may be sampled.
+
+The one randomized draw is the fixed-seed search for a nonsingular form in
+``forms.realize_adjoint_form``; it picks a witness and checks nothing.  Every
+other module must not import ``random``.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "skewlie"
+
+
+def _imports_random(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "random" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random":
+            return True
+    return False
+
+
+def test_only_forms_imports_random():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [p.stem for p in modules if _imports_random(p)] == ["forms"]

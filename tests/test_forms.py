@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from oracle import adjoint_identity_by_triples
 from skewlie import (
     AlgebraElement,
     Involution,
@@ -13,14 +15,17 @@ from skewlie import (
     form_report,
     integral_skew_lattice,
     realize_adjoint_form,
+    sign_characters,
     skew_adjoint_space,
     skew_space,
 )
 from skewlie.catalog import (
     klein_swap_involution,
     klein_swap_linear_involution,
+    linear_fixtures,
     s3_conjugated_fixture,
 )
+from skewlie.groups import generators
 from skewlie.linalg import hnf, identity, mat, rank, rref_rows
 
 
@@ -42,7 +47,53 @@ def test_oriented_c4_gram_is_signed_diagonal():
 
 def test_adjoint_identity_all_triples_q8(q8, canonical):
     r = canonical_regular_form(canonical(q8))
-    assert check_adjoint_identity(r)  # order 8 <= 16: every basis triple
+    assert check_adjoint_identity(r)
+    assert adjoint_identity_by_triples(q8.mult, r.involution.columns, r.form.gram)
+
+
+def _one_entry_changes(r):
+    """r with gram[i][j] raised by 1, for every cell (i, j)."""
+    n = len(r.form.gram)
+    for i in range(n):
+        for j in range(n):
+            gram = [list(row) for row in r.form.gram]
+            gram[i][j] += 1
+            yield replace(r, form=replace(r.form, gram=gram))
+
+
+def test_adjoint_identity_matches_all_triples_oracle():
+    """The check over the generating set agrees with all n^3 triples, on the
+    realized forms and on every one-entry change of them."""
+    for label, group, inv in [("s3", build_group("symmetric:3"), None),
+                              ("dihedral:4", build_group("dihedral:4"), None),
+                              *linear_fixtures()]:
+        inv = inv or Involution.canonical(group)
+        r = realize_adjoint_form(inv, seed=0)
+        for case in (r, *_one_entry_changes(r)):
+            expected = adjoint_identity_by_triples(group.mult, inv.columns, case.form.gram)
+            assert check_adjoint_identity(case) == expected, label
+
+
+def test_adjoint_identity_is_checked_on_every_generator():
+    """On D6, S = (r, s).  The oriented involution with alpha = -1 on the
+    reflections agrees with the canonical one on the rotations, so its form
+    passes the check for r under the canonical involution but fails it for s."""
+    g = build_group("dihedral:6")
+    assert generators(g) == (1, 6)
+    alpha = next(a for a in sign_characters(g) if a[1] == 1 and a[6] == -1)
+    r = realize_adjoint_form(Involution.oriented(g, alpha), seed=0)
+    mixed = replace(r, involution=Involution.canonical(g))
+    assert not adjoint_identity_by_triples(g.mult, mixed.involution.columns, mixed.form.gram)
+    assert not check_adjoint_identity(mixed)
+
+
+def test_every_one_entry_change_fails_the_adjoint_identity():
+    """Order 24, above any size where all triples are cheap: 576 changed forms."""
+    r = realize_adjoint_form(Involution.canonical(build_group("dihedral:12")), seed=0)
+    assert check_adjoint_identity(r)
+    changed = list(_one_entry_changes(r))
+    assert len(changed) == 576
+    assert not any(check_adjoint_identity(case) for case in changed)
 
 
 def test_canonical_form_requires_group_induced(s3):

@@ -1,9 +1,11 @@
 import gc
+import re
+from itertools import islice
 from math import lcm
 
 import pytest
 
-from oracle import conjugation_orbits, element_orders, permutation_closure
+from oracle import associativity_failure, conjugation_orbits, element_orders, permutation_closure
 from skewlie import (
     Group,
     SpecError,
@@ -13,7 +15,8 @@ from skewlie import (
     sign_characters,
     square_root_count,
 )
-from skewlie.groups import cyclic_group, group_from_permutations, group_from_table
+from skewlie.catalog import catalog_groups
+from skewlie.groups import cyclic_group, generators, group_from_permutations, group_from_table
 
 
 def test_trivial_group():
@@ -101,6 +104,15 @@ def test_latin_square_property():
         assert sorted(g.mult[r][c] for r in range(n)) == list(range(n))
 
 
+LOOP_5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_bad_tables_rejected():
     with pytest.raises(SpecError):
         group_from_table([[0, 1], [1, 1]])  # row not a permutation
@@ -108,13 +120,7 @@ def test_bad_tables_rejected():
         group_from_table([[1, 0], [0, 1]])  # identity not at 0
     with pytest.raises(SpecError):
         # latin square, identity at 0, but not associative: (1*1)*2 != 1*(1*2)
-        group_from_table([
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ])
+        group_from_table(LOOP_5)
 
 
 def test_order_cap_enforced():
@@ -165,3 +171,99 @@ def test_derived_data_dies_with_the_group():
     del group
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, Group) and o.name == name]
+
+
+def _right_closure(mult, gens):
+    """The identity closed under right multiplication by gens."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = mult[x][s]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
+def test_generators_are_greedy_and_small():
+    for group in catalog_groups() + [build_group("abelian:2,2,2,2,2,2,2,2")]:
+        gens = generators(group)
+        assert 2 ** len(gens) <= group.order, group.name
+        for k, g in enumerate(gens):
+            before = _right_closure(group.mult, gens[:k])
+            assert g == min(set(range(group.order)) - before), group.name
+        assert len(_right_closure(group.mult, gens)) == group.order, group.name
+    assert generators(build_group("cyclic:1")) == ()
+    assert generators(build_group("cyclic:12")) == (1,)
+    assert len(generators(build_group("abelian:2,2,2"))) == 3
+
+
+def _intercalates(mult):
+    """Cells (r1, c1), (r2, c2) holding a and (r1, c2), (r2, c1) holding b, off
+    row 0 and column 0: exchanging a and b there keeps a Latin square with
+    identity 0."""
+    n = len(mult)
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                c2 = mult[r2].index(mult[r1][c1])
+                if c2 > c1 and mult[r1][c2] == mult[r2][c1]:
+                    yield r1, r2, c1, c2
+
+
+def _swapped(mult, cells):
+    r1, r2, c1, c2 = cells
+    table = [list(row) for row in mult]
+    table[r1][c1], table[r1][c2] = table[r1][c2], table[r1][c1]
+    table[r2][c1], table[r2][c2] = table[r2][c2], table[r2][c1]
+    return table
+
+
+def _assert_named_triple_fails(table, message):
+    x, a, y = map(int, re.search(r"non-associative table at \((\d+),(\d+),(\d+)\)",
+                                 message).groups())
+    assert table[table[x][a]][y] != table[x][table[a][y]]
+    return x, a, y
+
+
+def test_table_check_matches_associativity_oracle():
+    tables = []
+    for group in catalog_groups(max_order=16):
+        tables.append(group.mult)
+        tables += [_swapped(group.mult, cells) for cells in islice(_intercalates(group.mult), 3)]
+    assert len(tables) > 2 * len(catalog_groups(max_order=16))
+    for table in tables:
+        failure = associativity_failure(table)
+        try:
+            group_from_table(table)
+        except SpecError as exc:
+            assert failure is not None
+            if "non-associative" in str(exc):
+                _assert_named_triple_fails(table, str(exc))
+        else:
+            assert failure is None
+
+
+@pytest.mark.parametrize("spec", ["dihedral:65", "dicyclic:33", "product:symmetric:4,cyclic:6",
+                                  "abelian:2,2,2,2,2,2,2,2"])
+def test_large_non_associative_tables_rejected(spec):
+    """Above order 128 a single swapped intercalate is caught, with no sampling."""
+    mult = build_group(spec).mult
+    cells = next(c for c in _intercalates(mult)
+                 if 0 not in (mult[c[0]][c[2]], mult[c[0]][c[3]]))
+    table = _swapped(mult, cells)
+    with pytest.raises(SpecError, match="non-associative") as info:
+        group_from_table(table)
+    _assert_named_triple_fails(table, str(info.value))
+
+
+@pytest.mark.parametrize("m", [3, 27])
+def test_light_test_runs_past_a_passing_generator(m):
+    """LOOP_5 x C_m, the C_m factor on the low index: the first generator lies
+    in C_m and passes, so only a later member of S can fail."""
+    table = [[LOOP_5[x // m][y // m] * m + (x + y) % m for y in range(5 * m)]
+             for x in range(5 * m)]
+    with pytest.raises(SpecError, match="non-associative") as info:
+        group_from_table(table)
+    assert _assert_named_triple_fails(table, str(info.value))[1] != 1

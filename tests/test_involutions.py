@@ -19,6 +19,7 @@ from skewlie import (
     validate_involution,
 )
 from skewlie.catalog import builtin_involutions, conjugated_canonical_involution
+from skewlie.groups import generators
 from skewlie.linalg import mat, rank, rref_rows
 
 
@@ -328,3 +329,18 @@ def perturbed_linear(draw):
 def test_linear_construction_matches_dense_oracle(case):
     group, matrix = case
     _agrees_with_oracle(group, lambda: Involution.linear(group, matrix), matrix)
+
+
+def test_axioms_are_checked_on_every_generator_and_on_one():
+    # alpha is multiplicative along the first generator of C2^3, not the others
+    g = build_group("abelian:2,2,2")
+    assert generators(g) == (1, 2, 4)
+    alpha = [1, 1, 1, 1, 1, 1, -1, -1]
+    assert not involution_axioms_hold(g.mult, _signed_permutation(g.inv, alpha))
+    with pytest.raises(SpecError, match="anti-homomorphism"):
+        Involution.oriented(g, alpha)
+    # -1 on the trivial group squares to 1, and S is empty: only s = 1 sees it
+    trivial = build_group("cyclic:1")
+    assert not involution_axioms_hold(trivial.mult, [[-1]])
+    with pytest.raises(SpecError, match="anti-homomorphism"):
+        Involution.oriented(trivial, [-1])

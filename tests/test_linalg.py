@@ -4,22 +4,25 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import division_rref, rank_by_minors
+from oracle import (
+    division_rref,
+    in_integer_row_span,
+    matmul,
+    rank_by_minors,
+    row_space_equal,
+    transpose,
+)
 from skewlie.linalg import (
     clear_denominators,
     hnf,
     identity,
-    in_integer_row_span,
     kernel,
     mat,
-    matmul,
     nullspace_rows,
     rank,
-    row_space_equal,
     rref,
     rref_rows,
     solve,
-    transpose,
 )
 
 fractions_st = st.fractions(

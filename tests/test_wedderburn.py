@@ -117,6 +117,18 @@ def test_orthogonality_rejects_a_changed_value(c3_table, s3_table, q8_table):
             assert not table_orthogonality(changed)
 
 
+def test_orthogonality_rejects_a_dropped_row(c3_table, s3_table, q8_table):
+    """The rows left still satisfy the row relations; only squareness catches it."""
+    from dataclasses import replace
+
+    for table in (c3_table, s3_table, q8_table, character_table(build_group("cyclic:5"))):
+        for i in range(len(table)):
+            rows = table.root_mults[:i] + table.root_mults[i + 1:]
+            assert not table_orthogonality(replace(table, root_mults=rows))
+        short = tuple(row[:-1] for row in table.root_mults)
+        assert not table_orthogonality(replace(table, root_mults=short))
+
+
 def test_c3_table_is_dft(c3_table):
     # three linear characters with values in {1, zeta3, zeta3^2}
     assert c3_table.degrees == (1, 1, 1)
