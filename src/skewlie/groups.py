@@ -82,8 +82,8 @@ def _check_table(name: str, mult: list[list[int]], max_order: int) -> Group:
     for i, row in enumerate(mult):
         if len(row) != n or set(row) != full:
             raise SpecError(f"{name}: row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if {mult[i][j] for i in range(n)} != full:
+    for j, col in enumerate(zip(*mult)):
+        if set(col) != full:
             raise SpecError(f"{name}: column {j} is not a permutation of 0..{n - 1}")
     for g in range(n):
         if mult[0][g] != g or mult[g][0] != g:
@@ -229,12 +229,12 @@ def direct_product(a: Group, b: Group, name: str | None = None,
 def abelian_group(invariants: list[int], max_order: int = DEFAULT_MAX_ORDER) -> Group:
     if not invariants:
         raise SpecError("abelian spec needs at least one invariant factor")
-    g = cyclic_group(invariants[0], max_order=max_order)
-    for m in invariants[1:]:
-        g = direct_product(g, cyclic_group(m, max_order=max_order), max_order=max_order)
-    return Group(
-        "abelian:" + ",".join(str(m) for m in invariants), g.mult, g.inv
-    )
+    # the last table built takes the final name, so its checked cache is kept
+    names = [None] * (len(invariants) - 1) + ["abelian:" + ",".join(map(str, invariants))]
+    g = cyclic_group(invariants[0], names[0], max_order)
+    for m, name in zip(invariants[1:], names[1:]):
+        g = direct_product(g, cyclic_group(m, max_order=max_order), name, max_order)
+    return g
 
 
 def group_from_table(mult_table: list[list[int]], name: str = "table-group",
@@ -306,9 +306,9 @@ def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
             if len(parts) < 2:
                 raise SpecError("product spec needs at least two components")
             g = build_group(parts[0], max_order)
-            for part in parts[1:]:
-                g = direct_product(g, build_group(part, max_order), max_order=max_order)
-            return Group(f"product:{arg}", g.mult, g.inv)
+            for part, name in zip(parts[1:], [None] * (len(parts) - 2) + [spec]):
+                g = direct_product(g, build_group(part, max_order), name, max_order)
+            return g
     except ValueError as exc:
         raise SpecError(f"bad group spec {spec!r}: {exc}") from None
     raise SpecError(f"unknown group family {family!r}")

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import SpecError
-from .groups import Group, generators
+from .groups import Group, conjugacy_classes, generators
 from .linalg import QMatrix, ZERO, ONE, mat, rref_rows
 from .serialize import frac_str
 
@@ -123,6 +124,7 @@ class Involution:
     ``columns[g]`` is the image sigma(g) as a tuple of (index, coeff) pairs,
     sorted by index with no zero coefficient.  Group-induced involutions are
     the one-entry case with coeff +1 or -1; ``kind`` is only the JSON label.
+    ``class_sum_images``, sigma on the center, is computed on first use.
     """
 
     group: Group
@@ -225,6 +227,22 @@ class Involution:
             for h, c in col:
                 m[h][g] = Fraction(c)
         return m
+
+    @cached_property
+    def class_sum_images(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
+        """Row j: sigma(K_j) for the class sum K_j, central again, as its nonzero
+        (k, coefficient on the representative of class k)."""
+        cd = conjugacy_classes(self.group)
+        rep_class = {r: k for k, r in enumerate(cd.class_reps)}
+        out = []
+        for cls in cd.classes:
+            row = [0] * len(cd)
+            for g in cls:
+                for h, c in self.columns[g]:
+                    if h in rep_class:
+                        row[rep_class[h]] += c
+            out.append(tuple((k, v) for k, v in enumerate(row) if v))
+        return tuple(out)
 
     def validate(self) -> "Involution":
         """The axioms were checked at construction; kept for callers that chain it."""

@@ -72,19 +72,6 @@ def _class_products(group: Group) -> tuple:
                  for block in class_structure_constants(group))
 
 
-def _class_coords(elem: AlgebraElement, cd: ConjugacyData) -> list[int] | None:
-    """|G|*elem on the class representatives; None unless elem is a class
-    function (that is, central) with coefficients in (1/|G|)Z."""
-    coeffs = elem.coeffs
-    at_reps = [coeffs[r] for r in cd.class_reps]
-    if any(c != at_reps[k] for c, k in zip(coeffs, cd.class_of)):
-        return None
-    scaled = [elem.group.order * c for c in at_reps]
-    if any(c.denominator != 1 for c in scaled):
-        return None
-    return [c.numerator for c in scaled]
-
-
 def _combine(x: Sequence, rows: Sequence, size: int) -> list:
     """sum_j x[j] * rows[j], each row given by its (k, value) pairs."""
     out = [0] * size
@@ -92,20 +79,6 @@ def _combine(x: Sequence, rows: Sequence, size: int) -> list:
         if xj:
             for k, v in row:
                 out[k] += xj * v
-    return out
-
-
-def _sigma_on_class_sums(inv: Involution, cd: ConjugacyData) -> list[tuple]:
-    """Row j: sigma(class sum j), central again, read on the class representatives."""
-    rep_class = {r: k for k, r in enumerate(cd.class_reps)}
-    out = []
-    for cls in cd.classes:
-        row = [0] * len(cd)
-        for g in cls:
-            for h, c in inv.columns[g]:
-                if h in rep_class:
-                    row[rep_class[h]] += c
-        out.append(tuple((k, v) for k, v in enumerate(row) if v))
     return out
 
 
@@ -338,7 +311,7 @@ class CharacterTable:
 
     @cached_property
     def idempotents(self) -> tuple[CentralIdempotent, ...]:
-        return tuple(rational_idempotents(self, self.orbits))
+        return tuple(rational_idempotents(self))
 
     @cached_property
     def indicators(self) -> IndicatorReport:
@@ -506,54 +479,68 @@ def galois_orbits(table: CharacterTable) -> list[GaloisOrbit]:
 
 @dataclass(frozen=True)
 class CentralIdempotent:
-    """A rational central primitive idempotent and its character orbit."""
+    """A rational central primitive idempotent e and its character orbit.
 
-    element: AlgebraElement
+    ``coords`` is the class function E = |G| e, one int per conjugacy class, so
+    e is central with coefficients in (1/|G|)Z by representation.
+    """
+
+    group: Group
+    coords: tuple[int, ...]
     orbit_index: int
 
+    def __post_init__(self) -> None:
+        if (len(self.coords) != len(conjugacy_classes(self.group))
+                or any(type(c) is not int for c in self.coords)):
+            raise SpecError("idempotent coords need one int per conjugacy class")
 
-def rational_idempotents(table: CharacterTable, orbits: Sequence[GaloisOrbit]) -> list[CentralIdempotent]:
+    @cached_property
+    def element(self) -> AlgebraElement:
+        """e = E/|G| over the group basis."""
+        n = self.group.order
+        return AlgebraElement(self.group, [Fraction(self.coords[k], n)
+                                           for k in conjugacy_classes(self.group).class_of])
+
+
+def rational_idempotents(table: CharacterTable) -> list[CentralIdempotent]:
+    """E = |G| e = d sum_chi chi(K_j^-1) on class j, over each Galois orbit of degree d."""
     e = table.conductor
     cd = table.classes
-    group = table.group
-    n = group.order
-    s = len(cd)
     idems = []
-    for oi, orbit in enumerate(orbits):
-        d = orbit.degree
-        class_coeffs = []
-        for j in range(s):
+    for oi, orbit in enumerate(table.orbits):
+        coords = []
+        for j in range(len(cd)):
             acc = [sum(col) for col in zip(*(table.root_mults[i][cd.class_inverse[j]]
                                              for i in orbit.members))]
             value = reduce_root_vector(e, acc)
             if any(value[1:]):
                 raise ComputationError("expected a rational value")
-            class_coeffs.append(Fraction(d, n) * value[0])
-        coeffs = [class_coeffs[cd.class_of[g]] for g in range(n)]
-        idems.append(CentralIdempotent(AlgebraElement(group, coeffs), oi))
+            coords.append(orbit.degree * value[0])
+        idems.append(CentralIdempotent(table.group, tuple(coords), oi))
     return idems
 
 
 def idempotent_axioms_hold(idems: Sequence[CentralIdempotent]) -> bool:
-    """Each e_i is central, sum e_i = 1 and e_i e_j = delta_ij e_i.
+    """sum e_i = 1 and e_i e_j = delta_ij e_i.
 
-    Checked in the class algebra: E_i = |G| e_i in class coordinates must be
-    integral, sum to |G|*1 and satisfy E_i E_j = delta_ij |G| E_i, multiplied
-    through the class structure constants.
+    Each e_i is stored as the integer class function E_i = |G| e_i, so it is
+    central with coefficients in (1/|G|)Z by representation.  The check is in
+    the class algebra: sum E_i = |G|*1 and E_i E_j = delta_ij |G| E_i,
+    multiplied through the class structure constants.
     """
     if not idems:
         return False
-    group = idems[0].element.group
-    cd = conjugacy_classes(group)
+    group = idems[0].group
+    s = len(conjugacy_classes(group))
     products = _class_products(group)
-    coords = [_class_coords(ci.element, cd) for ci in idems]
-    if None in coords or [sum(col) for col in zip(*coords)] != [group.order] + [0] * (len(cd) - 1):
+    coords = [ci.coords for ci in idems]
+    if [sum(col) for col in zip(*coords)] != [group.order] + [0] * (s - 1):
         return False
     for i, ei in enumerate(coords):
-        times_ei = [tuple(enumerate(_combine(ei, block, len(cd)))) for block in products]  # K_b E_i
+        times_ei = [tuple(enumerate(_combine(ei, block, s))) for block in products]  # K_b E_i
         for j, ej in enumerate(coords):
-            expect = [group.order * x for x in ei] if i == j else [0] * len(cd)
-            if _combine(ej, times_ei, len(cd)) != expect:
+            expect = [group.order * x for x in ei] if i == j else [0] * s
+            if _combine(ej, times_ei, s) != expect:
                 return False
     return True
 
@@ -595,13 +582,11 @@ def component_skew_dim(idem: CentralIdempotent, inv: Involution) -> int:
     fQG, and tr(sigma L_f) = sum_g sum_{(h, m) in sigma(g)} m f[g h^-1].  For a
     swapped pair (fQG)^- is isomorphic to eQG: the trace must vanish.
     """
-    group = idem.element.group
+    group = idem.group
     n = group.order
     cd = conjugacy_classes(group)
-    e = _class_coords(idem.element, cd)
-    if e is None:
-        raise ComputationError("component idempotent is not central over (1/|G|)Z")
-    sigma_e = _combine(e, _sigma_on_class_sums(inv, cd), len(cd))
+    e = idem.coords
+    sigma_e = tuple(_combine(e, inv.class_sum_images, len(cd)))
     f = e if sigma_e == e else [a + b for a, b in zip(e, sigma_e)]
     mult, ginv, class_of = group.mult, group.inv, cd.class_of
     trace = sum(m * f[class_of[mult[g][ginv[h]]]]  # |G| tr(sigma L_f)
@@ -618,15 +603,9 @@ def sigma_action_on_components(idems: Sequence[CentralIdempotent], inv: Involuti
     Each E_i = |G| e_i is mapped in integer class coordinates, through sigma on
     the class sums, and looked up among the E_j.
     """
-    if not idems:
-        return ()
-    cd = conjugacy_classes(idems[0].element.group)
-    coords = [_class_coords(ci.element, cd) for ci in idems]
-    if None in coords:
-        raise ComputationError("component idempotent is not central over (1/|G|)Z")
-    sigma_sums = _sigma_on_class_sums(inv, cd)
-    index = {tuple(c): i for i, c in enumerate(coords)}
-    perm = tuple(index.get(tuple(_combine(c, sigma_sums, len(cd)))) for c in coords)
+    sums = inv.class_sum_images
+    index = {ci.coords: i for i, ci in enumerate(idems)}
+    perm = tuple(index.get(tuple(_combine(ci.coords, sums, len(sums)))) for ci in idems)
     if None in perm:
         raise ComputationError("involution image of a central idempotent matches no idempotent")
     if any(perm[j] != i for i, j in enumerate(perm)):
@@ -639,9 +618,9 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
     orbits = table.orbits
     idems = table.idempotents
     perm = sigma_action_on_components(idems, inv)
-    cd = table.classes
+    s = len(table.classes)
     products = _class_products(table.group)
-    sigma_sums = _sigma_on_class_sums(inv, cd)
+    sigma_sums = inv.class_sum_images
     reports = []
     for i, orbit in enumerate(orbits):
         j = perm[i]
@@ -650,9 +629,8 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
         ndeg = orbit.degree
         cdeg = orbit.field_degree
         skew = component_skew_dim(idems[i], inv)
-        coords = _class_coords(idems[i].element, cd)  # not None: component_skew_dim checked it
         # the z_C = |G| e K_C over all classes C span the center of eQG, of dimension [Z:Q]
-        center = [_combine(coords, block, len(cd)) for block in products]
+        center = [_combine(idems[i].coords, block, s) for block in products]
         if rank(center) != cdeg:
             raise ComputationError("center basis has the wrong dimension")
         if j != i:
@@ -665,7 +643,7 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
                     f"= {ndeg * ndeg * cdeg}"
                 )
             kind, typ = PAIR, UNITARY
-        elif all(_combine(z, sigma_sums, len(cd)) == z for z in center):
+        elif all(_combine(z, sigma_sums, s) == z for z in center):
             dz, rem = divmod(skew, cdeg)
             if rem == 0 and dz == ndeg * (ndeg - 1) // 2:
                 typ = ORTHOGONAL

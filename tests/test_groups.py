@@ -116,6 +116,8 @@ LOOP_5 = [
 def test_bad_tables_rejected():
     with pytest.raises(SpecError):
         group_from_table([[0, 1], [1, 1]])  # row not a permutation
+    with pytest.raises(SpecError, match=r"column 0 is not a permutation of 0\.\.1"):
+        group_from_table([[0, 1], [0, 1]])  # rows are permutations, columns are not
     with pytest.raises(SpecError):
         group_from_table([[1, 0], [0, 1]])  # identity not at 0
     with pytest.raises(SpecError):
@@ -197,6 +199,15 @@ def test_generators_are_greedy_and_small():
     assert generators(build_group("cyclic:1")) == ()
     assert generators(build_group("cyclic:12")) == (1,)
     assert len(generators(build_group("abelian:2,2,2"))) == 3
+
+
+@pytest.mark.parametrize("spec", ["abelian:2,2,2", "abelian:5", "product:cyclic:2,cyclic:3",
+                                  "product:cyclic:2,abelian:2,2,dihedral:3"])
+def test_composite_groups_keep_the_checked_cache(spec):
+    """The last table check names the group, so the generating set it cached stays."""
+    group = build_group(spec)
+    assert group.name == spec
+    assert generators.__wrapped__ in group.derived
 
 
 def _intercalates(mult):

@@ -196,8 +196,7 @@ def test_galois_orbits_trivial():
 
 
 def test_c3_idempotents(c3, c3_table):
-    orbits = galois_orbits(c3_table)
-    idems = rational_idempotents(c3_table, orbits)
+    idems = rational_idempotents(c3_table)
     avg = AlgebraElement(c3, [Fraction(1, 3)] * 3)
     elements = [ci.element for ci in idems]
     assert avg in elements
@@ -210,7 +209,7 @@ def test_c3_idempotents(c3, c3_table):
 
 def test_q8_idempotent_dimensions(q8_table):
     orbits = galois_orbits(q8_table)
-    idems = rational_idempotents(q8_table, orbits)
+    idems = rational_idempotents(q8_table)
     assert idempotent_axioms_hold(idems)
     assert sorted(o.dim_q for o in orbits) == [1, 1, 1, 1, 4]
 
@@ -218,7 +217,7 @@ def test_q8_idempotent_dimensions(q8_table):
 def test_trivial_group_idempotent():
     g = build_group("cyclic:1")
     t = character_table(g)
-    idems = rational_idempotents(t, galois_orbits(t))
+    idems = rational_idempotents(t)
     assert len(idems) == 1
     assert idems[0].element == AlgebraElement.one(g)
 
@@ -226,7 +225,7 @@ def test_trivial_group_idempotent():
 def test_component_skew_dims_q8(q8, q8_table, canonical):
     inv = canonical(q8)
     orbits = galois_orbits(q8_table)
-    idems = rational_idempotents(q8_table, orbits)
+    idems = rational_idempotents(q8_table)
     dims = [component_skew_dim(ci, inv) for ci in idems]
     by_orbit_dim = sorted(zip((o.dim_q for o in orbits), dims))
     assert by_orbit_dim == [(1, 0), (1, 0), (1, 0), (1, 0), (4, 3)]
@@ -235,15 +234,14 @@ def test_component_skew_dims_q8(q8, q8_table, canonical):
 def test_component_skew_dim_c3(c3, c3_table, canonical):
     inv = canonical(c3)
     orbits = galois_orbits(c3_table)
-    idems = rational_idempotents(c3_table, orbits)
+    idems = rational_idempotents(c3_table)
     for orbit, ci in zip(orbits, idems):
         expected = 1 if orbit.field_degree == 2 else 0
         assert component_skew_dim(ci, inv) == expected
 
 
 def test_sigma_action_identity_for_canonical(q8, q8_table, canonical):
-    orbits = galois_orbits(q8_table)
-    idems = rational_idempotents(q8_table, orbits)
+    idems = rational_idempotents(q8_table)
     perm = sigma_action_on_components(idems, canonical(q8))
     assert perm == tuple(range(5))
 
@@ -251,7 +249,7 @@ def test_sigma_action_identity_for_canonical(q8, q8_table, canonical):
 def test_sigma_action_identity_for_abelian_canonical(canonical):
     g = build_group("cyclic:6")
     t = character_table(g)
-    idems = rational_idempotents(t, galois_orbits(t))
+    idems = rational_idempotents(t)
     assert sigma_action_on_components(idems, canonical(g)) == tuple(range(len(idems)))
 
 
@@ -259,7 +257,7 @@ def test_sigma_action_swaps_for_oriented_c4():
     g = build_group("cyclic:4")
     inv = Involution.oriented(g, [1, -1, 1, -1]).validate()
     t = character_table(g)
-    idems = rational_idempotents(t, galois_orbits(t))
+    idems = rational_idempotents(t)
     perm = sigma_action_on_components(idems, inv)
     assert sorted(perm) == list(range(len(idems)))
     assert perm != tuple(range(len(idems)))  # a genuine transposition occurs
@@ -268,8 +266,7 @@ def test_sigma_action_swaps_for_oriented_c4():
 def test_pair_swap_fixture_klein():
     g, inv = klein_swap_involution()
     t = character_table(g)
-    orbits = galois_orbits(t)
-    idems = rational_idempotents(t, orbits)
+    idems = rational_idempotents(t)
     perm = sigma_action_on_components(idems, inv)
     swapped = [i for i, j in enumerate(perm) if j != i]
     assert len(swapped) == 2
@@ -280,18 +277,17 @@ def test_pair_swap_fixture_klein():
     assert pair[0].skew_dim_q == 1  # n^2 [Z:Q] with n = 1, [Z:Q] = 1
 
 
-def test_sigma_action_rejects_foreign_idempotents(q8, q8_table, canonical):
-    """Inputs off the integer class coordinates, and an image that matches no E_j."""
-    idems = list(q8_table.idempotents)
-    last = idems[-1]
-    coeffs = list(last.element.coeffs)
-    coeffs[max(conjugacy_classes(q8).classes, key=len)[-1]] += 1  # one coefficient inside a class
-    noncentral = AlgebraElement(q8, coeffs)
-    fractional = last.element + AlgebraElement.basis(q8, 0, Fraction(1, 2 * q8.order))
-    for elem in (noncentral, fractional):
-        changed = idems[:-1] + [CentralIdempotent(elem, last.orbit_index)]
-        with pytest.raises(ComputationError, match=r"not central over \(1/\|G\|\)Z"):
-            sigma_action_on_components(changed, canonical(q8))
+def test_sigma_action_rejects_foreign_idempotents(q8, q8_table):
+    """An image that matches no E_j raises.  Elements off the integer class
+    coordinates have no class vector; the oracle rejects them in QG."""
+    coeffs = [list(ci.element.coeffs) for ci in q8_table.idempotents]
+    noncentral = [row[:] for row in coeffs]
+    noncentral[-1][max(conjugacy_classes(q8).classes, key=len)[-1]] += 1  # inside a class
+    fractional = [row[:] for row in coeffs]
+    fractional[-1][0] += Fraction(1, 2 * q8.order)
+    assert idempotent_axioms_by_convolution(q8.mult, coeffs)
+    for mutant in (noncentral, fractional):
+        assert not idempotent_axioms_by_convolution(q8.mult, mutant)
 
     g, inv = klein_swap_involution()
     idems = list(character_table(g).idempotents)
@@ -393,26 +389,23 @@ def test_skew_dims_match_rank_oracle(oracle_cases):
     assert swapped > 0
 
 
-def _axiom_mutants(group, idems):
-    """Idempotent lists that break an axiom, by name."""
+def _axiom_mutants(idems):
+    """Idempotent lists that break an axiom, by name, as integer class vectors."""
     idems = list(idems)
     last = len(idems) - 1
 
     def replace(changes):
-        return [CentralIdempotent(changes.get(k, ci.element), ci.orbit_index)
+        return [CentralIdempotent(ci.group, changes.get(k, ci.coords), ci.orbit_index)
                 for k, ci in enumerate(idems)]
 
-    coeffs = list(idems[last].element.coeffs)
-    cls = max(conjugacy_classes(group).classes, key=len)
-    coeffs[cls[-1]] += 1  # one coefficient inside the largest class
     mutants = {
-        "scaled by 2": replace({last: idems[last].element.scale(2)}),
-        "coefficient changed inside a class": replace({last: AlgebraElement(group, coeffs)}),
+        "scaled by 2": replace({last: tuple(2 * x for x in idems[last].coords)}),
         "dropped": idems[:-1],
     }
     if len(idems) > 1:  # the same sum, but the products fail
-        e0, e1 = idems[0].element, idems[1].element
-        mutants["shifted"] = replace({0: e0.scale(2), 1: e1 - e0})
+        e0, e1 = idems[0].coords, idems[1].coords
+        mutants["shifted"] = replace({0: tuple(2 * x for x in e0),
+                                      1: tuple(b - a for a, b in zip(e0, e1))})
     return mutants
 
 
@@ -420,11 +413,27 @@ def test_idempotent_axioms_match_convolution_oracle(oracle_cases):
     for g, t, _ in oracle_cases:
         idems = list(t.idempotents)
         assert idempotent_axioms_hold(idems), g.name
-        assert idempotent_axioms_by_convolution(g.mult, [ci.element.coeffs for ci in idems])
-        for name, mutant in _axiom_mutants(g, idems).items():
+        coeffs = [list(ci.element.coeffs) for ci in idems]
+        assert idempotent_axioms_by_convolution(g.mult, coeffs)
+        for name, mutant in _axiom_mutants(idems).items():
             assert not idempotent_axioms_hold(mutant), (g.name, name)
-            coeffs = [ci.element.coeffs for ci in mutant]
-            assert not idempotent_axioms_by_convolution(g.mult, coeffs), (g.name, name)
+            expanded = [ci.element.coeffs for ci in mutant]
+            assert not idempotent_axioms_by_convolution(g.mult, expanded), (g.name, name)
+        # off the class vectors, so for the oracle only: one coefficient inside the largest class
+        coeffs[-1][max(conjugacy_classes(g).classes, key=len)[-1]] += 1
+        assert not idempotent_axioms_by_convolution(g.mult, coeffs), g.name
+
+
+def test_central_idempotent_is_one_int_per_class(q8, q8_table):
+    """The class vector E = |G| e expands to e, and nothing else is a class vector."""
+    n, class_of = q8.order, conjugacy_classes(q8).class_of
+    for ci in q8_table.idempotents:
+        assert ci.element.coeffs == tuple(Fraction(ci.coords[k], n) for k in class_of)
+        assert ci.element is ci.element
+    coords = q8_table.idempotents[-1].coords
+    for bad in (coords[:-1], coords + (0,), (Fraction(1, 2),) + coords[1:]):
+        with pytest.raises(SpecError, match="one int per conjugacy class"):
+            CentralIdempotent(q8, bad, 0)
 
 
 def test_classification_checks_raise_on_mismatch(monkeypatch, q8, c3, canonical):
@@ -449,10 +458,33 @@ def test_classification_checks_raise_on_mismatch(monkeypatch, q8, c3, canonical)
 
     t = character_table(q8)
     idems = list(t.idempotents)
-    merged = CentralIdempotent(idems[0].element + idems[1].element, 0)
+    summed = tuple(a + b for a, b in zip(idems[0].coords, idems[1].coords))
+    merged = CentralIdempotent(q8, summed, 0)
     vars(t)["idempotents"] = (merged, *idems[1:])
     with pytest.raises(ComputationError, match="center basis has the wrong dimension"):
         classify_components(t, canonical(q8))
+
+
+def test_sigma_on_class_sums_built_once_per_involution(monkeypatch):
+    """decomposition_report reads sigma on the center from one build per involution."""
+    from functools import cached_property
+
+    built = []
+    build = Involution.__dict__["class_sum_images"].func
+
+    def counted(inv):
+        built.append(inv)
+        return build(inv)
+
+    patched = cached_property(counted)
+    patched.__set_name__(Involution, "class_sum_images")
+    monkeypatch.setattr(Involution, "class_sum_images", patched)
+    g = build_group("dicyclic:3")
+    t = character_table(g)
+    invs = [inv for _, inv in builtin_involutions(g)]
+    for inv in invs:
+        assert len(decomposition_report(g, inv, table=t).components) > 1
+    assert built == invs
 
 
 ORACLE_WIDE = ("cyclic:24", "abelian:3,3,3", "dicyclic:15", "dihedral:30")
