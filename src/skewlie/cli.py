@@ -226,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     except ComputationError as exc:
         sys.stderr.write(f"check failure: {exc}\n")
         return EXIT_CHECK
+    except MemoryError:
+        sys.stderr.write(f"error: out of memory in {args.command}; try a smaller group\n")
+        return EXIT_CHECK
     return EXIT_INPUT
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import ComputationError, SpecError
 from .groups import generators
-from .involutions import Involution, skew_space
+from .involutions import Involution, eigen_rows, skew_space
 from .linalg import (
     QMatrix,
     ZERO,
@@ -211,16 +211,7 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization | Non
 def skew_lattice_generators(inv: Involution) -> list[list[int]]:
     """The nonzero integer rows g - sigma(g) of a group-induced involution."""
     _require_group_induced(inv, "integral lattice")
-    n = inv.group.order
-    gens = []
-    for g, col in enumerate(inv.columns):
-        row = [0] * n
-        row[g] += 1
-        for k, c in col:
-            row[k] -= int(c)
-        if any(row):
-            gens.append(row)
-    return gens
+    return [[int(x) for x in row] for row in eigen_rows(inv, -1) if any(row)]
 
 
 def integral_skew_lattice(inv: Involution) -> list[list[int]]:

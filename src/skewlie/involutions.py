@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import SpecError
 from .groups import Group, conjugacy_classes, generators
-from .linalg import QMatrix, ZERO, ONE, mat, rref_rows
+from .linalg import QMatrix, ZERO, mat, rank, rref_rows
 from .serialize import frac_str
 
 CANONICAL = "canonical"
@@ -282,48 +282,52 @@ def apply_involution(inv: Involution, x: AlgebraElement) -> AlgebraElement:
     return inv.apply(x)
 
 
+def eigen_rows(inv: Involution, s: int) -> list[list]:
+    """Dense rows g + s*sigma(g), s = +-1: they span the s-eigenspace of sigma, in ints
+    when sigma is group-induced."""
+    n = inv.group.order
+    rows = []
+    for g, col in enumerate(inv.columns):
+        row = [0] * n
+        row[g] = 1
+        for h, c in col:
+            row[h] += s * c
+        rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True)
 class SkewSpaceReport:
-    """RREF bases of the -1 and +1 eigenspaces of an involution on QG."""
+    """The -1 and +1 eigenspaces of an involution on QG; the RREF bases and
+    ``sym_dim`` are built on first read."""
 
-    skew_basis: QMatrix
-    sym_basis: QMatrix
+    involution: Involution
     skew_dim: int
-    sym_dim: int
     fixed_plus: int
     fixed_minus: int
+
+    @cached_property
+    def skew_basis(self) -> QMatrix:
+        return rref_rows(eigen_rows(self.involution, -1))
+
+    @cached_property
+    def sym_basis(self) -> QMatrix:
+        return rref_rows(eigen_rows(self.involution, 1))
+
+    @cached_property
+    def sym_dim(self) -> int:
+        return len(self.sym_basis)
 
 
 def skew_space(inv: Involution) -> SkewSpaceReport:
     """Split QG into symmetric and skew-symmetric parts under the involution.
 
-    The -1 and +1 eigenspaces are spanned by the rows g - sigma(g) and
-    g + sigma(g); their RREF bases are unique, so the split is canonical.
+    skew_dim is the integer rank of the rows g - sigma(g); the RREF bases are
+    unique, so the split is canonical.
     """
-    n = inv.group.order
-    minus_rows: QMatrix = []
-    plus_rows: QMatrix = []
-    for g, col in enumerate(inv.columns):
-        row_m = [ZERO] * n
-        row_p = [ZERO] * n
-        row_m[g] += ONE
-        row_p[g] += ONE
-        for h, c in col:
-            row_m[h] -= c
-            row_p[h] += c
-        minus_rows.append(row_m)
-        plus_rows.append(row_p)
-    skew_basis = rref_rows(minus_rows)
-    sym_basis = rref_rows(plus_rows)
-    skew_dim = len(skew_basis)
-    sym_dim = len(sym_basis)
-    if skew_dim + sym_dim != n:
-        raise SpecError("involution is not diagonalizable over Q (internal error)")
     return SkewSpaceReport(
-        skew_basis=skew_basis,
-        sym_basis=sym_basis,
-        skew_dim=skew_dim,
-        sym_dim=sym_dim,
+        involution=inv,
+        skew_dim=rank(eigen_rows(inv, -1)),
         fixed_plus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, 1),)),
         fixed_minus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, -1),)),
     )

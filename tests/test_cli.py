@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -240,3 +241,20 @@ def test_seed_env_respected(capsys, monkeypatch):
     code, out_flag, _ = run_cli(capsys, "form", "--group", "symmetric:3",
                                 "--involution", "canonical", "--seed", "4")
     assert out_env == out_flag
+
+
+def test_out_of_memory_exits_two_with_message():
+    """A MemoryError ends in exit 2 and one line, not a traceback.  The address-space
+    cap acts only on the child; s = 1024 classes need an s^3 table far beyond it."""
+    cap = 512 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    cmd = [sys.executable, "-m", "skewlie", "chartab",
+           "--group", "abelian:2,2,2,2,2,2,2,2,2,2"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit, timeout=300)
+    assert proc.returncode == EXIT_CHECK
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlie import (
     AlgebraElement,
@@ -18,6 +20,7 @@ from skewlie import (
     galois_orbits,
     rational_idempotents,
     sigma_action_on_components,
+    sign_characters,
     skew_space,
     table_orthogonality,
 )
@@ -29,6 +32,7 @@ from skewlie.catalog import (
     linear_fixtures,
 )
 from skewlie.errors import ComputationError
+from skewlie.groups import direct_product, group_from_permutations
 from skewlie.wedderburn import CentralIdempotent, idempotent_axioms_hold
 
 from oracle import idempotent_axioms_by_convolution, skew_dim_by_rank, table_by_kernels
@@ -378,15 +382,69 @@ def oracle_cases():
 
 
 def test_skew_dims_match_rank_oracle(oracle_cases):
-    """The trace formula against the rank of {e(g - sigma(g))}, swapped components included."""
+    """The trace formula against the rank of {e(g - sigma(g))}, swapped components included,
+    and skew_space's integer rank against the same oracle at e = 1 and its RREF basis."""
     swapped = 0
     for g, t, invs in oracle_cases:
+        one = [1] + [0] * (g.order - 1)
         for inv in invs:
+            ssr = skew_space(inv)
+            assert (ssr.skew_dim == skew_dim_by_rank(g.mult, inv.columns, one)
+                    == len(ssr.skew_basis)), (g.name, inv.to_json())
             for ci in t.idempotents:
                 expected = skew_dim_by_rank(g.mult, inv.columns, ci.element.coeffs)
                 assert component_skew_dim(ci, inv) == expected, (g.name, inv.to_json())
                 swapped += inv.apply(ci.element) != ci.element
     assert swapped > 0
+
+
+@pytest.mark.parametrize("kind", ["canonical", "oriented"])
+def test_decomposition_builds_no_fraction_for_group_induced_sigma(monkeypatch, kind):
+    """Once the table is built and checked, the report is integer arithmetic only."""
+    g = build_group("dicyclic:6")
+    t = character_table(g)
+    assert all(t.checks.values())
+    if kind == "canonical":
+        inv = Involution.canonical(g)
+    else:
+        inv = Involution.oriented(g, next(a for a in sign_characters(g) if -1 in a))
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    decomposition_report(g, inv, table=t)
+    monkeypatch.undo()
+    assert len(built) == 0
+
+
+@st.composite
+def random_permutation_groups(draw):
+    """Groups generated by 1-2 permutations of degree 3 or 4, times C2 or not: order <= 48."""
+    degree = draw(st.integers(3, 4))
+    perms = st.permutations(range(degree)).map(list)
+    g = group_from_permutations(draw(st.lists(perms, min_size=1, max_size=2)), degree)
+    if draw(st.booleans()):
+        g = direct_product(g, build_group("cyclic:2"))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_permutation_groups())
+def test_random_groups_against_oracles(g):
+    """Every oriented involution of a random group: the report's checks, the integer rank
+    of skew_space against the dense oracle, and the idempotent axioms by convolution."""
+    t = character_table(g)
+    assert idempotent_axioms_by_convolution(g.mult, [ci.element.coeffs for ci in t.idempotents])
+    one = [1] + [0] * (g.order - 1)
+    for alpha in sign_characters(g):
+        inv = Involution.oriented(g, alpha)
+        report = decomposition_report(g, inv, table=t)
+        assert all(report.checks.values()), (g.name, alpha, report.checks)
+        assert report.skew_dim == skew_dim_by_rank(g.mult, inv.columns, one), (g.name, alpha)
 
 
 def _axiom_mutants(idems):
