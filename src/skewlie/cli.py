@@ -168,36 +168,44 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary.all_pass else EXIT_CHECK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is an input error: exit 1, not 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewlie",
         description="Exact skew-symmetric decomposition of rational group algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, involution=False):
-        p.add_argument("--group", required=True,
-                       help='group spec: "dicyclic:2", inline JSON, or a .json path')
-        if involution:
-            p.add_argument("--involution", default="canonical",
-                           help='"canonical", inline JSON, or a .json path')
+    flags = {
+        "--group": dict(required=True,
+                        help='group spec: "dicyclic:2", inline JSON, or a .json path'),
+        "--involution": dict(default="canonical", help='"canonical", inline JSON, or a .json path'),
+        "--catalog": dict(default=None, help="selector, e.g. dicyclic:2"),
+        "--seed": dict(type=int, default=None),
+        "--dixon-prime": dict(type=int, default=None),
+    }
+    # each command takes only the flags it reads
+    for name, run, own, fmt, text in (
+        ("decompose", cmd_decompose, ("--group", "--involution", "--dixon-prime"), "json",
+         "component classification report"),
+        ("form", cmd_form, ("--group", "--involution", "--seed"), "json",
+         "adjoint bilinear form on the regular module"),
+        ("chartab", cmd_chartab, ("--group", "--dixon-prime"), "json", "exact character table"),
+        ("group-info", cmd_group_info, ("--group",), "json", "order, exponent, classes"),
+        ("verify", cmd_verify, ("--catalog", "--seed"), "text",
+         "run the identity suite over the built-in catalog"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        for flag in own:
+            p.add_argument(flag, **flags[flag])
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--dixon-prime", type=int, default=None)
+        p.add_argument("--format", choices=("json", "text"), default=fmt)
         p.add_argument("--max-order", type=int, default=None)
-
-    common(sub.add_parser("decompose", help="component classification report"), involution=True)
-    common(sub.add_parser("form", help="adjoint bilinear form on the regular module"), involution=True)
-    common(sub.add_parser("chartab", help="exact character table"))
-    common(sub.add_parser("group-info", help="order, exponent, classes"))
-
-    pv = sub.add_parser("verify", help="run the identity suite over the built-in catalog")
-    pv.add_argument("--catalog", default=None, help="selector, e.g. dicyclic:2")
-    pv.add_argument("--out", default=None)
-    pv.add_argument("--format", choices=("json", "text"), default="text")
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--max-order", type=int, default=None)
     return parser
 
 
@@ -205,21 +213,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
+        if "seed" in vars(args) and args.seed is None:
             args.seed = _env_int(ENV_SEED, 0)
         if args.max_order is None:
             args.max_order = _env_int(ENV_MAX_ORDER, DEFAULT_MAX_ORDER)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "decompose":
-            return cmd_decompose(args)
-        if args.command == "form":
-            return cmd_form(args)
-        if args.command == "chartab":
-            return cmd_chartab(args)
-        if args.command == "group-info":
-            return cmd_group_info(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (SpecError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -229,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         sys.stderr.write(f"error: out of memory in {args.command}; try a smaller group\n")
         return EXIT_CHECK
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -315,12 +315,13 @@ def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
 
 
 def _per_group(fn):
-    """Compute fn(group) once per group and keep it in ``group.derived``."""
+    """Compute fn(group, *args) once per group and arguments, and keep it in ``group.derived``."""
     @wraps(fn)
-    def cached(group: Group):
-        if fn not in group.derived:
-            group.derived[fn] = fn(group)
-        return group.derived[fn]
+    def cached(group: Group, *args):
+        key = (fn, *args) if args else fn
+        if key not in group.derived:
+            group.derived[key] = fn(group, *args)
+        return group.derived[key]
     return cached
 
 

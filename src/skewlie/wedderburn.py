@@ -1,15 +1,15 @@
 """Exact complex character tables and the decomposition of (QG, sigma).
 
-The character table comes from the modular method of Dixon and Schneider:
-class-sum structure constants give commuting integer matrices whose common
-eigenvectors over F_p are the central characters.  One cyclic vector per piece
-of the eigenbasis splits it: the Krylov vectors of the piece's vector under a
-class matrix give its minimal polynomial, and each root gives the projection
-onto one eigenspace.  Degrees and class values are recovered mod p and lifted
-to exact sums of roots of unity on one class per rational class, by an inverse
-discrete Fourier transform over the powers of its representative (a discrete
-log for a linear character); every other class g^k of the rational class takes
-the Galois twist by k.
+The character table comes from the modular method of Dixon and Schneider: the
+class matrices, built from the class representatives as the split needs them,
+commute, and their common eigenvectors over F_p are the central characters.
+One cyclic vector per piece of the eigenbasis splits it: the Krylov vectors of
+the piece's vector under a class matrix give its minimal polynomial, and each
+root its projection on one eigenspace.  Degrees and class values are recovered
+mod p and lifted to exact sums of roots of unity on one class per rational
+class, by an inverse discrete Fourier transform over the powers of its
+representative (a discrete log for a linear character); every other class g^k
+of the rational class takes the Galois twist by k.
 
 Galois orbits of characters give the rational central primitive idempotents,
 and each simple component of QG is classified against an involution as
@@ -18,6 +18,7 @@ orthogonal, symplectic, or unitary from the dimension of its skew part.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,35 +42,32 @@ DEFAULT_PRIME_BOUND = 10**8
 # class algebra
 # ---------------------------------------------------------------------------
 
-def class_structure_constants(group: Group) -> list[list[list[int]]]:
-    """Coefficients a[i][j][k] with (class sum i)(class sum j) = sum_k a[i][j][k] (class sum k)."""
+@_per_group
+def class_matrix(group: Group, i: int) -> tuple:
+    """The class matrix M_i, built once per group on first use.
+
+    Row j holds the nonzero (k, a_ijk), where K_i K_j = sum_k a_ijk K_k for
+    the class sums K.  a_ijk is the coefficient of the representative z_k in
+    K_i K_j, #{x in K_i : x^-1 z_k in K_j}: s |K_i| lookups.
+    """
     cd = conjugacy_classes(group)
-    s = len(cd)
-    mult = group.mult
-    class_of = cd.class_of
-    sizes = cd.sizes()
+    mult, ginv, class_of = group.mult, group.inv, cd.class_of
+    rows: list[list] = [[] for _ in cd.classes]
+    for k, z in enumerate(cd.class_reps):
+        for j, a in Counter(class_of[mult[ginv[x]][z]] for x in cd.classes[i]).items():
+            rows[j].append((k, a))
+    return tuple(map(tuple, rows))
+
+
+def class_structure_constants(group: Group) -> list[list[list[int]]]:
+    """The dense view a[i][j][k] of every class matrix: s^3 ints, for inspection only."""
+    s = len(conjugacy_classes(group))
     table = [[[0] * s for _ in range(s)] for _ in range(s)]
     for i in range(s):
-        for j in range(s):
-            counts = [0] * s
-            for x in cd.classes[i]:
-                row = mult[x]
-                for y in cd.classes[j]:
-                    counts[class_of[row[y]]] += 1
-            for k, c in enumerate(counts):
-                if c:
-                    q, r = divmod(c, sizes[k])
-                    if r:
-                        raise ComputationError("class sum product is not class-constant")
-                    table[i][j][k] = q
+        for j, row in enumerate(class_matrix(group, i)):
+            for k, a in row:
+                table[i][j][k] = a
     return table
-
-
-@_per_group
-def _class_products(group: Group) -> tuple:
-    """The structure constants, computed once per group: a[i][j] as its nonzero (k, a[i][j][k])."""
-    return tuple(tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in block)
-                 for block in class_structure_constants(group))
 
 
 def _combine(x: Sequence, rows: Sequence, size: int) -> list:
@@ -205,21 +203,23 @@ def _split(v: list[int], m: tuple, p: int) -> list[list[int]]:
     return children
 
 
-def _central_characters(products: tuple, sizes: Sequence[int], p: int) -> list[list[int]]:
+def _central_characters(group: Group, p: int) -> list[list[int]]:
     """One vector per central character omega_chi = (omega_chi(K_j))_j, up to a unit.
 
     Each piece of the eigenbasis is kept as one vector whose coordinate on
     every omega_chi of the piece is nonzero.  The first piece is
     e_0 = sum_chi (chi(1)^2/|G|) omega_chi, nonzero on every omega_chi since
     p > |G|.  The class matrices, largest class first, split every piece
-    until there is one piece per class.
+    until there is one piece per class; only the matrices used are built.
     """
-    s = len(products)
+    sizes = conjugacy_classes(group).sizes()
+    s = len(sizes)
     pieces = [[1] + [0] * (s - 1)]
     for i in sorted(range(1, s), key=lambda i: -sizes[i]):
         if len(pieces) >= s:
             break
-        pieces = [w for v in pieces for w in _split(v, products[i], p)]
+        m = class_matrix(group, i)
+        pieces = [w for v in pieces for w in _split(v, m, p)]
     if len(pieces) != s:
         raise ComputationError(
             f"eigenspace splitting ended with {len(pieces)} pieces for {s} classes"
@@ -342,7 +342,7 @@ def character_table(group: Group, prime: int | None = None,
     e = exponent(group)
     p = check_dixon_prime(group, prime) if prime is not None else find_dixon_prime(group, prime_bound)
     sizes = cd.sizes()
-    vectors = _central_characters(_class_products(group), sizes, p)
+    vectors = _central_characters(group, p)
 
     size_inv = [pow(sz, p - 2, p) for sz in sizes]
     z = pow(_primitive_root(p), (p - 1) // e, p)
@@ -350,6 +350,7 @@ def character_table(group: Group, prime: int | None = None,
     lifts = _rational_classes(group, cd)
     dft = {}  # order o -> (1/o mod p, rows m of zeta_o^(-m l) over l); degree > 1 only
 
+    interned: dict = {}  # one tuple object per distinct value
     rows = []
     for v in vectors:
         # normalize so the identity-class coordinate is 1, recover the degree mod p
@@ -373,7 +374,8 @@ def character_table(group: Group, prime: int | None = None,
                           [[pow(zo, -m * l % o, p) for l in range(o)] for m in range(o)])
             mv = _lift([x_mod[c] for c in powers], d, e, p, dft, dlog)
             for twin, k in twins:
-                mults[twin] = twist_root_vector(mv, k, e)
+                tv = twist_root_vector(mv, k, e)
+                mults[twin] = interned.setdefault(tv, tv)
         rows.append((d, tuple(mults)))
 
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -525,23 +527,22 @@ def idempotent_axioms_hold(idems: Sequence[CentralIdempotent]) -> bool:
 
     Each e_i is stored as the integer class function E_i = |G| e_i, so it is
     central with coefficients in (1/|G|)Z by representation.  The check is in
-    the class algebra: sum E_i = |G|*1 and E_i E_j = delta_ij |G| E_i,
-    multiplied through the class structure constants.
+    the class algebra: sum E_i = |G|*1 and E_i^2 = |G| E_i, multiplied through
+    the class matrices.  Orthogonality follows: in each field factor of
+    Z(QG), of characteristic 0, every e_i is 0 or 1 and they sum to 1.
     """
     if not idems:
         return False
     group = idems[0].group
     s = len(conjugacy_classes(group))
-    products = _class_products(group)
     coords = [ci.coords for ci in idems]
     if [sum(col) for col in zip(*coords)] != [group.order] + [0] * (s - 1):
         return False
-    for i, ei in enumerate(coords):
-        times_ei = [tuple(enumerate(_combine(ei, block, s))) for block in products]  # K_b E_i
-        for j, ej in enumerate(coords):
-            expect = [group.order * x for x in ei] if i == j else [0] * s
-            if _combine(ej, times_ei, s) != expect:
-                return False
+    for ei in coords:  # E_i^2 = sum_b E_i[b] (K_b E_i)
+        square = _combine(ei, [tuple(enumerate(_combine(ei, class_matrix(group, b), s))) if x
+                               else () for b, x in enumerate(ei)], s)
+        if square != [group.order * x for x in ei]:
+            return False
     return True
 
 
@@ -619,7 +620,6 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
     idems = table.idempotents
     perm = sigma_action_on_components(idems, inv)
     s = len(table.classes)
-    products = _class_products(table.group)
     sigma_sums = inv.class_sum_images
     reports = []
     for i, orbit in enumerate(orbits):
@@ -630,7 +630,7 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
         cdeg = orbit.field_degree
         skew = component_skew_dim(idems[i], inv)
         # the z_C = |G| e K_C over all classes C span the center of eQG, of dimension [Z:Q]
-        center = [_combine(idems[i].coords, block, s) for block in products]
+        center = [_combine(idems[i].coords, class_matrix(table.group, c), s) for c in range(s)]
         if rank(center) != cdeg:
             raise ComputationError("center basis has the wrong dimension")
         if j != i:

@@ -238,6 +238,26 @@ def idempotent_axioms_by_convolution(mult, idempotents) -> bool:
     return True
 
 
+def structure_constants_by_products(mult, classes):
+    """a[i][j][k] with K_i K_j = sum_k a[i][j][k] K_k, by all |K_i| |K_j| products
+    of every pair of classes: n^2 products in all.  Each count on class k must be
+    |K_k| times a[i][j][k], since a product of central elements is central."""
+    s = len(classes)
+    class_of = {g: k for k, cls in enumerate(classes) for g in cls}
+    table = [[[0] * s for _ in range(s)] for _ in range(s)]
+    for i in range(s):
+        for j in range(s):
+            counts = [0] * s
+            for x in classes[i]:
+                for y in classes[j]:
+                    counts[class_of[mult[x][y]]] += 1
+            for k, c in enumerate(counts):
+                q, r = divmod(c, len(classes[k]))
+                assert not r, "class sum product is not class-constant"
+                table[i][j][k] = q
+    return table
+
+
 def skew_dim_by_rank(mult, columns, e) -> int:
     """Rank of {e(g - sigma(g)) : g in G}, where columns[g] holds sigma(g) as (index, coeff) pairs."""
     n = len(mult)

@@ -245,16 +245,50 @@ def test_seed_env_respected(capsys, monkeypatch):
 
 def test_out_of_memory_exits_two_with_message():
     """A MemoryError ends in exit 2 and one line, not a traceback.  The address-space
-    cap acts only on the child; s = 1024 classes need an s^3 table far beyond it."""
-    cap = 512 << 20
+    cap acts only on the child; the chartab output of dihedral:250 (s = 128 classes,
+    conductor 250) is held in memory all at once, far beyond it."""
+    cap = 256 << 20
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    cmd = [sys.executable, "-m", "skewlie", "chartab",
-           "--group", "abelian:2,2,2,2,2,2,2,2,2,2"]
+    cmd = [sys.executable, "-m", "skewlie", "chartab", "--group", "dihedral:250"]
     proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit, timeout=300)
     assert proc.returncode == EXIT_CHECK
     assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_usage_errors_exit_one(capsys):
+    """argparse's own exit code 2 would read as a failed check."""
+    for argv in (["chartab"], ["nosuchcommand"], ["decompose", "--group"],
+                 ["chartab", "--group", "cyclic:2", "--format", "xml"], []):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            assert exc.code == EXIT_INPUT, argv
+        else:
+            raise AssertionError(f"{argv} parsed")
+        assert "error:" in capsys.readouterr().err
+
+
+def test_commands_take_only_the_flags_they_read(capsys):
+    takes = {"decompose": {"--dixon-prime"}, "chartab": {"--dixon-prime"},
+             "form": {"--seed"}, "verify": {"--seed"}, "group-info": set()}
+    values = {"--dixon-prime": "17", "--seed": "4"}
+    for command, own in takes.items():
+        where = ["--catalog", "cyclic:2"] if command == "verify" else ["--group", "cyclic:2"]
+        for flag, value in values.items():
+            argv = [command, *where, flag, value]
+            if flag in own:
+                assert main(argv) == EXIT_OK, argv
+                continue
+            try:
+                main(argv)
+            except SystemExit as exc:
+                assert exc.code == EXIT_INPUT, argv
+            else:
+                raise AssertionError(f"{argv} accepted {flag}")
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    capsys.readouterr()

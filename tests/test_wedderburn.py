@@ -35,7 +35,12 @@ from skewlie.errors import ComputationError
 from skewlie.groups import direct_product, group_from_permutations
 from skewlie.wedderburn import CentralIdempotent, idempotent_axioms_hold
 
-from oracle import idempotent_axioms_by_convolution, skew_dim_by_rank, table_by_kernels
+from oracle import (
+    idempotent_axioms_by_convolution,
+    skew_dim_by_rank,
+    structure_constants_by_products,
+    table_by_kernels,
+)
 
 ORACLE_LIMIT = 24
 
@@ -436,8 +441,13 @@ def random_permutation_groups(draw):
 @given(random_permutation_groups())
 def test_random_groups_against_oracles(g):
     """Every oriented involution of a random group: the report's checks, the integer rank
-    of skew_space against the dense oracle, and the idempotent axioms by convolution."""
+    of skew_space against the dense oracle, and the idempotent axioms by convolution;
+    the class matrices and the table itself against their oracles."""
+    cd = conjugacy_classes(g)
+    constants = structure_constants_by_products(g.mult, cd.classes)
+    assert class_structure_constants(g) == constants, g.name
     t = character_table(g)
+    assert (t.degrees, t.root_mults) == table_by_kernels(g, cd, constants, t.conductor, t.prime)
     assert idempotent_axioms_by_convolution(g.mult, [ci.element.coeffs for ci in t.idempotents])
     one = [1] + [0] * (g.order - 1)
     for alpha in sign_characters(g):
@@ -550,14 +560,37 @@ ORACLE_WIDE = ("cyclic:24", "abelian:3,3,3", "dicyclic:15", "dihedral:30")
 
 def test_table_matches_kernel_oracle():
     """Cyclic-vector splitting and one lift per rational class against the
-    charpoly-and-kernel split with a DFT on every class, at the same prime."""
+    charpoly-and-kernel split with a DFT on every class, at the same prime; and the
+    class matrices, built from the class representatives, against all n^2 products."""
     groups = catalog_groups() + [build_group(spec) for spec in ORACLE_WIDE]
     for g in groups:
+        cd = conjugacy_classes(g)
+        constants = structure_constants_by_products(g.mult, cd.classes)
+        assert class_structure_constants(g) == constants, g.name
         t = character_table(g)
         assert t.prime == find_dixon_prime(g)
-        expected = table_by_kernels(g, conjugacy_classes(g), class_structure_constants(g),
-                                    t.conductor, t.prime)
+        expected = table_by_kernels(g, cd, constants, t.conductor, t.prime)
         assert (t.degrees, t.root_mults) == expected, g.name
+
+
+@pytest.mark.parametrize("spec, most", [("cyclic:240", 1), ("abelian:2,2,2,2,2,2,2,2", 128)])
+def test_table_builds_only_the_class_matrices_it_splits_by(monkeypatch, spec, most):
+    import skewlie.wedderburn as wedderburn
+
+    built = []
+    true_matrix = wedderburn.class_matrix
+    monkeypatch.setattr(wedderburn, "class_matrix",
+                        lambda group, i: built.append(i) or true_matrix(group, i))
+    g = build_group(spec)
+    t = character_table(g)
+    assert len(t) == len(conjugacy_classes(g))
+    assert 0 < len(set(built)) <= most
+
+
+def test_table_keeps_one_root_vector_per_distinct_value():
+    t = character_table(build_group("cyclic:120"))
+    cells = [mv for row in t.root_mults for mv in row]
+    assert len({id(mv) for mv in cells}) == len(set(cells)) == 120
 
 
 def test_orthogonality_rejects_an_irrational_change():
@@ -578,7 +611,7 @@ def test_orthogonality_rejects_an_irrational_change():
 
 
 def _sparse(matrix):
-    """Rows of a dense matrix as their nonzero (k, entry) pairs, as _class_products keeps them."""
+    """Rows of a dense matrix as their nonzero (k, entry) pairs, as class_matrix returns them."""
     return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in matrix)
 
 
@@ -599,7 +632,7 @@ def test_splitting_guards(monkeypatch, spec, matrices, message):
     g = build_group(spec)
     identity = [[int(i == j) for j in range(g.order)] for i in range(g.order)]
     products = tuple(_sparse(m) for m in [identity] + matrices)
-    monkeypatch.setattr(wedderburn, "_class_products", lambda group: products)
+    monkeypatch.setattr(wedderburn, "class_matrix", lambda group, i: products[i])
     with pytest.raises(ComputationError, match=message):
         character_table(g)
 
@@ -636,8 +669,8 @@ def test_table_guards(monkeypatch, spec, change, message):
 
     true_split = wedderburn._central_characters
 
-    def changed(products, sizes, p):
-        vectors = true_split(products, sizes, p)
+    def changed(group, p):
+        vectors = true_split(group, p)
         if change == "perturb":
             vectors[0] = [(x + 1) % p for x in vectors[0]]
         elif change == "repeat":
