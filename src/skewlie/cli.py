@@ -39,24 +39,26 @@ def _env_int(name: str, default: int) -> int:
         raise SpecError(f"environment variable {name}={raw!r} is not an integer") from None
 
 
-def _resolve_group(spec: str, max_order: int):
+def _load_json(spec: str):
+    """Inline JSON, or the contents of an existing .json path, parsed; any other spec as given."""
     if spec.lstrip().startswith("{"):
-        return build_group(json.loads(spec), max_order)
-    path = Path(spec)
-    if spec.endswith(".json") and path.exists():
-        return build_group(json.loads(path.read_text()), max_order)
-    return build_group(spec, max_order)
+        return json.loads(spec)
+    if spec.endswith(".json") and Path(spec).exists():
+        return json.loads(Path(spec).read_text())
+    return spec
+
+
+def _resolve_group(spec: str, max_order: int):
+    return build_group(_load_json(spec), max_order)
 
 
 def _resolve_involution(group, spec: str) -> Involution:
     if spec == "canonical":
         return Involution.canonical(group)
-    if spec.lstrip().startswith("{"):
-        return Involution.from_json(group, json.loads(spec))
-    path = Path(spec)
-    if spec.endswith(".json") and path.exists():
-        return Involution.from_json(group, json.loads(path.read_text()))
-    raise SpecError(f"unrecognized involution spec {spec!r}")
+    data = _load_json(spec)
+    if data is spec:
+        raise SpecError(f"unrecognized involution spec {spec!r}")
+    return Involution.from_json(group, data)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -123,11 +123,7 @@ def _gram_from_functional(inv: Involution, lam: Sequence[Fraction]) -> QMatrix:
             for col in inv.columns]
 
 
-def realize_adjoint_form(
-    inv: Involution,
-    seed: int = 0,
-    attempts: int = DEFAULT_ATTEMPTS,
-) -> AdjointRealization:
+def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
     """Find a nonsingular symmetric (preferred) or skew form realizing sigma.
 
     The adjoint identity h(f x, y) = h(x, sigma(f) y) holds for every
@@ -141,7 +137,7 @@ def realize_adjoint_form(
         basis = _functional_space(inv, want)
         if not basis:
             continue
-        for _ in range(attempts):
+        for _ in range(DEFAULT_ATTEMPTS):
             weights = [Fraction(rng.randint(-9, 9)) for _ in basis]
             lam = [sum((w * row[i] for w, row in zip(weights, basis)), ZERO)
                    for i in range(n)]
@@ -159,7 +155,7 @@ def realize_adjoint_form(
                 functional=tuple(lam),
             )
     raise ComputationError(
-        f"no nonsingular symmetric or skew realization found in {attempts} draws per class"
+        f"no nonsingular symmetric or skew realization found in {DEFAULT_ATTEMPTS} draws per class"
     )
 
 
@@ -201,10 +197,8 @@ def skew_adjoint_space(r: AdjointRealization) -> QMatrix:
     return rref_rows(_solution_space(rows, n))
 
 
-def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization | None = None) -> bool:
+def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> bool:
     """The defining system of the form cuts out exactly the skew elements."""
-    if r is None:
-        r = realize_adjoint_form(inv)
     return skew_adjoint_space(r) == skew_space(inv).skew_basis
 
 
@@ -229,13 +223,9 @@ def integral_skew_lattice(inv: Involution) -> list[list[int]]:
     return lattice
 
 
-def form_report(
-    inv: Involution,
-    seed: int = 0,
-    attempts: int = DEFAULT_ATTEMPTS,
-) -> dict:
+def form_report(inv: Involution, seed: int = 0) -> dict:
     """JSON-ready form artifact with all verification bits."""
-    r = realize_adjoint_form(inv, seed=seed, attempts=attempts)
+    r = realize_adjoint_form(inv, seed=seed)
     nonsingular = rank(r.form.gram) == inv.group.order
     adjoint_ok = check_adjoint_identity(r)
     matches = adjoint_space_matches_skew_span(inv, r)

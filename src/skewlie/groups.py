@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from math import lcm
+from math import lcm, prod
 
 from .errors import SpecError
 
@@ -72,12 +72,10 @@ class ConjugacyData:
         return tuple(len(c) for c in self.classes)
 
 
-def _check_table(name: str, mult: list[list[int]], max_order: int) -> Group:
+def _check_table(name: str, mult: list[list[int]]) -> Group:
     n = len(mult)
     if n == 0:
         raise SpecError(f"{name}: empty multiplication table")
-    if n > max_order:
-        raise SpecError(f"{name}: order {n} exceeds the configured cap {max_order}")
     full = set(range(n))
     for i, row in enumerate(mult):
         if len(row) != n or set(row) != full:
@@ -109,27 +107,30 @@ def _check_table(name: str, mult: list[list[int]], max_order: int) -> Group:
     return group
 
 
+def _built_group(name: str, order: int, row, max_order: int) -> Group:
+    """Check the order against the cap, then build the table from row(x) and check it."""
+    if order > max_order:
+        raise SpecError(f"{name}: order {order} exceeds the configured cap {max_order}")
+    return _check_table(name, [row(x) for x in range(order)])
+
+
 def cyclic_group(n: int, name: str | None = None, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     if n < 1:
         raise SpecError("cyclic group order must be positive")
-    mult = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return _check_table(name or f"cyclic:{n}", mult, max_order)
+    return _built_group(name or f"cyclic:{n}", n, lambda i: list(range(i, n)) + list(range(i)),
+                        max_order)
 
 
 def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Dihedral group of order 2n: rotations r^i at i, reflections r^i s at n+i."""
     if n < 1:
         raise SpecError("dihedral parameter must be positive")
-    order = 2 * n
 
-    def mul(x: int, y: int) -> int:
+    def row(x: int) -> list[int]:  # r^i s^j r^k s^l = r^(i +- k) s^(j + l)
         i, j = x % n, x // n
-        k, l = y % n, y // n
-        i2 = (i + k) % n if j == 0 else (i - k) % n
-        return i2 + n * (j ^ l)
+        return [(i - k if j else i + k) % n + n * (j ^ l) for l in (0, 1) for k in range(n)]
 
-    mult = [[mul(x, y) for y in range(order)] for x in range(order)]
-    return _check_table(f"dihedral:{n}", mult, max_order)
+    return _built_group(f"dihedral:{n}", 2 * n, row, max_order)
 
 
 def dicyclic_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
@@ -141,18 +142,14 @@ def dicyclic_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     if n < 1:
         raise SpecError("dicyclic parameter must be positive")
     m = 2 * n
-    order = 4 * n
 
-    def mul(x: int, y: int) -> int:
+    def row(x: int) -> list[int]:
         i, j = x % m, x // m
-        k, l = y % m, y // m
         if j == 0:
-            return (i + k) % m + m * l
-        i2 = (i - k + (n if l else 0)) % m
-        return i2 + m * (1 - l)
+            return [(i + k) % m + m * l for l in (0, 1) for k in range(m)]
+        return [(i - k + n * l) % m + m * (1 - l) for l in (0, 1) for k in range(m)]
 
-    mult = [[mul(x, y) for y in range(order)] for x in range(order)]
-    return _check_table(f"dicyclic:{n}", mult, max_order)
+    return _built_group(f"dicyclic:{n}", 2 * m, row, max_order)
 
 
 def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -186,8 +183,8 @@ def group_from_permutations(
                 elems.append(new)
                 queue.append(new)
     n = len(elems)
-    mult = [[index[_perm_compose(elems[a], elems[b])] for b in range(n)] for a in range(n)]
-    return _check_table(name or f"perm-group:deg{degree}:order{n}", mult, max_order)
+    return _built_group(name or f"perm-group:deg{degree}:order{n}", n,
+                        lambda a: [index[_perm_compose(elems[a], g)] for g in elems], max_order)
 
 
 def symmetric_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
@@ -215,31 +212,36 @@ def alternating_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
 def direct_product(a: Group, b: Group, name: str | None = None,
                    max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Direct product with index i*|B| + j, identity at 0."""
-    na, nb = a.order, b.order
-    order = na * nb
-    if order > max_order:
-        raise SpecError(f"product order {order} exceeds the cap {max_order}")
-    mult = [
-        [a.mult[x // nb][y // nb] * nb + b.mult[x % nb][y % nb] for y in range(order)]
-        for x in range(order)
-    ]
-    return _check_table(name or f"product:{a.name},{b.name}", mult, max_order)
+    nb = b.order
+    return _built_group(name or f"product:{a.name},{b.name}", a.order * nb,
+                        lambda x: [u * nb + v for u in a.mult[x // nb] for v in b.mult[x % nb]],
+                        max_order)
 
 
 def abelian_group(invariants: list[int], max_order: int = DEFAULT_MAX_ORDER) -> Group:
+    """C_m1 x ... x C_mr, indexed as the iterated direct product: one table, checked once."""
     if not invariants:
         raise SpecError("abelian spec needs at least one invariant factor")
-    # the last table built takes the final name, so its checked cache is kept
-    names = [None] * (len(invariants) - 1) + ["abelian:" + ",".join(map(str, invariants))]
-    g = cyclic_group(invariants[0], names[0], max_order)
-    for m, name in zip(invariants[1:], names[1:]):
-        g = direct_product(g, cyclic_group(m, max_order=max_order), name, max_order)
-    return g
+    if min(invariants) < 1:
+        raise SpecError("cyclic group order must be positive")
+
+    def row(x: int) -> list[int]:
+        digits = []
+        for m in reversed(invariants):
+            x, d = divmod(x, m)
+            digits.append(d)
+        out = [0]
+        for m, d in zip(invariants, reversed(digits)):
+            out = [u * m + (d + j) % m for u in out for j in range(m)]
+        return out
+
+    return _built_group("abelian:" + ",".join(map(str, invariants)), prod(invariants), row,
+                        max_order)
 
 
 def group_from_table(mult_table: list[list[int]], name: str = "table-group",
                      max_order: int = DEFAULT_MAX_ORDER) -> Group:
-    return _check_table(name, [list(row) for row in mult_table], max_order)
+    return _built_group(name, len(mult_table), lambda x: list(mult_table[x]), max_order)
 
 
 def _split_product_args(text: str) -> list[str]:

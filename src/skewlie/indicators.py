@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .cyclotomic import reduce_root_vector, twist_root_vector
+from .cyclotomic import reduce_root_vector
 from .errors import ComputationError
 from .groups import square_root_count
 
@@ -14,18 +14,11 @@ if TYPE_CHECKING:
     from .wedderburn import CharacterTable
 
 
-def _squared_class_map(table: "CharacterTable") -> list[int]:
-    """Class index of rep^2 for each class (constant on the class)."""
-    group = table.group
-    cd = table.classes
-    return [cd.class_of[group.mult[rep][rep]] for rep in cd.class_reps]
-
-
 def fs_indicator(table: "CharacterTable", index: int) -> int:
     """(1/|G|) sum_g chi(g^2), always -1, 0, or 1."""
     e = table.conductor
     sizes = table.classes.sizes()
-    sq = _squared_class_map(table)
+    sq = table.power_map(2)
     acc = [0] * e
     for j, size in enumerate(sizes):
         mv = table.root_mults[index][sq[j]]
@@ -98,19 +91,18 @@ def involution_count_identity(table: "CharacterTable") -> tuple[bool, dict]:
 
 
 def indicator_report(table: "CharacterTable") -> IndicatorReport:
-    e = table.conductor
+    """Indicators, the conjugate pairs, read through the inverse classes, and the ledger."""
     indicators = tuple(fs_indicator(table, i) for i in range(len(table)))
     real = tuple(i for i, nu in enumerate(indicators) if nu == 1)
     symp = tuple(i for i, nu in enumerate(indicators) if nu == -1)
     row_index = {row: i for i, row in enumerate(table.root_mults)}
+    conj = table.classes.class_inverse  # conj chi(g) = chi(g^-1)
     pairs = []
     paired = set()
     for i, nu in enumerate(indicators):
         if nu != 0 or i in paired:
             continue
-        conjugate = tuple(twist_root_vector(mv, e - 1 if e > 1 else 1, e)
-                          for mv in table.root_mults[i])
-        j = row_index.get(conjugate)
+        j = row_index.get(tuple(table.root_mults[i][c] for c in conj))
         if j is None:
             raise ComputationError("conjugate character missing from the table")
         if j == i or indicators[j] != 0:

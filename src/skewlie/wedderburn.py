@@ -11,6 +11,7 @@ class, by an inverse discrete Fourier transform over the powers of its
 representative (a discrete log for a linear character); every other class g^k
 of the rational class takes the Galois twist by k.
 
+Outside that build the Galois action is read as power maps on the classes.
 Galois orbits of characters give the rational central primitive idempotents,
 and each simple component of QG is classified against an involution as
 orthogonal, symplectic, or unitary from the dimension of its skew part.
@@ -227,11 +228,13 @@ def _central_characters(group: Group, p: int) -> list[list[int]]:
     return pieces
 
 
-def _rational_classes(group: Group, cd: ConjugacyData) -> list[tuple[list[int], tuple]]:
+@_per_group
+def _rational_classes(group: Group) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     """One entry per rational class: the classes of g^0, ..., g^(o-1) for the
     representative g of its first class, and each class of a generator g^k of
     <g> as (class, k), gcd(k, o) = 1.  chi(g^k) is the Galois twist of chi(g) by k."""
-    out: list[tuple[list[int], tuple]] = []
+    cd = conjugacy_classes(group)
+    out = []
     seen: set[int] = set()
     for j, rep in enumerate(cd.class_reps):
         if j in seen:
@@ -243,8 +246,8 @@ def _rational_classes(group: Group, cd: ConjugacyData) -> list[tuple[list[int], 
         o = len(powers)
         twins = {powers[k % o]: k for k in range(o, 0, -1) if gcd(k, o) == 1}
         seen.update(twins)
-        out.append((powers, tuple(twins.items())))
-    return out
+        out.append((tuple(powers), tuple(twins.items())))
+    return tuple(out)
 
 
 def _lift(xs: list[int], d: int, e: int, p: int, dft: dict, dlog: dict) -> list[int]:
@@ -287,23 +290,39 @@ def _lift(xs: list[int], d: int, e: int, p: int, dft: dict, dlog: dict) -> list[
 class CharacterTable:
     """Exact character table with values in Q(zeta_conductor).
 
-    ``values[i][j]`` is the value of character i on class j; ``root_mults``
-    carries the same value as the integer multiplicities of the eigenvalue
-    roots of unity, which is what the fast exact checks work on.  The results
-    that depend on G alone, not on an involution, are computed on first use
-    and kept on the table.
+    ``root_mults[i][j]`` is the value of character i on class j as the integer
+    multiplicities of the eigenvalue roots of unity, which is what the exact
+    checks work on.  ``values``, the same table as ``Cyclotomic`` numbers, and
+    the results that depend on G alone, not on an involution, are computed on
+    first use and kept on the table.
     """
 
     group: Group
     classes: ConjugacyData
     conductor: int
     degrees: tuple[int, ...]
-    values: tuple[tuple[Cyclotomic, ...], ...]
     root_mults: tuple[tuple[tuple[int, ...], ...], ...]
     prime: int
 
     def __len__(self) -> int:
         return len(self.degrees)
+
+    @cached_property
+    def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        exact = {mv: Cyclotomic.from_root_vector(self.conductor, mv)
+                 for mv in set(chain.from_iterable(self.root_mults))}
+        return tuple(tuple(map(exact.__getitem__, row)) for row in self.root_mults)
+
+    def power_map(self, k: int) -> tuple[int, ...]:
+        """The class of x^k for x in each class: the class of g^j, for g the first
+        representative of its rational class, goes to the class of g^(jk).  For k
+        prime to the conductor chi(x^k) is the Galois twist of chi(x) by k (Isaacs,
+        Character Theory of Finite Groups)."""
+        image = [0] * len(self.classes)
+        for powers, twins in _rational_classes(self.group):
+            for c, j in twins:
+                image[c] = powers[j * k % len(powers)]
+        return tuple(image)
 
     @cached_property
     def orbits(self) -> tuple[GaloisOrbit, ...]:
@@ -334,20 +353,19 @@ class CharacterTable:
         }
 
 
-def character_table(group: Group, prime: int | None = None,
-                    prime_bound: int = DEFAULT_PRIME_BOUND) -> CharacterTable:
+def character_table(group: Group, prime: int | None = None) -> CharacterTable:
     cd = conjugacy_classes(group)
     s = len(cd)
     n = group.order
     e = exponent(group)
-    p = check_dixon_prime(group, prime) if prime is not None else find_dixon_prime(group, prime_bound)
+    p = check_dixon_prime(group, prime) if prime is not None else find_dixon_prime(group)
     sizes = cd.sizes()
     vectors = _central_characters(group, p)
 
     size_inv = [pow(sz, p - 2, p) for sz in sizes]
     z = pow(_primitive_root(p), (p - 1) // e, p)
     dlog = {pow(z, t, p): t for t in range(e)}
-    lifts = _rational_classes(group, cd)
+    lifts = _rational_classes(group)
     dft = {}  # order o -> (1/o mod p, rows m of zeta_o^(-m l) over l); degree > 1 only
 
     interned: dict = {}  # one tuple object per distinct value
@@ -385,14 +403,11 @@ def character_table(group: Group, prime: int | None = None,
         raise ComputationError("degree squares do not sum to the group order")
     if len(set(root_mults)) != s:
         raise ComputationError("character rows are not distinct")
-    exact = {mv: Cyclotomic.from_root_vector(e, mv) for mv in set(chain.from_iterable(root_mults))}
-    values = tuple(tuple(exact[mv] for mv in row) for row in root_mults)
     return CharacterTable(
         group=group,
         classes=cd,
         conductor=e,
         degrees=degrees,
-        values=values,
         root_mults=root_mults,
         prime=p,
     )
@@ -453,28 +468,26 @@ class GaloisOrbit:
 
 
 def galois_orbits(table: CharacterTable) -> list[GaloisOrbit]:
+    """The orbits of the rows under the twists by the units k mod the conductor.
+
+    The twist of a row by k is the row read through ``table.power_map(k)`` on
+    every table ``character_table`` builds: its value on a class g^j is the
+    twist by j of the lift on g, and that lift, a DFT of chi mod p on the powers
+    of g, is fixed by every k with g^k conjugate to g.
+    """
     e = table.conductor
-    units = [k for k in range(1, e + 1) if gcd(k, e) == 1]
+    maps = {table.power_map(k) for k in range(1, e + 1) if gcd(k, e) == 1}
     row_index = {row: i for i, row in enumerate(table.root_mults)}
-    assigned = [False] * len(table)
-    orbits = []
-    for i in range(len(table)):
-        if assigned[i]:
+    orbits, assigned = [], set()
+    for i, row in enumerate(table.root_mults):
+        if i in assigned:
             continue
-        members = set()
-        for k in units:
-            j = row_index.get(tuple(twist_root_vector(mv, k, e) for mv in table.root_mults[i]))
-            if j is None:
-                raise ComputationError("Galois twist left the character table")
-            members.add(j)
+        members = {row_index.get(tuple(map(row.__getitem__, pm))) for pm in maps}
+        if None in members:
+            raise ComputationError("Galois twist left the character table")
+        assigned.update(members)
         members = tuple(sorted(members))
-        for j in members:
-            assigned[j] = True
-        orbits.append(GaloisOrbit(
-            members=members,
-            degree=table.degrees[i],
-            field_degree=len(members),
-        ))
+        orbits.append(GaloisOrbit(members, table.degrees[i], field_degree=len(members)))
     orbits.sort(key=lambda o: (o.degree, o.members[0]))
     return orbits
 

@@ -7,7 +7,7 @@ minor search, spans through division-based Gaussian elimination.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import isqrt
+from math import gcd, isqrt
 
 from skewlie import Cyclotomic
 
@@ -432,3 +432,37 @@ def table_by_kernels(group, classes, constants, e, p):
         rows.append((d, tuple(mults)))
     rows.sort()
     return tuple(d for d, _ in rows), tuple(mv for _, mv in rows)
+
+
+# ---------------------------------------------------------------------------
+# the Galois action by twisting every value
+# ---------------------------------------------------------------------------
+
+def _twisted_row(row, k, e):
+    """Each root-multiplicity vector of a row under zeta_e^t -> zeta_e^(tk)."""
+    out = []
+    for mv in row:
+        image = [0] * e
+        for t, m in enumerate(mv):
+            image[t * k % e] += m
+        out.append(tuple(image))
+    return tuple(out)
+
+
+def galois_orbits_by_twists(table):
+    """The member tuples of the Galois orbits, in the order of galois_orbits, by
+    twisting every value of every row by every unit k mod the conductor.  A
+    twist that is not a row raises KeyError."""
+    e = table.conductor
+    index = {row: i for i, row in enumerate(table.root_mults)}
+    orbits = {tuple(sorted({index[_twisted_row(row, k, e)]
+                            for k in range(1, e + 1) if gcd(k, e) == 1}))
+              for row in table.root_mults}
+    return sorted(orbits, key=lambda m: (table.degrees[m[0]], m[0]))
+
+
+def conjugates_by_twist(table):
+    """For each row, the index of its complex conjugate, the twist by -1."""
+    e = table.conductor
+    index = {row: i for i, row in enumerate(table.root_mults)}
+    return [index[_twisted_row(row, e - 1, e)] for row in table.root_mults]

@@ -3,6 +3,7 @@ import resource
 import subprocess
 import sys
 
+import pytest
 
 from skewlie.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 
@@ -112,6 +113,22 @@ def test_group_json_input(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "group-info", "--group", str(path))
     assert code == EXIT_OK
     assert json.loads(out)["order"] == 6
+
+
+def test_involution_json_input(capsys, tmp_path):
+    """An involution is inline JSON or a .json path, read the same way as a group."""
+    spec = '{"kind": "oriented", "alpha": [1, -1, 1, -1]}'
+    path = tmp_path / "sigma.json"
+    path.write_text(spec)
+    inline = run_cli(capsys, "decompose", "--group", "cyclic:4", "--involution", spec)
+    assert inline[0] == EXIT_OK
+    assert run_cli(capsys, "decompose", "--group", "cyclic:4", "--involution", str(path)) == inline
+    for bad in ("sideways", str(tmp_path / "missing.json")):
+        code, out, err = run_cli(capsys, "decompose", "--group", "cyclic:4", "--involution", bad)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: unrecognized involution spec {bad!r}\n")
+    path.write_text("{")
+    code, out, err = run_cli(capsys, "decompose", "--group", "cyclic:4", "--involution", str(path))
+    assert (code, out) == (EXIT_INPUT, "") and err.startswith("error: ")
 
 
 def test_verify_single_group(capsys):
@@ -257,6 +274,22 @@ def test_out_of_memory_exits_two_with_message():
     assert proc.returncode == EXIT_CHECK
     assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("spec", ["cyclic:100000", "dihedral:50000", "dicyclic:25000"])
+def test_order_cap_is_read_before_the_table_is_built(spec):
+    """A family above the cap exits 1 with the cap message at once; the n^2 table of
+    order 100000 would need far more than the child's address-space cap."""
+    cap = 256 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    cmd = [sys.executable, "-m", "skewlie", "group-info", "--group", spec]
+    proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr == f"error: {spec}: order 100000 exceeds the configured cap 2000\n"
     assert proc.stdout == ""
 
 

@@ -1,8 +1,10 @@
-"""No check in the package may be sampled.
+"""No check in the package may be sampled, and the Galois action has one form.
 
 The one randomized draw is the fixed-seed search for a nonsingular form in
 ``forms.realize_adjoint_form``; it picks a witness and checks nothing.  Every
-other module must not import ``random``.
+other module must not import ``random``.  The one root-vector twist is the
+table build's, which defines the values on the other classes of a rational
+class; everywhere else the Galois action is a power map on the classes.
 """
 
 import ast
@@ -21,7 +23,18 @@ def _imports_random(path: Path) -> bool:
     return False
 
 
+def _imports_name(path: Path, name: str) -> bool:
+    return any(isinstance(node, (ast.Import, ast.ImportFrom))
+               and any(alias.name.split(".")[-1] == name for alias in node.names)
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
 def test_only_forms_imports_random():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [p.stem for p in modules if _imports_random(p)] == ["forms"]
+
+
+def test_only_the_table_build_imports_the_root_vector_twist():
+    modules = sorted(SRC.glob("*.py"))
+    assert [p.stem for p in modules if _imports_name(p, "twist_root_vector")] == ["wedderburn"]

@@ -16,7 +16,14 @@ from skewlie import (
     square_root_count,
 )
 from skewlie.catalog import catalog_groups
-from skewlie.groups import cyclic_group, generators, group_from_permutations, group_from_table
+from skewlie.groups import (
+    abelian_group,
+    cyclic_group,
+    direct_product,
+    generators,
+    group_from_permutations,
+    group_from_table,
+)
 
 
 def test_trivial_group():
@@ -130,6 +137,30 @@ def test_order_cap_enforced():
         build_group("cyclic:10", max_order=5)
     with pytest.raises(SpecError):
         group_from_permutations([[1, 2, 3, 4, 5, 6, 0]], 7, max_order=5)
+    for spec in ("dihedral:3", "dicyclic:2", "abelian:2,3", "product:cyclic:2,cyclic:3"):
+        with pytest.raises(SpecError, match="exceeds the configured cap 5"):
+            build_group(spec, max_order=5)
+    with pytest.raises(SpecError, match="table-group: order 6 exceeds the configured cap 5"):
+        group_from_table(build_group("cyclic:6").mult, max_order=5)
+
+
+@pytest.mark.parametrize("invariants", [[1], [5], [2, 2, 2], [3, 1, 4], [2, 4, 8], [6, 1, 2]])
+def test_abelian_table_is_the_iterated_direct_product(invariants):
+    """One table in the indices of C_m1 x C_m2 x ..., built and checked once."""
+    expected = cyclic_group(invariants[0])
+    for m in invariants[1:]:
+        expected = direct_product(expected, cyclic_group(m))
+    group = abelian_group(invariants)
+    assert group.name == "abelian:" + ",".join(map(str, invariants))
+    assert (group.mult, group.inv) == (expected.mult, expected.inv)
+
+
+def test_abelian_invariants_must_be_positive():
+    for invariants in ([0], [2, 0, 3], [-4]):
+        with pytest.raises(SpecError, match="cyclic group order must be positive"):
+            abelian_group(invariants)
+    with pytest.raises(SpecError, match="at least one invariant factor"):
+        abelian_group([])
 
 
 def test_group_json_round_trip(q8):

@@ -7,6 +7,9 @@ from skewlie import (
     indicator_report,
     involution_count_identity,
 )
+from skewlie.catalog import catalog_groups
+
+from oracle import conjugates_by_twist
 
 
 def indicator_by_elementwise_sum(table, index):
@@ -114,6 +117,21 @@ def test_complex_characters_come_in_pairs():
     assert paired == set(range(5)) - {trivial}
     assert report.eq1_identity
     assert report.involution_count_identity
+
+
+def test_conjugate_pairs_match_the_twist_by_minus_one():
+    """The pairs read through the inverse classes against the twist of every value by -1."""
+    for g in catalog_groups() + [build_group(spec) for spec in ("cyclic:24", "dicyclic:15")]:
+        t = character_table(g)
+        report = indicator_report(t)
+        conj = conjugates_by_twist(t)
+        pairs = {i: j for i, j in report.complex_pairs}
+        for i, nu in enumerate(report.indicators):
+            if nu:
+                assert conj[i] == i, (g.name, i)
+            elif i in pairs:
+                assert conj[i] == pairs[i] and conj[pairs[i]] == i, (g.name, i)
+        assert 2 * len(pairs) == sum(conj[i] != i for i in range(len(t))), g.name
 
 
 def test_symplectic_components_have_indicator_minus_one(q8, q8_table):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,10 @@ from skewlie import (
     component_skew_dim,
     conjugacy_classes,
     decomposition_report,
+    exponent,
     find_dixon_prime,
     galois_orbits,
+    indicator_report,
     rational_idempotents,
     sigma_action_on_components,
     sign_characters,
@@ -36,6 +39,7 @@ from skewlie.groups import direct_product, group_from_permutations
 from skewlie.wedderburn import CentralIdempotent, idempotent_axioms_hold
 
 from oracle import (
+    galois_orbits_by_twists,
     idempotent_axioms_by_convolution,
     skew_dim_by_rank,
     structure_constants_by_products,
@@ -202,6 +206,45 @@ def test_galois_orbits_trivial():
     orbits = galois_orbits(t)
     assert len(orbits) == 1
     assert orbits[0].dim_q == 1
+
+
+def test_power_maps_at_minus_one_and_two():
+    for g in catalog_groups() + [build_group(spec) for spec in ORACLE_WIDE]:
+        t = character_table(g)
+        cd = t.classes
+        assert t.power_map(-1) == cd.class_inverse, g.name
+        assert t.power_map(2) == tuple(cd.class_of[g.mult[r][r]] for r in cd.class_reps), g.name
+        assert t.power_map(1) == tuple(range(len(cd))) == t.power_map(exponent(g) + 1), g.name
+
+
+def test_galois_orbits_reject_rows_not_closed_under_the_twists(c3_table):
+    """C3 with the row (1, z^2, z) replaced by (1, z, z): the power map at 2 swaps
+    the two nontrivial classes, and (1, z, z^2) read through it is no row."""
+    from dataclasses import replace
+
+    one, z, z2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    rows = tuple((one, z, z) if row == (one, z2, z) else row for row in c3_table.root_mults)
+    assert rows != c3_table.root_mults
+    with pytest.raises(ComputationError, match="Galois twist left the character table"):
+        galois_orbits(replace(c3_table, root_mults=rows))
+    with pytest.raises(KeyError):
+        galois_orbits_by_twists(replace(c3_table, root_mults=rows))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:120", "dihedral:30"])
+def test_galois_action_twists_no_values(monkeypatch, spec):
+    """Outside the table build the Galois action is the power maps on the classes."""
+    import skewlie.cyclotomic as cyclotomic
+    import skewlie.indicators as indicators
+    import skewlie.wedderburn as wedderburn
+
+    t = character_table(build_group(spec))
+    calls = []
+    for module in (cyclotomic, indicators, wedderburn):
+        if hasattr(module, "twist_root_vector"):
+            monkeypatch.setattr(module, "twist_root_vector", lambda *a: calls.append(a))
+    assert galois_orbits(t) and indicator_report(t)
+    assert calls == []
 
 
 def test_c3_idempotents(c3, c3_table):
@@ -426,6 +469,19 @@ def test_decomposition_builds_no_fraction_for_group_induced_sigma(monkeypatch, k
     assert len(built) == 0
 
 
+def test_decomposition_builds_no_cyclotomic(monkeypatch):
+    """The table keeps its values as root vectors; ``values`` is built on first read."""
+    built = []
+    init = Cyclotomic.__init__
+    monkeypatch.setattr(Cyclotomic, "__init__", lambda z, *a: built.append(a) or init(z, *a))
+    g = build_group("dicyclic:6")
+    report = decomposition_report(g, Involution.canonical(g))
+    assert report.all_checks_pass and built == []
+    values = report.table.values
+    assert len(built) == len(set(chain.from_iterable(report.table.root_mults)))
+    assert report.table.values is values
+
+
 @st.composite
 def random_permutation_groups(draw):
     """Groups generated by 1-2 permutations of degree 3 or 4, times C2 or not: order <= 48."""
@@ -448,6 +504,7 @@ def test_random_groups_against_oracles(g):
     assert class_structure_constants(g) == constants, g.name
     t = character_table(g)
     assert (t.degrees, t.root_mults) == table_by_kernels(g, cd, constants, t.conductor, t.prime)
+    assert [o.members for o in t.orbits] == galois_orbits_by_twists(t), g.name
     assert idempotent_axioms_by_convolution(g.mult, [ci.element.coeffs for ci in t.idempotents])
     one = [1] + [0] * (g.order - 1)
     for alpha in sign_characters(g):
@@ -571,6 +628,7 @@ def test_table_matches_kernel_oracle():
         assert t.prime == find_dixon_prime(g)
         expected = table_by_kernels(g, cd, constants, t.conductor, t.prime)
         assert (t.degrees, t.root_mults) == expected, g.name
+        assert [o.members for o in galois_orbits(t)] == galois_orbits_by_twists(t), g.name
 
 
 @pytest.mark.parametrize("spec, most", [("cyclic:240", 1), ("abelian:2,2,2,2,2,2,2,2", 128)])
