@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
 from .errors import ComputationError, SpecError
 from .groups import generators
@@ -22,6 +23,7 @@ from .linalg import (
     QMatrix,
     ZERO,
     ONE,
+    _int_echelon,
     clear_denominators,
     hnf,
     identity,
@@ -43,6 +45,13 @@ class BilinearForm:
 
     gram: QMatrix
     symmetry: str  # symmetric | skew
+
+    @cached_property
+    def int_gram(self) -> list[list[int]]:
+        """The gram times the lcm of its denominators: the same rank, symmetry and null spaces."""
+        n = len(self.gram)
+        flat = clear_denominators([x for row in self.gram for x in row])
+        return [flat[i:i + n] for i in range(0, n * n, n)]
 
 
 @dataclass(frozen=True)
@@ -89,23 +98,24 @@ def canonical_regular_form(inv: Involution) -> AdjointRealization:
     return AdjointRealization(form=form, involution=inv, functional=functional)
 
 
-def _solution_space(rows: Iterable[list[Fraction]], n: int) -> QMatrix:
-    """Null space basis of the distinct nonzero constraint rows; all of Q^n if none."""
-    constraints = list({tuple(row): row for row in rows if any(row)}.values())
+def _solution_space(rows: Iterable[list[int]], n: int) -> QMatrix:
+    """Null space basis of the distinct nonzero rows (Q^n if none), from their echelon form."""
+    constraints = sorted(row for row in rows if any(row))
+    constraints = [row for i, row in enumerate(constraints) if not i or row != constraints[i - 1]]
     if not constraints:
         return identity(n)
-    return nullspace_rows(constraints)
+    return nullspace_rows(constraints[:len(_int_echelon(constraints))])
 
 
 def _functional_space(inv: Involution, want: str) -> QMatrix:
-    """Basis of functionals lam with lam(sigma(g)h) -+ lam(sigma(h)g) = 0."""
+    """Basis of functionals lam with lam(sigma(g)h) -+ lam(sigma(h)g) = 0, read on d*sigma."""
     n = inv.group.order
     mult = inv.group.mult
-    cols = inv.columns
+    _, cols = inv.scaled_columns
     sign = -1 if want == SYMMETRIC else 1
 
-    def constraint(g: int, h: int) -> list[Fraction]:
-        row = [ZERO] * n
+    def constraint(g: int, h: int) -> list[int]:
+        row = [0] * n
         for k, c in cols[g]:
             row[mult[k][h]] += c
         for k, c in cols[h]:
@@ -113,14 +123,6 @@ def _functional_space(inv: Involution, want: str) -> QMatrix:
         return row
 
     return _solution_space((constraint(g, h) for g in range(n) for h in range(g, n)), n)
-
-
-def _gram_from_functional(inv: Involution, lam: Sequence[Fraction]) -> QMatrix:
-    """gram[g][h] = lam(sigma(g) h)."""
-    n = inv.group.order
-    mult = inv.group.mult
-    return [[sum((c * lam[mult[k][h]] for k, c in col), ZERO) for h in range(n)]
-            for col in inv.columns]
 
 
 def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
@@ -132,6 +134,7 @@ def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
     constraint-space basis.
     """
     n = inv.group.order
+    mult = inv.group.mult
     rng = random.Random(seed)
     for want in (SYMMETRIC, SKEW):
         basis = _functional_space(inv, want)
@@ -141,19 +144,14 @@ def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
             weights = [Fraction(rng.randint(-9, 9)) for _ in basis]
             lam = [sum((w * row[i] for w, row in zip(weights, basis)), ZERO)
                    for i in range(n)]
-            if not any(lam):
+            gram = [[sum((c * lam[mult[k][h]] for k, c in col), ZERO) for h in range(n)]
+                    for col in inv.columns]  # gram[g][h] = lam(sigma(g) h)
+            form = BilinearForm(gram=gram, symmetry=want)
+            if rank(form.int_gram) != n:
                 continue
-            gram = _gram_from_functional(inv, lam)
-            if rank(gram) != n:
-                continue
-            symmetry = _symmetry_of(gram)
-            if symmetry != want:
+            if _symmetry_of(form.int_gram) != want:
                 raise ComputationError("constraint solution has the wrong symmetry")
-            return AdjointRealization(
-                form=BilinearForm(gram=gram, symmetry=symmetry),
-                involution=inv,
-                functional=tuple(lam),
-            )
+            return AdjointRealization(form=form, involution=inv, functional=tuple(lam))
     raise ComputationError(
         f"no nonsingular symmetric or skew realization found in {DEFAULT_ATTEMPTS} draws per class"
     )
@@ -165,19 +163,18 @@ def check_adjoint_identity(r: AdjointRealization) -> bool:
     This is exact at every order.  If the identity holds for f1 and f2, then by
     bilinearity and the anti-multiplicativity of sigma, checked when sigma was
     built, h(f1 f2 x, y) = h(f2 x, sigma(f1) y) = h(x, sigma(f2) sigma(f1) y)
-    = h(x, sigma(f1 f2) y); and f = 1 holds because sigma(1) = 1.
+    = h(x, sigma(f1 f2) y); and f = 1 holds because sigma(1) = 1.  It is read on
+    the integer gram, with the left side times the scale d of d*sigma on the right.
     """
     inv = r.involution
     group = inv.group
     n = group.order
-    gram = r.form.gram
+    gram = r.form.int_gram
     mult = group.mult
-    columns = inv.columns
+    d, columns = inv.scaled_columns
 
     def holds(f: int, x: int, y: int) -> bool:
-        lhs = gram[mult[f][x]][y]
-        rhs = sum((w * gram[x][mult[z][y]] for z, w in columns[f]), ZERO)
-        return lhs == rhs
+        return d * gram[mult[f][x]][y] == sum(w * gram[x][mult[z][y]] for z, w in columns[f])
 
     return all(holds(f, x, y) for f in generators(group) for x in range(n) for y in range(n))
 
@@ -186,11 +183,11 @@ def skew_adjoint_space(r: AdjointRealization) -> QMatrix:
     """RREF basis of {f in QG : h(f x, y) + h(x, f y) = 0 for all x, y}.
 
     f acts by left multiplication on the regular module, so the condition is
-    one exact linear system in the |G| coefficients of f.
+    one exact linear system in the |G| coefficients of f, one integer row per (x, y).
     """
     group = r.involution.group
     n = group.order
-    gram = r.form.gram
+    gram = r.form.int_gram
     mult = group.mult
     rows = ([gram[mult[z][x]][y] + gram[x][mult[z][y]] for z in range(n)]
             for x in range(n) for y in range(n))
@@ -226,7 +223,7 @@ def integral_skew_lattice(inv: Involution) -> list[list[int]]:
 def form_report(inv: Involution, seed: int = 0) -> dict:
     """JSON-ready form artifact with all verification bits."""
     r = realize_adjoint_form(inv, seed=seed)
-    nonsingular = rank(r.form.gram) == inv.group.order
+    nonsingular = rank(r.form.int_gram) == inv.group.order
     adjoint_ok = check_adjoint_identity(r)
     matches = adjoint_space_matches_skew_span(inv, r)
     return {

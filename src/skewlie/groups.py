@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import wraps
 from math import lcm, prod
+from typing import Callable, Sequence
 
 from .errors import SpecError
 
@@ -209,13 +210,25 @@ def alternating_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     return group_from_permutations(gens, n, name=f"alternating:{n}", max_order=max_order)
 
 
-def direct_product(a: Group, b: Group, name: str | None = None,
+def _product_row(factors: list[tuple[int, Callable[[int], Sequence[int]]]]):
+    """Row function of the product of (order, row function) factors, in the indices of the
+    iterated direct product: mixed radix, the last factor fastest."""
+    strides = [prod(m for m, _ in factors[i + 1:]) for i in range(len(factors))]
+
+    def row(x: int) -> list[int]:
+        out = [0]
+        for (m, factor_row), stride in zip(factors, strides):
+            out = [u * m + v for u in out for v in factor_row(x // stride % m)]
+        return out
+    return row
+
+
+def direct_product(*factors: Group, name: str | None = None,
                    max_order: int = DEFAULT_MAX_ORDER) -> Group:
-    """Direct product with index i*|B| + j, identity at 0."""
-    nb = b.order
-    return _built_group(name or f"product:{a.name},{b.name}", a.order * nb,
-                        lambda x: [u * nb + v for u in a.mult[x // nb] for v in b.mult[x % nb]],
-                        max_order)
+    """Direct product of the factors, identity at 0: one table, checked once."""
+    return _built_group(name or "product:" + ",".join(f.name for f in factors),
+                        prod(f.order for f in factors),
+                        _product_row([(f.order, f.mult.__getitem__) for f in factors]), max_order)
 
 
 def abelian_group(invariants: list[int], max_order: int = DEFAULT_MAX_ORDER) -> Group:
@@ -224,19 +237,9 @@ def abelian_group(invariants: list[int], max_order: int = DEFAULT_MAX_ORDER) -> 
         raise SpecError("abelian spec needs at least one invariant factor")
     if min(invariants) < 1:
         raise SpecError("cyclic group order must be positive")
-
-    def row(x: int) -> list[int]:
-        digits = []
-        for m in reversed(invariants):
-            x, d = divmod(x, m)
-            digits.append(d)
-        out = [0]
-        for m, d in zip(invariants, reversed(digits)):
-            out = [u * m + (d + j) % m for u in out for j in range(m)]
-        return out
-
-    return _built_group("abelian:" + ",".join(map(str, invariants)), prod(invariants), row,
-                        max_order)
+    cyclic = [(m, lambda d, m=m: [(d + j) % m for j in range(m)]) for m in invariants]
+    return _built_group("abelian:" + ",".join(map(str, invariants)), prod(invariants),
+                        _product_row(cyclic), max_order)
 
 
 def group_from_table(mult_table: list[list[int]], name: str = "table-group",
@@ -307,10 +310,12 @@ def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
             parts = _split_product_args(arg)
             if len(parts) < 2:
                 raise SpecError("product spec needs at least two components")
-            g = build_group(parts[0], max_order)
-            for part, name in zip(parts[1:], [None] * (len(parts) - 2) + [spec]):
-                g = direct_product(g, build_group(part, max_order), name, max_order)
-            return g
+            factors = []
+            for part in parts:  # past the cap, the parts built so far name the order
+                factors.append(build_group(part, max_order))
+                if prod(f.order for f in factors) > max_order:
+                    break
+            return direct_product(*factors, name=spec, max_order=max_order)
     except ValueError as exc:
         raise SpecError(f"bad group spec {spec!r}: {exc}") from None
     raise SpecError(f"unknown group family {family!r}")

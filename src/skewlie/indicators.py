@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from .cyclotomic import reduce_root_vector
@@ -15,16 +16,17 @@ if TYPE_CHECKING:
 
 
 def fs_indicator(table: "CharacterTable", index: int) -> int:
-    """(1/|G|) sum_g chi(g^2), always -1, 0, or 1."""
+    """(1/|G|) sum_g chi(g^2), always -1, 0, or 1; each distinct chi(g^2) is read once."""
     e = table.conductor
     sizes = table.classes.sizes()
-    sq = table.power_map(2)
+    weights: dict[int, int] = {}  # squared class -> total size of the classes squaring to it
+    for j, k in enumerate(table.power_map(2)):
+        weights[k] = weights.get(k, 0) + sizes[j]
+    row = table.root_mults[index]
     acc = [0] * e
-    for j, size in enumerate(sizes):
-        mv = table.root_mults[index][sq[j]]
-        for t, v in enumerate(mv):
-            if v:
-                acc[t] += size * v
+    for k, w in weights.items():
+        for t in compress(range(e), row[k]):  # the nonzero entries only
+            acc[t] += w * row[k][t]
     red = reduce_root_vector(e, acc)
     if any(red[1:]):
         raise ComputationError("indicator sum is not rational (table bug)")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import SpecError
@@ -124,7 +125,7 @@ class Involution:
     ``columns[g]`` is the image sigma(g) as a tuple of (index, coeff) pairs,
     sorted by index with no zero coefficient.  Group-induced involutions are
     the one-entry case with coeff +1 or -1; ``kind`` is only the JSON label.
-    ``class_sum_images``, sigma on the center, is computed on first use.
+    ``scaled_columns`` and ``class_sum_images``, sigma on the center, are built on first use.
     """
 
     group: Group
@@ -227,6 +228,12 @@ class Involution:
             for h, c in col:
                 m[h][g] = Fraction(c)
         return m
+
+    @cached_property
+    def scaled_columns(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(d, the columns of d*sigma) for d the lcm of the coefficient denominators."""
+        d = lcm(*(c.denominator for col in self.columns for _, c in col))
+        return d, tuple(tuple((h, int(c * d)) for h, c in col) for col in self.columns)
 
     @cached_property
     def class_sum_images(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:

@@ -9,6 +9,7 @@ and only normalized back to rationals at the end.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Sequence
 
@@ -31,17 +32,22 @@ def _primitive_int_rows(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row to a primitive integer vector (zero rows stay zero)."""
     out = []
     for row in m:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
+        den = reduce(lcm, (x.denominator for x in row), 1)
         ints = [x.numerator * (den // x.denominator) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        g = reduce(gcd, ints, 0)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
     return out
+
+
+def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
+    """The primitive integer combination of row and prow with 0 in column c."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    new = [a * x - b * y for x, y in zip(row, prow)]
+    g2 = reduce(gcd, new, 0)
+    return [x // g2 for x in new] if g2 > 1 else new
 
 
 def _int_echelon(rows: list[list[int]]) -> list[int]:
@@ -62,20 +68,9 @@ def _int_echelon(rows: list[list[int]]) -> list[int]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        pval = prow[c]
         for k in range(r + 1, nrows):
-            v = rows[k][c]
-            if not v:
-                continue
-            g = gcd(pval, v)
-            a, b = pval // g, v // g
-            new = [a * x - b * y for x, y in zip(rows[k], prow)]
-            g2 = 0
-            for x in new:
-                g2 = gcd(g2, x)
-            if g2 > 1:
-                new = [x // g2 for x in new]
-            rows[k] = new
+            if rows[k][c]:
+                rows[k] = _cancel(rows[k], prow, c)
         pivots.append(c)
         r += 1
     return pivots
@@ -87,24 +82,18 @@ def rank(m: Sequence[Sequence[Fraction]]) -> int:
 
 
 def rref(m: Sequence[Sequence[Fraction]]) -> tuple[QMatrix, int, list[int]]:
-    """Reduced row echelon form: (rref matrix, rank, pivot columns)."""
+    """Reduced row echelon form: (rref matrix, rank, pivot columns), cleared in integers."""
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rows = _primitive_int_rows(m)
     pivots = _int_echelon(rows)
     rnk = len(pivots)
-    frac_rows: list[list[Fraction]] = [[] for _ in range(rnk)]
     for i in range(rnk - 1, -1, -1):
-        pv = rows[i][pivots[i]]
-        row = [Fraction(x, pv) for x in rows[i]]
         for j in range(i + 1, rnk):
-            f = row[pivots[j]]
-            if f:
-                rj = frac_rows[j]
-                row = [x - f * y for x, y in zip(row, rj)]
-        frac_rows[i] = row
-    out = frac_rows + [[ZERO] * ncols for _ in range(nrows - rnk)]
-    return out, rnk, pivots
+            if rows[i][pivots[j]]:
+                rows[i] = _cancel(rows[i], rows[j], pivots[j])
+    out = [[Fraction(x, rows[i][pc]) for x in rows[i]] for i, pc in enumerate(pivots)]
+    return out + [[ZERO] * ncols for _ in range(nrows - rnk)], rnk, pivots
 
 
 def rref_rows(m: Sequence[Sequence[Fraction]]) -> QMatrix:

@@ -5,6 +5,7 @@ code paths: determinants go through permutation expansion, ranks through
 minor search, spans through division-based Gaussian elimination.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, isqrt
@@ -145,6 +146,79 @@ def adjoint_identity_by_triples(mult, columns, gram) -> bool:
         gram[mult[f][x]][y] == sum((c * gram[x][mult[z][y]] for z, c in columns[f]), Fraction(0))
         for f in range(n) for x in range(n) for y in range(n)
     )
+
+
+def adjoint_identity_by_fractions(mult, gens, columns, gram) -> bool:
+    """h(fx, y) == h(x, sigma(f) y) for f in gens and all basis x, y, read in
+    rationals on the unscaled gram and sigma."""
+    n = len(mult)
+    return all(
+        gram[mult[f][x]][y] == sum((c * gram[x][mult[z][y]] for z, c in columns[f]), Fraction(0))
+        for f in gens for x in range(n) for y in range(n)
+    )
+
+
+def solution_space_by_fractions(rows, n):
+    """Canonical null space basis of rational rows, by the division RREF: one
+    vector per free column, 1 there and 0 in the other free columns."""
+    reduced = division_rref(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def functional_space_by_fractions(mult, columns, symmetric: bool):
+    """Functionals lam with lam(sigma(g)h) -+ lam(sigma(h)g) = 0 for all g <= h,
+    one rational row per pair."""
+    n = len(mult)
+    sign = -1 if symmetric else 1
+    rows = []
+    for g in range(n):
+        for h in range(g, n):
+            row = [Fraction(0)] * n
+            for k, c in columns[g]:
+                row[mult[k][h]] += c
+            for k, c in columns[h]:
+                row[mult[k][g]] += sign * c
+            rows.append(row)
+    return solution_space_by_fractions(rows, n)
+
+
+def realize_by_fractions(mult, columns, seed, attempts):
+    """(gram, functional) of the fixed-seed draw of a nonsingular symmetric, else
+    skew, form lam(sigma(x) y), all in rationals; None if no draw is nonsingular."""
+    n = len(mult)
+    rng = random.Random(seed)
+    for symmetric in (True, False):
+        basis = functional_space_by_fractions(mult, columns, symmetric)
+        if not basis:
+            continue
+        for _ in range(attempts):
+            weights = [Fraction(rng.randint(-9, 9)) for _ in basis]
+            lam = [sum((w * row[i] for w, row in zip(weights, basis)), Fraction(0))
+                   for i in range(n)]
+            if not any(lam):
+                continue
+            gram = [[sum((c * lam[mult[k][h]] for k, c in col), Fraction(0)) for h in range(n)]
+                    for col in columns]
+            if len(division_rref(gram)) == n:
+                return gram, lam
+    return None
+
+
+def skew_adjoint_space_by_fractions(mult, gram):
+    """RREF basis of {f : h(fx, y) + h(x, fy) = 0 for all x, y}, one rational
+    row per pair (x, y)."""
+    n = len(mult)
+    rows = [[gram[mult[z][x]][y] + gram[x][mult[z][y]] for z in range(n)]
+            for x in range(n) for y in range(n)]
+    return division_rref(solution_space_by_fractions(rows, n))
 
 
 def conjugation_orbits(mult, inv):

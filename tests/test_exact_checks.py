@@ -4,7 +4,9 @@ The one randomized draw is the fixed-seed search for a nonsingular form in
 ``forms.realize_adjoint_form``; it picks a witness and checks nothing.  Every
 other module must not import ``random``.  The one root-vector twist is the
 table build's, which defines the values on the other classes of a rational
-class; everywhere else the Galois action is a power map on the classes.
+class; everywhere else the Galois action is a power map on the classes.  The
+constraint systems of the forms are built and reduced in integers, on the gram
+and sigma scaled once to integers.
 """
 
 import ast
@@ -38,3 +40,18 @@ def test_only_forms_imports_random():
 def test_only_the_table_build_imports_the_root_vector_twist():
     modules = sorted(SRC.glob("*.py"))
     assert [p.stem for p in modules if _imports_name(p, "twist_root_vector")] == ["wedderburn"]
+
+
+CONSTRAINT_BUILDERS = ("_solution_space", "_functional_space", "skew_adjoint_space",
+                       "check_adjoint_identity")
+
+
+def test_form_constraints_are_built_in_integers():
+    """The constraint builders of forms.py call no Fraction( and read no ZERO."""
+    tree = ast.parse((SRC / "forms.py").read_text())
+    builders = {node.name: node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name in CONSTRAINT_BUILDERS}
+    assert sorted(builders) == sorted(CONSTRAINT_BUILDERS)
+    for name, fn in builders.items():
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        assert not names & {"Fraction", "ZERO"}, name

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import adjoint_identity_by_triples
+from oracle import (
+    adjoint_identity_by_fractions,
+    adjoint_identity_by_triples,
+    functional_space_by_fractions,
+    realize_by_fractions,
+    skew_adjoint_space_by_fractions,
+)
 from skewlie import (
     AlgebraElement,
     Involution,
@@ -19,7 +25,10 @@ from skewlie import (
     skew_adjoint_space,
     skew_space,
 )
+from skewlie import forms
 from skewlie.catalog import (
+    builtin_involutions,
+    catalog_groups,
     klein_swap_involution,
     klein_swap_linear_involution,
     linear_fixtures,
@@ -227,3 +236,77 @@ def test_form_report_shape(q8, canonical):
     }
     assert all(isinstance(x, str) for row in rep["gram"] for x in row)
     assert all(isinstance(x, str) for x in rep["functional"])
+
+
+def _form_cases():
+    """Every catalog group of order <= 12 under every built-in involution, and the
+    four linear fixtures."""
+    for group in catalog_groups(max_order=12):
+        for label, inv in builtin_involutions(group):
+            yield f"{group.name} {label}", inv
+    for label, _, inv in linear_fixtures():
+        yield label, inv
+
+
+def test_integer_route_matches_the_rational_oracle():
+    """The integer constraint rows give the same functional spaces, grams,
+    functionals and skew-adjoint spaces as rational rows reduced by division,
+    and the same adjoint check, for seeds 0-2."""
+    for label, inv in _form_cases():
+        mult, columns = inv.group.mult, inv.columns
+        for want in ("symmetric", "skew"):
+            expected = functional_space_by_fractions(mult, columns, want == "symmetric")
+            assert forms._functional_space(inv, want) == expected, label
+        for seed in (0, 1, 2):
+            r = realize_adjoint_form(inv, seed=seed)
+            gram, lam = realize_by_fractions(mult, columns, seed, forms.DEFAULT_ATTEMPTS)
+            assert r.form.gram == gram and list(r.functional) == lam, (label, seed)
+            assert skew_adjoint_space(r) == skew_adjoint_space_by_fractions(mult, gram), label
+            assert check_adjoint_identity(r), label
+            assert adjoint_identity_by_fractions(mult, generators(inv.group), columns, gram)
+
+
+def test_s3_fixture_scales_sigma_and_the_gram():
+    """The fixture with denominators of 3 in sigma and in its realized gram."""
+    _, inv = s3_conjugated_fixture()
+    assert inv.scaled_columns[0] == 3
+    r = realize_adjoint_form(inv, seed=0)
+    assert {x.denominator for row in r.form.gram for x in row} == {1, 3}
+    assert r.form.int_gram == [[3 * x for x in row] for row in r.form.gram]
+
+
+def test_every_one_entry_change_fails_the_skew_span_check():
+    """Raising one gram entry by 1 moves the solution space of
+    h(fx, y) + h(x, fy) = 0 off the skew elements, so the check reads the form."""
+    cases = [(spec, Involution.canonical(build_group(spec)))
+             for spec in ("symmetric:3", "dihedral:4", "dicyclic:2")]
+    cases += [(label, inv) for label, _, inv in linear_fixtures()]
+    for label, inv in cases:
+        r = realize_adjoint_form(inv, seed=0)
+        assert adjoint_space_matches_skew_span(inv, r), label
+        changed = list(_one_entry_changes(r))
+        assert len(changed) == inv.group.order ** 2
+        assert not any(adjoint_space_matches_skew_span(inv, case) for case in changed), label
+
+
+def test_every_constraint_row_is_built_and_reduced(monkeypatch):
+    """n(n+1)/2 functional rows and n^2 skew-adjoint rows reach the solver, and
+    every distinct nonzero one of them reaches the echelon step."""
+    built, reduced = [], []
+    solution_space, int_echelon = forms._solution_space, forms._int_echelon
+
+    def counting_space(rows, n):
+        rows = list(rows)
+        built.append((len(rows), len({tuple(row) for row in rows if any(row)})))
+        return solution_space(rows, n)
+
+    def counting_echelon(rows):
+        reduced.append(len(rows))
+        return int_echelon(rows)
+
+    monkeypatch.setattr(forms, "_solution_space", counting_space)
+    monkeypatch.setattr(forms, "_int_echelon", counting_echelon)
+    _, inv = s3_conjugated_fixture()
+    skew_adjoint_space(realize_adjoint_form(inv, seed=0))
+    assert [count for count, _ in built] == [21, 36]
+    assert reduced == [distinct for _, distinct in built]

@@ -15,6 +15,7 @@ from skewlie import (
     sign_characters,
     square_root_count,
 )
+from skewlie import groups
 from skewlie.catalog import catalog_groups
 from skewlie.groups import (
     abelian_group,
@@ -153,6 +154,36 @@ def test_abelian_table_is_the_iterated_direct_product(invariants):
     group = abelian_group(invariants)
     assert group.name == "abelian:" + ",".join(map(str, invariants))
     assert (group.mult, group.inv) == (expected.mult, expected.inv)
+
+
+def test_product_table_is_built_and_checked_once(monkeypatch):
+    """Each factor's table is checked, then the product's, with no partial product."""
+    checked = []
+    check_table = groups._check_table
+
+    def counting(name, mult):
+        checked.append(len(mult))
+        return check_table(name, mult)
+
+    monkeypatch.setattr(groups, "_check_table", counting)
+    spec = "product:cyclic:2,cyclic:2,cyclic:2,cyclic:2,dihedral:32"
+    assert build_group(spec).order == 1024
+    assert checked == [2, 2, 2, 2, 64, 1024]
+
+
+def test_product_table_is_componentwise():
+    """Index (a, b, c) -> (a*|B| + b)*|C| + c, with the factors multiplied in place."""
+    factors = [build_group(s) for s in ("cyclic:2", "symmetric:3", "dicyclic:2")]
+    group = build_group("product:cyclic:2,symmetric:3,dicyclic:2")
+    sizes = [f.order for f in factors]
+
+    def digits(x):
+        return [x // (sizes[1] * sizes[2]), x // sizes[2] % sizes[1], x % sizes[2]]
+
+    for x in range(group.order):
+        for y in range(group.order):
+            a, b, c = (f.mult[u][v] for f, u, v in zip(factors, digits(x), digits(y)))
+            assert group.mult[x][y] == (a * sizes[1] + b) * sizes[2] + c
 
 
 def test_abelian_invariants_must_be_positive():
