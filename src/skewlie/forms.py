@@ -24,7 +24,7 @@ from .linalg import (
     ZERO,
     ONE,
     _int_echelon,
-    clear_denominators,
+    _primitive_int_rows,
     hnf,
     identity,
     nullspace_rows,
@@ -48,9 +48,10 @@ class BilinearForm:
 
     @cached_property
     def int_gram(self) -> list[list[int]]:
-        """The gram times the lcm of its denominators: the same rank, symmetry and null spaces."""
+        """The gram times one positive scalar, to integers of content 1: the same
+        rank, symmetry and null spaces (one scalar, so never row by row)."""
         n = len(self.gram)
-        flat = clear_denominators([x for row in self.gram for x in row])
+        flat = _primitive_int_rows([[x for row in self.gram for x in row]])[0]
         return [flat[i:i + n] for i in range(0, n * n, n)]
 
 
@@ -209,12 +210,12 @@ def integral_skew_lattice(inv: Involution) -> list[list[int]]:
     """HNF basis of ZG intersected with the skew-adjoint solution space.
 
     Saturation via HNF of the integer generators {g - sigma(g)} stacked with
-    the denominator-cleared kernel basis of the rational solution space.
+    the primitive integer multiples of the RREF basis of the rational solution
+    space (a row with a pivot 1 is primitive once its denominators are cleared).
     """
     gens = skew_lattice_generators(inv)
     space = skew_adjoint_space(canonical_regular_form(inv))
-    cleared = [clear_denominators(row) for row in space]
-    lattice = hnf(gens + cleared)
+    lattice = hnf(gens + _primitive_int_rows(space))
     if len(lattice) != len(space):
         raise ComputationError("integral lattice rank differs from the rational space")
     return lattice

@@ -410,54 +410,25 @@ def square_root_count(group: Group) -> int:
 def sign_characters(group: Group) -> tuple[tuple[int, ...], ...]:
     """All homomorphisms G -> {1, -1} as coefficient tuples, trivial one first.
 
-    The kernel of every such map contains squares and commutators, so the maps
-    are enumerated through the elementary abelian quotient by that subgroup.
+    Each kills K = <g^2>; G/K has exponent 2, so it is abelian, and mask[g]
+    holds the F2 coordinates of gK on the cosets of least elements.
     """
-    n = group.order
-    mult, inv = group.mult, group.inv
-    seeds = {mult[g][g] for g in range(n)}
-    seeds.update(
-        mult[mult[inv[a]][inv[b]]][mult[a][b]] for a in range(n) for b in range(n)
-    )
-    seeds = sorted(seeds)
-    # seeds are inverse-closed, so right-multiplication closure is the subgroup
-    subgroup = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for s in seeds:
-            y = mult[x][s]
-            if y not in subgroup:
-                subgroup.add(y)
-                frontier.append(y)
-    coset_of = [-1] * n
-    coset_reps = []
+    n, mult = group.order, group.mult
+    squares = {mult[g][g] for g in range(n)}
+    mask = {0: 0}
+    queue = [0]
+    for x in queue:  # squares are inverse-closed: right closure is K
+        for y in (mult[x][s] for s in squares):
+            if y not in mask:
+                mask[y] = 0
+                queue.append(y)
+    bits = 0
     for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        cid = len(coset_reps)
-        coset_reps.append(g)
-        for s in subgroup:
-            coset_of[mult[g][s]] = cid
-    q = len(coset_reps)
-    qmult = [
-        [coset_of[mult[coset_reps[a]][coset_reps[b]]] for b in range(q)] for a in range(q)
-    ]
-    # F2 coordinates on the elementary abelian quotient
-    coords = {0: 0}
-    basis_bits = 0
-    for c in range(1, q):
-        if c in coords:
-            continue
-        bit = 1 << basis_bits
-        basis_bits += 1
-        for s, sc in list(coords.items()):
-            coords[qmult[s][c]] = sc | bit
-    chars = []
-    for pattern in range(1 << basis_bits):
-        alpha = tuple(
-            -1 if bin(pattern & coords[coset_of[g]]).count("1") % 2 else 1
-            for g in range(n)
-        )
-        chars.append(alpha)
-    return tuple(chars)
+        if g not in mask:
+            for x, m in list(mask.items()):
+                mask[mult[x][g]] = m | 1 << bits
+            bits += 1
+    return tuple(
+        tuple(-1 if bin(p & mask[g]).count("1") % 2 else 1 for g in range(n))
+        for p in range(1 << bits)
+    )

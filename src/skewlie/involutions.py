@@ -101,9 +101,6 @@ class AlgebraElement:
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
-    def coefficient_of_identity(self) -> Fraction:
-        return self.coeffs[0]
-
     def __repr__(self) -> str:
         terms = [f"{c}*[{g}]" for g, c in enumerate(self.coeffs) if c]
         return "AlgebraElement(" + (" + ".join(terms) or "0") + ")"

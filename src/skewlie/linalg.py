@@ -177,10 +177,3 @@ def hnf(m: Sequence[Sequence[int]]) -> list[list[int]]:
         r += 1
     return [row for row in rows[:r]]
 
-
-def clear_denominators(row: Sequence[Fraction]) -> list[int]:
-    """Smallest positive integer multiple of a rational row."""
-    den = 1
-    for x in row:
-        den = lcm(den, x.denominator)
-    return [x.numerator * (den // x.denominator) for x in row]

@@ -105,22 +105,23 @@ def _dixon_threshold(group: Group) -> tuple[int, int]:
     return exponent(group), 2 * root * n
 
 
-def find_dixon_prime(group: Group, bound: int = DEFAULT_PRIME_BOUND) -> int:
+def find_dixon_prime(group: Group) -> int:
     """Smallest prime p = 1 (mod exponent) with p > 2*ceil(sqrt(|G|))*|G|."""
     e, threshold = _dixon_threshold(group)
     p = threshold - (threshold - 1) % e  # largest p <= threshold with p = 1 mod e
     while True:
         p += e
-        if p > bound:
-            raise SpecError(
-                f"no prime p = 1 (mod {e}) with p > {threshold} below the bound {bound}"
-            )
+        if p > DEFAULT_PRIME_BOUND:
+            raise SpecError(f"no prime p = 1 (mod {e}) with p > {threshold} "
+                            f"below the bound {DEFAULT_PRIME_BOUND}")
         if p > threshold and _is_prime(p):
             return p
 
 
 def check_dixon_prime(group: Group, p: int) -> int:
     e, threshold = _dixon_threshold(group)
+    if p > DEFAULT_PRIME_BOUND:
+        raise SpecError(f"{p} exceeds the Dixon prime bound {DEFAULT_PRIME_BOUND}")
     if not _is_prime(p):
         raise SpecError(f"{p} is not prime")
     if p % e != (1 % e):

@@ -7,7 +7,7 @@ minor search, spans through division-based Gaussian elimination.
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, isqrt
 
 from skewlie import Cyclotomic
@@ -243,6 +243,47 @@ def permutation_closure(generators, degree):
                 elems.add(new)
                 frontier.append(new)
     return elems
+
+
+def sign_characters_by_generators(mult):
+    """Every homomorphism G -> {1, -1}, as a set of coefficient tuples.
+
+    A greedy generating set is grown here, each sign assignment on it is
+    extended along x -> x*s from the identity, and an extension is kept when
+    alpha(x*s) = alpha(x)*alpha(s) for every x and every generator s.
+    """
+    n = len(mult)
+
+    def span(gens):
+        reached, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                if mult[x][s] not in reached:
+                    reached.add(mult[x][s])
+                    frontier.append(mult[x][s])
+        return reached
+
+    gens, reached = [], {0}
+    for g in range(n):
+        if g not in reached:
+            gens.append(g)
+            reached = span(gens)
+    found = set()
+    for signs in product((1, -1), repeat=len(gens)):
+        alpha = [1] + [0] * (n - 1)
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for s, sign in zip(gens, signs):
+                y = mult[x][s]
+                if not alpha[y]:
+                    alpha[y] = alpha[x] * sign
+                    frontier.append(y)
+        if all(alpha[mult[x][s]] == alpha[x] * sign
+               for x in range(n) for s, sign in zip(gens, signs)):
+            found.add(tuple(alpha))
+    return found
 
 
 def element_orders(mult):

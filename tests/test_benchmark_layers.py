@@ -2,7 +2,8 @@
 
 Renaming or removing one of them must fail the test suite, not only a traced
 benchmark run.  The names are read from the source of spans.py, which is
-neither imported nor changed.
+neither imported nor changed.  Every name in ``skewlie.__all__`` must resolve
+as well, so that public API is not dropped silently.
 """
 
 import ast
@@ -33,3 +34,10 @@ def test_traced_layers_resolve_in_skewlie():
     assert names["LAYERS"] and names["VALIDATE"] == "involutions.Involution.validate"
     for dotted in [f"{m}.{f}" for m, f in names["LAYERS"]] + [names["VALIDATE"]]:
         assert callable(_resolve(dotted)), dotted
+
+
+def test_every_public_name_resolves():
+    """A public name whose definition leaves the package must leave __all__ too."""
+    skewlie = importlib.import_module("skewlie")
+    assert len(set(skewlie.__all__)) == len(skewlie.__all__)
+    assert [name for name in skewlie.__all__ if not hasattr(skewlie, name)] == []

@@ -306,6 +306,15 @@ def test_usage_errors_exit_one(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["chartab", "decompose"])
+def test_dixon_prime_above_the_bound_exits_one(capsys, command):
+    """A prime of 31 digits is refused by its size, not trial-divided."""
+    code, out, err = run_cli(capsys, command, "--group", "cyclic:3",
+                             "--dixon-prime", str(10**30 + 57))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: {10**30 + 57} exceeds the Dixon prime bound 100000000\n"
+
+
 def test_commands_take_only_the_flags_they_read(capsys):
     takes = {"decompose": {"--dixon-prime"}, "chartab": {"--dixon-prime"},
              "form": {"--seed"}, "verify": {"--seed"}, "group-info": set()}

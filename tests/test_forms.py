@@ -1,5 +1,8 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from math import gcd
 
 import pytest
 
@@ -261,6 +264,11 @@ def test_integer_route_matches_the_rational_oracle():
             r = realize_adjoint_form(inv, seed=seed)
             gram, lam = realize_by_fractions(mult, columns, seed, forms.DEFAULT_ATTEMPTS)
             assert r.form.gram == gram and list(r.functional) == lam, (label, seed)
+            # one positive scalar for the whole gram, to content 1
+            flat = [x for row in r.form.int_gram for x in row]
+            scale = next(x / g for x, g in zip(flat, chain(*gram)) if g)
+            assert scale > 0 and reduce(gcd, flat, 0) == 1, label
+            assert r.form.int_gram == [[scale * g for g in row] for row in gram], label
             assert skew_adjoint_space(r) == skew_adjoint_space_by_fractions(mult, gram), label
             assert check_adjoint_identity(r), label
             assert adjoint_identity_by_fractions(mult, generators(inv.group), columns, gram)

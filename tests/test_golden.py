@@ -4,7 +4,8 @@ Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
 ``decompose`` and ``form`` for every catalog group of order <= 12 under every
 built-in involution, ``decompose`` and ``form`` for the linear fixtures,
 ``verify`` for each of those catalog groups alone and for the fixtures alone,
-and ``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes).
+``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes), and
+``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS.
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when an
 output is meant to change.
 """
@@ -13,8 +14,14 @@ import hashlib
 import json
 from pathlib import Path
 
-from skewlie import build_group, character_table, decomposition_report, form_report
-from skewlie.catalog import builtin_involutions, catalog_groups, linear_fixtures
+from skewlie import (
+    build_group,
+    character_table,
+    decomposition_report,
+    form_report,
+    sign_characters,
+)
+from skewlie.catalog import CATALOG_SPECS, builtin_involutions, catalog_groups, linear_fixtures
 from skewlie.serialize import dumps
 from skewlie.verify import run_verification
 
@@ -26,6 +33,12 @@ WIDE_CHARTAB = (
     + ["dicyclic:15", "dihedral:30"]
     + ["product:cyclic:5,dicyclic:4", "product:cyclic:9,dicyclic:2",
        "product:cyclic:8,alternating:4"]
+)
+# every catalog group, the benchmark's decompose-mid groups outside the
+# catalog, and two groups with many sign characters or many elements
+SIGN_CHARACTER_GROUPS = CATALOG_SPECS + (
+    "dicyclic:12", "dihedral:24", "product:symmetric:3,cyclic:4",
+    "abelian:2,2,2,2,2,2,2,2", "dihedral:500",
 )
 
 
@@ -51,6 +64,8 @@ def digests() -> dict[str, str]:
     out["verify fixtures"] = _sha(run_verification(max_order=0).to_json())
     for spec in WIDE_CHARTAB:
         out[f"chartab {spec}"] = _sha(character_table(build_group(spec)).to_json())
+    for spec in SIGN_CHARACTER_GROUPS:
+        out[f"sign_characters {spec}"] = _sha(sign_characters(build_group(spec)))
     return out
 
 

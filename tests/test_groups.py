@@ -5,7 +5,13 @@ from math import lcm
 
 import pytest
 
-from oracle import associativity_failure, conjugation_orbits, element_orders, permutation_closure
+from oracle import (
+    associativity_failure,
+    conjugation_orbits,
+    element_orders,
+    permutation_closure,
+    sign_characters_by_generators,
+)
 from skewlie import (
     Group,
     SpecError,
@@ -217,6 +223,27 @@ def test_sign_character_counts(q8, s3):
     assert len(sign_characters(build_group("cyclic:5"))) == 1
     assert len(sign_characters(build_group("alternating:4"))) == 1
     assert len(sign_characters(build_group("abelian:2,2,2"))) == 8
+
+
+def test_sign_characters_match_the_generator_oracle():
+    for group in catalog_groups() + [build_group("abelian:2,2,2,2,2,2,2,2")]:
+        chars = sign_characters(group)
+        assert chars[0] == (1,) * group.order, group.name
+        assert len(set(chars)) == len(chars), group.name
+        assert set(chars) == sign_characters_by_generators(group.mult), group.name
+
+
+def test_the_squares_generate_a_kernel_holding_every_commutator():
+    """K = <g^2> holds every commutator, so G/K is elementary abelian and the
+    sign characters are the 2^k characters of G/K, with common kernel K."""
+    for group in catalog_groups():
+        mult, inv, n = group.mult, group.inv, group.order
+        kernel = _right_closure(mult, {mult[g][g] for g in range(n)})
+        assert all(mult[mult[inv[a]][inv[b]]][mult[a][b]] in kernel
+                   for a in range(n) for b in range(n)), group.name
+        chars = sign_characters(group)
+        assert len(chars) * len(kernel) == n, group.name
+        assert kernel == {g for g in range(n) if all(a[g] == 1 for a in chars)}, group.name
 
 
 def test_unknown_specs_rejected():

@@ -13,7 +13,6 @@ from oracle import (
     transpose,
 )
 from skewlie.linalg import (
-    clear_denominators,
     hnf,
     identity,
     kernel,
@@ -146,11 +145,6 @@ def test_hnf_preserves_integer_row_span(rows):
     nonzero = [r for r in rows if any(r)]
     if nonzero:
         assert row_space_equal(mat(nonzero), mat(h))
-
-
-def test_clear_denominators():
-    row = [Fraction(1, 2), Fraction(2, 3), Fraction(0)]
-    assert clear_denominators(row) == [3, 4, 0]
 
 
 def test_transpose_shape():

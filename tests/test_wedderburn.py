@@ -34,9 +34,10 @@ from skewlie.catalog import (
     klein_swap_involution,
     linear_fixtures,
 )
+from skewlie import wedderburn
 from skewlie.errors import ComputationError
 from skewlie.groups import direct_product, group_from_permutations
-from skewlie.wedderburn import CentralIdempotent, idempotent_axioms_hold
+from skewlie.wedderburn import CentralIdempotent, check_dixon_prime, idempotent_axioms_hold
 
 from oracle import (
     galois_orbits_by_twists,
@@ -91,11 +92,19 @@ def test_s3_transposition_class_square(s3):
     assert a[t][t][t] == 0
 
 
-def test_dixon_prime_bounds(q8):
+def test_dixon_prime_bounds(q8, monkeypatch):
     p = find_dixon_prime(q8)
     assert p == 53  # smallest p = 1 mod 4 above 2*3*8 = 48
+    monkeypatch.setattr(wedderburn, "DEFAULT_PRIME_BOUND", 50)
     with pytest.raises(SpecError):
-        find_dixon_prime(q8, bound=50)
+        find_dixon_prime(q8)
+
+
+def test_dixon_prime_override_is_capped_before_any_primality_test():
+    c3 = build_group("cyclic:3")
+    assert check_dixon_prime(c3, 99999931) == 99999931  # the largest usable prime
+    with pytest.raises(SpecError, match="exceeds the Dixon prime bound"):
+        check_dixon_prime(c3, 100000039)  # prime and 1 mod 3
 
 
 def test_prime_override_validation(q8):
