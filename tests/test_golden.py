@@ -4,8 +4,11 @@ Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
 ``decompose`` and ``form`` for every catalog group of order <= 12 under every
 built-in involution, ``decompose`` and ``form`` for the linear fixtures,
 ``verify`` for each of those catalog groups alone and for the fixtures alone,
-``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes), and
-``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS.
+``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes),
+``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS, ``form``
+for every catalog group of order <= FORM_MAX_ORDER under every built-in
+involution and for the fixtures at each seed of FORM_SEEDS, and ``form`` under
+the canonical involution for the groups of LARGE_FORM_GROUPS, seed 0.
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when an
 output is meant to change.
 """
@@ -15,6 +18,7 @@ import json
 from pathlib import Path
 
 from skewlie import (
+    Involution,
     build_group,
     character_table,
     decomposition_report,
@@ -40,6 +44,10 @@ SIGN_CHARACTER_GROUPS = CATALOG_SPECS + (
     "dicyclic:12", "dihedral:24", "product:symmetric:3,cyclic:4",
     "abelian:2,2,2,2,2,2,2,2", "dihedral:500",
 )
+# the order cap of the verify forms, and two groups above it
+FORM_MAX_ORDER = 24
+FORM_SEEDS = (0, 1, 2)
+LARGE_FORM_GROUPS = ("dihedral:32", "dihedral:64")
 
 
 def _sha(obj) -> str:
@@ -66,6 +74,16 @@ def digests() -> dict[str, str]:
         out[f"chartab {spec}"] = _sha(character_table(build_group(spec)).to_json())
     for spec in SIGN_CHARACTER_GROUPS:
         out[f"sign_characters {spec}"] = _sha(sign_characters(build_group(spec)))
+    form_cases = [(f"{group.name} {label}", inv)
+                  for group in catalog_groups(max_order=FORM_MAX_ORDER)
+                  for label, inv in builtin_involutions(group)]
+    form_cases += [(label, inv) for label, _, inv in linear_fixtures()]
+    for label, inv in form_cases:
+        for seed in FORM_SEEDS:
+            out[f"form {label} seed={seed}"] = _sha(form_report(inv, seed=seed))
+    for spec in LARGE_FORM_GROUPS:
+        inv = Involution.canonical(build_group(spec))
+        out[f"form {spec} canonical seed=0"] = _sha(form_report(inv, seed=0))
     return out
 
 
