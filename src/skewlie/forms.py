@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from math import lcm
 from typing import Iterable
 
 from .errors import ComputationError, SpecError
@@ -29,6 +30,7 @@ from .linalg import (
     identity,
     nullspace_rows,
     rank,
+    rank_mod_p_reaches,
     rref_rows,
 )
 from .serialize import frac_matrix, frac_row
@@ -53,6 +55,12 @@ class BilinearForm:
         n = len(self.gram)
         flat = _primitive_int_rows([[x for row in self.gram for x in row]])[0]
         return [flat[i:i + n] for i in range(0, n * n, n)]
+
+    @cached_property
+    def nonsingular(self) -> bool:
+        """Rank n mod a prime proves it; short of that, the exact rank decides."""
+        n = len(self.gram)
+        return rank_mod_p_reaches(self.int_gram, n) or rank(self.int_gram) == n
 
 
 @dataclass(frozen=True)
@@ -131,28 +139,33 @@ def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
 
     The adjoint identity h(f x, y) = h(x, sigma(f) y) holds for every
     functional lam by anti-multiplicativity; the search only has to hit a
-    nonsingular gram matrix, drawing fixed-seed rational combinations of the
-    constraint-space basis.
+    nonsingular gram matrix, drawing fixed-seed integer combinations of the
+    constraint-space basis.  lam and the gram are built in integers, on the basis
+    times its common denominator den and on d*sigma, and divided by den*d once.
     """
     n = inv.group.order
     mult = inv.group.mult
+    d, cols = inv.scaled_columns
     rng = random.Random(seed)
     for want in (SYMMETRIC, SKEW):
         basis = _functional_space(inv, want)
         if not basis:
             continue
+        den = reduce(lcm, (x.denominator for row in basis for x in row), 1)
+        int_basis = [[x.numerator * (den // x.denominator) for x in row] for row in basis]
         for _ in range(DEFAULT_ATTEMPTS):
-            weights = [Fraction(rng.randint(-9, 9)) for _ in basis]
-            lam = [sum((w * row[i] for w, row in zip(weights, basis)), ZERO)
-                   for i in range(n)]
-            gram = [[sum((c * lam[mult[k][h]] for k, c in col), ZERO) for h in range(n)]
-                    for col in inv.columns]  # gram[g][h] = lam(sigma(g) h)
-            form = BilinearForm(gram=gram, symmetry=want)
-            if rank(form.int_gram) != n:
+            weights = [rng.randint(-9, 9) for _ in basis]
+            lam = [sum(w * row[i] for w, row in zip(weights, int_basis)) for i in range(n)]
+            # gram[g][h] = den * d * lam(sigma(g) h)
+            gram = [[sum(c * lam[mult[k][h]] for k, c in col) for h in range(n)] for col in cols]
+            form = BilinearForm(gram=[[Fraction(x, den * d) for x in row] for row in gram],
+                                symmetry=want)
+            if not form.nonsingular:
                 continue
             if _symmetry_of(form.int_gram) != want:
                 raise ComputationError("constraint solution has the wrong symmetry")
-            return AdjointRealization(form=form, involution=inv, functional=tuple(lam))
+            functional = tuple(Fraction(x, den) for x in lam)
+            return AdjointRealization(form=form, involution=inv, functional=functional)
     raise ComputationError(
         f"no nonsingular symmetric or skew realization found in {DEFAULT_ATTEMPTS} draws per class"
     )
@@ -180,24 +193,55 @@ def check_adjoint_identity(r: AdjointRealization) -> bool:
     return all(holds(f, x, y) for f in generators(group) for x in range(n) for y in range(n))
 
 
+def _skew_adjoint_columns(r: AdjointRealization) -> list[list[int]]:
+    """col_z = [h(zx, y) + h(x, zy) for all (x, y)] on the integer gram, one per z:
+    f satisfies the skew-adjoint condition exactly when sum_z f_z col_z = 0."""
+    n = r.involution.group.order
+    gram = r.form.int_gram
+    cols = []
+    for mz in r.involution.group.mult:
+        col = []
+        for x in range(n):
+            gx = gram[x]
+            col += [a + gx[m] for a, m in zip(gram[mz[x]], mz)]
+        cols.append(col)
+    return cols
+
+
 def skew_adjoint_space(r: AdjointRealization) -> QMatrix:
     """RREF basis of {f in QG : h(f x, y) + h(x, f y) = 0 for all x, y}.
 
     f acts by left multiplication on the regular module, so the condition is
     one exact linear system in the |G| coefficients of f, one integer row per (x, y).
     """
-    group = r.involution.group
-    n = group.order
-    gram = r.form.int_gram
-    mult = group.mult
-    rows = ([gram[mult[z][x]][y] + gram[x][mult[z][y]] for z in range(n)]
-            for x in range(n) for y in range(n))
-    return rref_rows(_solution_space(rows, n))
+    n = r.involution.group.order
+    return rref_rows(_solution_space(map(list, zip(*_skew_adjoint_columns(r))), n))
 
 
 def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> bool:
-    """The defining system of the form cuts out exactly the skew elements."""
-    return skew_adjoint_space(r) == skew_space(inv).skew_basis
+    """The defining system of the form cuts out exactly the skew elements.
+
+    Let N be its solution space and S the span of the g - sigma(g).  S lies in N
+    when each d*(g - sigma(g)), with d*sigma in integers, solves every one of the
+    n^2 rows; that is read on the columns of the system, not derived from the
+    adjoint identity.  N = S then follows once the rank of the system reaches
+    n - dim S mod a prime, since the rank mod p never exceeds the rank over Q.
+    Short of that, the exact solution space decides.
+    """
+    cols = _skew_adjoint_columns(r)
+    d, scaled = inv.scaled_columns
+    for g, terms in enumerate(scaled):
+        if terms == ((g, d),):
+            continue  # sigma(g) = g
+        image = [d * x for x in cols[g]]
+        for h, c in terms:
+            image = [a - c * b for a, b in zip(image, cols[h])]
+        if any(image):
+            return False
+    skew = skew_space(inv)
+    if rank_mod_p_reaches(zip(*cols), inv.group.order - skew.skew_dim):
+        return True
+    return skew_adjoint_space(r) == skew.skew_basis
 
 
 def skew_lattice_generators(inv: Involution) -> list[list[int]]:
@@ -224,7 +268,7 @@ def integral_skew_lattice(inv: Involution) -> list[list[int]]:
 def form_report(inv: Involution, seed: int = 0) -> dict:
     """JSON-ready form artifact with all verification bits."""
     r = realize_adjoint_form(inv, seed=seed)
-    nonsingular = rank(r.form.int_gram) == inv.group.order
+    nonsingular = r.form.nonsingular
     adjoint_ok = check_adjoint_identity(r)
     matches = adjoint_space_matches_skew_span(inv, r)
     return {

@@ -11,12 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 QMatrix = list[list[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+MODULUS = 2**61 - 1  # a Mersenne prime
 
 
 def mat(rows: Sequence[Sequence]) -> QMatrix:
@@ -74,6 +76,34 @@ def _int_echelon(rows: list[list[int]]) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def rank_mod_p_reaches(rows: Iterable[Sequence[int]], target: int) -> bool:
+    """Whether the integer rows reach rank ``target`` mod MODULUS, read one at a time
+    until they do.
+
+    Reduction mod a prime maps every vanishing minor to 0, so the rank mod p never
+    exceeds the rank over Q: True is exact.  False may only mean that p divides
+    every nonzero minor of that size, and then an exact rank has to decide.
+    """
+    if target <= 0:
+        return True
+    p = MODULUS
+    pivots: list[tuple[int, list[int]]] = []  # (column, row with 1 there and 0 at earlier pivots)
+    for row in rows:
+        v = list(row)
+        for c, prow in pivots:
+            f = v[c] % p
+            if f:
+                v = [a - f * b for a, b in zip(v, prow)]  # reduced once, below
+        v = [x % p for x in v]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            scale = pow(v[c], -1, p)
+            pivots.append((c, [x * scale % p for x in v]))
+            if len(pivots) == target:
+                return True
+    return False
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:

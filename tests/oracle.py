@@ -44,15 +44,17 @@ def determinant_by_expansion(m) -> Fraction:
     return total
 
 
-def rank_by_minors(m) -> int:
-    """Largest k such that some k x k minor is nonzero (sizes <= ~6x8)."""
+def rank_by_minors(m, p=None) -> int:
+    """Largest k such that some k x k minor is nonzero (sizes <= ~6x8), or nonzero
+    mod the prime p when one is given (integer m)."""
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     for k in range(min(nrows, ncols), 0, -1):
         for rows in combinations(range(nrows), k):
             for cols in combinations(range(ncols), k):
                 minor = [[m[i][j] for j in cols] for i in rows]
-                if determinant_by_expansion(minor):
+                det = determinant_by_expansion(minor)
+                if det % p if p else det:
                     return k
     return 0
 

@@ -6,7 +6,7 @@ other module must not import ``random``.  The one root-vector twist is the
 table build's, which defines the values on the other classes of a rational
 class; everywhere else the Galois action is a power map on the classes.  The
 constraint systems of the forms are built and reduced in integers, on the gram
-and sigma scaled once to integers.
+and sigma scaled once to integers, and so is the rank certificate of the skew span.
 """
 
 import ast
@@ -42,16 +42,21 @@ def test_only_the_table_build_imports_the_root_vector_twist():
     assert [p.stem for p in modules if _imports_name(p, "twist_root_vector")] == ["wedderburn"]
 
 
-CONSTRAINT_BUILDERS = ("_solution_space", "_functional_space", "skew_adjoint_space",
-                       "check_adjoint_identity")
+CONSTRAINT_BUILDERS = {
+    "forms": ("_solution_space", "_functional_space", "_skew_adjoint_columns",
+              "skew_adjoint_space", "adjoint_space_matches_skew_span", "check_adjoint_identity"),
+    "linalg": ("rank_mod_p_reaches",),
+}
 
 
 def test_form_constraints_are_built_in_integers():
-    """The constraint builders of forms.py call no Fraction( and read no ZERO."""
-    tree = ast.parse((SRC / "forms.py").read_text())
-    builders = {node.name: node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name in CONSTRAINT_BUILDERS}
-    assert sorted(builders) == sorted(CONSTRAINT_BUILDERS)
-    for name, fn in builders.items():
-        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
-        assert not names & {"Fraction", "ZERO"}, name
+    """The constraint builders of the forms, the skew-span certificate and the rank
+    mod p call no Fraction( and read no ZERO."""
+    for module, wanted in CONSTRAINT_BUILDERS.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        builders = {node.name: node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name in wanted}
+        assert sorted(builders) == sorted(wanted), module
+        for name, fn in builders.items():
+            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            assert not names & {"Fraction", "ZERO"}, name

@@ -38,7 +38,8 @@ from skewlie.catalog import (
     s3_conjugated_fixture,
 )
 from skewlie.groups import generators
-from skewlie.linalg import hnf, identity, mat, rank, rref_rows
+from skewlie.linalg import MODULUS, hnf, identity, mat, rank, rank_mod_p_reaches, rref_rows
+from skewlie.verify import FORMS_ORDER_LIMIT
 
 
 def test_canonical_gram_is_identity(q8, canonical):
@@ -287,7 +288,7 @@ def test_every_one_entry_change_fails_the_skew_span_check():
     """Raising one gram entry by 1 moves the solution space of
     h(fx, y) + h(x, fy) = 0 off the skew elements, so the check reads the form."""
     cases = [(spec, Involution.canonical(build_group(spec)))
-             for spec in ("symmetric:3", "dihedral:4", "dicyclic:2")]
+             for spec in ("symmetric:3", "dihedral:4", "dicyclic:2", "dihedral:8", "dicyclic:4")]
     cases += [(label, inv) for label, _, inv in linear_fixtures()]
     for label, inv in cases:
         r = realize_adjoint_form(inv, seed=0)
@@ -318,3 +319,117 @@ def test_every_constraint_row_is_built_and_reduced(monkeypatch):
     skew_adjoint_space(realize_adjoint_form(inv, seed=0))
     assert [count for count, _ in built] == [21, 36]
     assert reduced == [distinct for _, distinct in built]
+
+
+def test_the_certificate_matches_the_exact_route():
+    """The skew-span certificate gives the answer of the full solution space on every
+    form case, seeds 0-2, and on every one-entry change of those grams."""
+    for label, inv in _form_cases():
+        skew_basis = skew_space(inv).skew_basis
+        for seed in (0, 1, 2):
+            r = realize_adjoint_form(inv, seed=seed)
+            assert adjoint_space_matches_skew_span(inv, r), (label, seed)
+            for case in (r, *_one_entry_changes(r)):
+                exact = skew_adjoint_space(case) == skew_basis
+                assert adjoint_space_matches_skew_span(inv, case) == exact, (label, seed)
+
+
+def _counting_exact_space(monkeypatch) -> list:
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return skew_adjoint_space(r)
+
+    monkeypatch.setattr(forms, "skew_adjoint_space", counting)
+    return calls
+
+
+def test_the_certificate_matches_the_exact_route_across_involutions(monkeypatch):
+    """The form realizing one built-in involution, checked against each of them.
+    Where the skew span of sigma lies inside that of the form's involution, part (a)
+    holds and only the rank tells the spans apart, as on C2 with the canonical
+    involution and the form of the oriented one."""
+    calls = _counting_exact_space(monkeypatch)
+    for group in catalog_groups(max_order=12):
+        involutions = [inv for _, inv in builtin_involutions(group)]
+        for r in [realize_adjoint_form(inv, seed=0) for inv in involutions]:
+            own = skew_space(r.involution).skew_basis
+            for inv in involutions:
+                exact = skew_adjoint_space(r) == skew_space(inv).skew_basis
+                assert adjoint_space_matches_skew_span(inv, r) == exact, group.name
+                assert exact == (skew_space(inv).skew_basis == own), group.name
+    assert calls
+
+
+def test_a_rank_short_mod_p_falls_back_to_the_exact_space(monkeypatch):
+    """With a rank mod p that never reaches its target, the skew span is decided by
+    the full solution space and nonsingularity by the exact rank: the same answers."""
+    monkeypatch.setattr(forms, "rank_mod_p_reaches", lambda rows, target: False)
+    calls = _counting_exact_space(monkeypatch)
+    inv = Involution.canonical(build_group("symmetric:3"))
+    r = realize_adjoint_form(inv, seed=0)
+    assert r.form.gram == realize_by_fractions(inv.group.mult, inv.columns, 0,
+                                               forms.DEFAULT_ATTEMPTS)[0]
+    assert r.form.nonsingular
+    assert adjoint_space_matches_skew_span(inv, r)
+    assert calls == [r]
+    assert not any(adjoint_space_matches_skew_span(inv, case) for case in _one_entry_changes(r))
+
+
+def test_a_system_below_the_target_rank_is_decided_exactly(monkeypatch):
+    """The zero form: every g - sigma(g) solves its system, and so does every f, so
+    the rank mod p stays 0 below n - dim S and the exact route says no."""
+    calls = _counting_exact_space(monkeypatch)
+    inv = Involution.canonical(build_group("symmetric:3"))
+    r = realize_adjoint_form(inv, seed=0)
+    zero = replace(r, form=replace(r.form, gram=[[0 * x for x in row] for row in r.form.gram]))
+    assert not zero.form.nonsingular
+    assert not adjoint_space_matches_skew_span(inv, zero)
+    assert calls == [zero]
+
+
+def test_the_fixed_prime_needs_no_fallback_on_the_verify_forms(monkeypatch):
+    """On every form that skewlie verify checks, the rank mod p settles the skew span
+    and nonsingularity: the exact solver never runs, and the exact rank only on a
+    draw that is singular over Q."""
+    calls = _counting_exact_space(monkeypatch)
+    ranks = []
+
+    def recording_rank(m):
+        ranks.append((rank(m), len(m)))
+        return ranks[-1][0]
+
+    monkeypatch.setattr(forms, "rank", recording_rank)
+    cases = [inv for group in catalog_groups(max_order=FORMS_ORDER_LIMIT)
+             for _, inv in builtin_involutions(group)]
+    cases += [inv for _, _, inv in linear_fixtures()]
+    assert len(cases) == 161
+    for inv in cases:
+        assert all(form_report(inv, seed=0)["checks"].values())
+    assert calls == []
+    assert all(k < n for k, n in ranks)
+
+
+def test_nonsingular_falls_back_to_the_exact_rank():
+    """Singular over Q is False; singular mod the prime but not over Q is True."""
+    assert not forms.BilinearForm(gram=mat([[1, 2], [2, 4]]), symmetry="symmetric").nonsingular
+    assert not rank_mod_p_reaches([[MODULUS, 0], [0, 1]], 2)
+    assert forms.BilinearForm(gram=mat([[MODULUS, 0], [0, 1]]), symmetry="symmetric").nonsingular
+
+
+def test_nonsingular_agrees_with_the_exact_rank_on_every_draw(monkeypatch):
+    """Every gram drawn on the form cases, seeds 0-2, the rejected ones too."""
+    drawn, form_class = [], forms.BilinearForm
+
+    def recording_form(**fields):
+        drawn.append(form_class(**fields))
+        return drawn[-1]
+
+    monkeypatch.setattr(forms, "BilinearForm", recording_form)
+    for _, inv in _form_cases():
+        for seed in (0, 1, 2):
+            realize_adjoint_form(inv, seed=seed)
+    assert len(drawn) > 3 * len(list(_form_cases()))
+    for form in drawn:
+        assert form.nonsingular == (rank(form.gram) == len(form.gram))

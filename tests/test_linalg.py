@@ -13,12 +13,14 @@ from oracle import (
     transpose,
 )
 from skewlie.linalg import (
+    MODULUS,
     hnf,
     identity,
     kernel,
     mat,
     nullspace_rows,
     rank,
+    rank_mod_p_reaches,
     rref,
     rref_rows,
     solve,
@@ -63,6 +65,38 @@ def test_rank_matches_minor_oracle_on_random_matrices():
         m = mat([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
                  for _ in range(rows)])
         assert rank(m) == rank_by_minors(m)
+
+
+def test_rank_mod_p_reaches_matches_the_minor_oracle():
+    """Entries near multiples of the prime, so that the rank mod p can fall below the
+    rank over Q, against minors mod p, for every target."""
+    rng = random.Random(11)
+    p = MODULUS
+    short = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        m = [[rng.choice((0, 1, -2, 3, p, -p, 2 * p, p + 1)) for _ in range(cols)]
+             for _ in range(rows)]
+        k = rank_by_minors(m, p)
+        assert k <= rank_by_minors(m)
+        short += k < rank_by_minors(m)
+        for target in range(min(rows, cols) + 2):
+            assert rank_mod_p_reaches(m, target) == (k >= target)
+    assert short
+
+
+def test_rank_mod_p_reaches_reads_rows_only_until_the_target():
+    def rows():
+        yield [0, 0, 0]
+        yield [3, 0, 6]
+        yield [1, 0, 2]
+        yield [0, MODULUS, 5]
+        raise AssertionError("read a row past the target")
+
+    assert rank_mod_p_reaches(rows(), 2)
+    assert rank_mod_p_reaches(rows(), 0)
+    assert rank_mod_p_reaches([], 0) and not rank_mod_p_reaches([], 1)
+    assert not rank_mod_p_reaches([[MODULUS, 0], [0, 1]], 2)
 
 
 @settings(max_examples=60, deadline=None)
