@@ -12,12 +12,13 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ComputationError, SpecError
 from .forms import form_report
 from .groups import DEFAULT_MAX_ORDER, build_group, exponent, square_root_count, conjugacy_classes
 from .involutions import Involution
-from .serialize import dumps
+from .serialize import chunks
 from .verify import run_verification
 from .wedderburn import character_table, decomposition_report
 
@@ -61,11 +62,13 @@ def _resolve_involution(group, spec: str) -> Involution:
     return Involution.from_json(group, data)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(parts: Iterable[str], out: str | None) -> None:
+    """Write the parts in order, to the --out path or to stdout, without joining them."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fp:
+            fp.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _component_lines(report) -> list[str]:
@@ -90,9 +93,9 @@ def cmd_decompose(args) -> int:
     table = character_table(group, prime=args.dixon_prime)
     report = decomposition_report(group, inv, table=table)
     if args.format == "json":
-        _emit(dumps(report.to_json()), args.out)
+        _emit(chunks(report.to_json()), args.out)
     else:
-        _emit("\n".join(_component_lines(report)) + "\n", args.out)
+        _emit(["\n".join(_component_lines(report)) + "\n"], args.out)
     return EXIT_OK if report.all_checks_pass else EXIT_CHECK
 
 
@@ -101,13 +104,13 @@ def cmd_form(args) -> int:
     inv = _resolve_involution(group, args.involution)
     report = form_report(inv, seed=args.seed)
     if args.format == "json":
-        _emit(dumps(report), args.out)
+        _emit(chunks(report), args.out)
     else:
         lines = [
             f"group {group.name}: {report['symmetry']} form on the regular module",
             "  checks: " + " ".join(f"{k}={v}" for k, v in report["checks"].items()),
         ]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if all(report["checks"].values()) else EXIT_CHECK
 
 
@@ -115,14 +118,14 @@ def cmd_chartab(args) -> int:
     group = _resolve_group(args.group, args.max_order)
     table = character_table(group, prime=args.dixon_prime)
     if args.format == "json":
-        _emit(dumps(table.to_json()), args.out)
+        _emit(chunks(table.to_json()), args.out)
     else:
         header = "class sizes: " + " ".join(str(s) for s in table.classes.sizes())
         rows = [header]
         for i, row in enumerate(table.values):
             cells = " ".join(f"{str(v):>10s}" for v in row)
             rows.append(f"chi_{i} (deg {table.degrees[i]}): {cells}")
-        _emit("\n".join(rows) + "\n", args.out)
+        _emit(["\n".join(rows) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -138,9 +141,9 @@ def cmd_group_info(args) -> int:
         "square_roots_of_identity": square_root_count(group),
     }
     if args.format == "json":
-        _emit(dumps(info), args.out)
+        _emit(chunks(info), args.out)
     else:
-        _emit("\n".join(f"{k}: {v}" for k, v in info.items()) + "\n", args.out)
+        _emit(["\n".join(f"{k}: {v}" for k, v in info.items()) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -156,7 +159,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write("empty selection\n")
         return EXIT_INPUT
     if args.format == "json":
-        _emit(dumps(summary.to_json()), args.out)
+        _emit(chunks(summary.to_json()), args.out)
     else:
         lines = []
         for line in summary.lines:
@@ -166,7 +169,7 @@ def cmd_verify(args) -> int:
         lines.append(
             f"{len(summary.lines) - len(summary.failures())}/{len(summary.lines)} checks passed"
         )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if summary.all_pass else EXIT_CHECK
 
 

@@ -265,21 +265,24 @@ def integral_skew_lattice(inv: Involution) -> list[list[int]]:
     return lattice
 
 
+def form_checks(r: AdjointRealization) -> dict[str, bool]:
+    """The three checks of a realization, as `form_report` names them."""
+    return {
+        "nonsingular": r.form.nonsingular,
+        "adjoint_identity": check_adjoint_identity(r),
+        "eq_1_2_matches_skew_span": adjoint_space_matches_skew_span(r.involution, r),
+    }
+
+
 def form_report(inv: Involution, seed: int = 0) -> dict:
     """JSON-ready form artifact with all verification bits."""
     r = realize_adjoint_form(inv, seed=seed)
-    nonsingular = r.form.nonsingular
-    adjoint_ok = check_adjoint_identity(r)
-    matches = adjoint_space_matches_skew_span(inv, r)
+    checks = form_checks(r)
     return {
         "group": inv.group.name,
         "involution": inv.to_json(),
         "symmetry": r.form.symmetry,
         "gram": frac_matrix(r.form.gram),
         "functional": frac_row(r.functional),
-        "checks": {
-            "nonsingular": nonsingular,
-            "adjoint_identity": adjoint_ok,
-            "eq_1_2_matches_skew_span": matches,
-        },
+        "checks": checks,
     }

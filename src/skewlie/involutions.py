@@ -122,7 +122,10 @@ class Involution:
     ``columns[g]`` is the image sigma(g) as a tuple of (index, coeff) pairs,
     sorted by index with no zero coefficient.  Group-induced involutions are
     the one-entry case with coeff +1 or -1; ``kind`` is only the JSON label.
-    ``scaled_columns`` and ``class_sum_images``, sigma on the center, are built on first use.
+    ``scaled_columns``, ``class_sum_images`` (sigma on the center) and
+    ``skew_dim`` are computed on first use.  A ``SkewSpaceReport`` is not kept
+    here: it points back at the involution, and the cycle would keep both alive
+    until the collector's next full pass.
     """
 
     group: Group
@@ -248,6 +251,11 @@ class Involution:
             out.append(tuple((k, v) for k, v in enumerate(row) if v))
         return tuple(out)
 
+    @cached_property
+    def skew_dim(self) -> int:
+        """Dimension of the skew elements: the integer rank of the rows g - sigma(g)."""
+        return rank(eigen_rows(self, -1))
+
     def validate(self) -> "Involution":
         """The axioms were checked at construction; kept for callers that chain it."""
         return self
@@ -331,7 +339,7 @@ def skew_space(inv: Involution) -> SkewSpaceReport:
     """
     return SkewSpaceReport(
         involution=inv,
-        skew_dim=rank(eigen_rows(inv, -1)),
+        skew_dim=inv.skew_dim,
         fixed_plus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, 1),)),
         fixed_minus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, -1),)),
     )

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import catalog
-from .forms import form_report, integral_skew_lattice, skew_lattice_generators
+from .forms import (form_checks, integral_skew_lattice, realize_adjoint_form,
+                    skew_lattice_generators)
 from .groups import Group
 from .indicators import complex_dimension_identity, involution_count_identity
 from .involutions import Involution
@@ -70,7 +71,7 @@ def _table_integrity(summary: VerificationSummary, group: Group, table: Characte
 def _forms_checks(summary: VerificationSummary, group: Group, label: str,
                   inv: Involution, seed: int) -> None:
     """The three checks that `skewlie form` reports for this involution."""
-    checks = form_report(inv, seed=seed)["checks"]
+    checks = form_checks(realize_adjoint_form(inv, seed=seed))
     summary.add(group.name, f"form-nonsingular[{label}]", checks["nonsingular"])
     summary.add(group.name, f"adjoint-identity[{label}]", checks["adjoint_identity"])
     summary.add(group.name, f"skew-solution-space[{label}]",

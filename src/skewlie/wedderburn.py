@@ -34,7 +34,6 @@ from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponen
 from .indicators import IndicatorReport, indicator_report
 from .involutions import AlgebraElement, Involution, skew_space
 from .linalg import rank
-from .serialize import frac_row
 
 DEFAULT_PRIME_BOUND = 10**8
 
@@ -293,9 +292,9 @@ class CharacterTable:
 
     ``root_mults[i][j]`` is the value of character i on class j as the integer
     multiplicities of the eigenvalue roots of unity, which is what the exact
-    checks work on.  ``values``, the same table as ``Cyclotomic`` numbers, and
-    the results that depend on G alone, not on an involution, are computed on
-    first use and kept on the table.
+    checks and ``to_json`` work on.  ``values``, the same table as
+    ``Cyclotomic`` numbers for text output, and the results that depend on G
+    alone, not on an involution, are computed on first use and kept on the table.
     """
 
     group: Group
@@ -343,6 +342,10 @@ class CharacterTable:
                 "orthogonality": table_orthogonality(self)}
 
     def to_json(self) -> dict:
+        """Each value as its power-basis coordinates, one list of strings per
+        distinct value that every cell holding it shares."""
+        text = {mv: list(map(str, reduce_root_vector(self.conductor, mv)))
+                for mv in set(chain.from_iterable(self.root_mults))}
         return {
             "group": self.group.name,
             "order": self.group.order,
@@ -350,7 +353,7 @@ class CharacterTable:
             "class_sizes": list(self.classes.sizes()),
             "class_representatives": list(self.classes.class_reps),
             "degrees": list(self.degrees),
-            "characters": [[frac_row(v.coeffs) for v in row] for row in self.values],
+            "characters": [list(map(text.__getitem__, row)) for row in self.root_mults],
         }
 
 

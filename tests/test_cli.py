@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from skewlie import build_group, character_table
 from skewlie.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
+from skewlie.serialize import dumps
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +98,20 @@ def test_chartab_q8_degrees(capsys):
     code, out, _ = run_cli(capsys, "chartab", "--group", "dicyclic:2")
     assert code == EXIT_OK
     assert json.loads(out)["degrees"] == [1, 1, 1, 1, 2]
+
+
+def test_chartab_streams_the_dumps_text(capsys, tmp_path):
+    """stdout and --out both get the text of dumps, written in pieces; dicyclic:15
+    has cells that share one value."""
+    expected = dumps(character_table(build_group("dicyclic:15")).to_json())
+    code, out, _ = run_cli(capsys, "chartab", "--group", "dicyclic:15")
+    assert code == EXIT_OK
+    assert out == expected
+    path = tmp_path / "table.json"
+    code, out, _ = run_cli(capsys, "chartab", "--group", "dicyclic:15", "--out", str(path))
+    assert code == EXIT_OK
+    assert out == ""
+    assert path.read_text() == expected
 
 
 def test_group_info(capsys):
@@ -262,14 +278,14 @@ def test_seed_env_respected(capsys, monkeypatch):
 
 def test_out_of_memory_exits_two_with_message():
     """A MemoryError ends in exit 2 and one line, not a traceback.  The address-space
-    cap acts only on the child; the chartab output of dihedral:250 (s = 128 classes,
-    conductor 250) is held in memory all at once, far beyond it."""
+    cap acts only on the child; the form of dihedral:256 (order 512) solves a system
+    of n(n+1)/2 integer rows of length n, 67 million entries, far beyond it."""
     cap = 256 << 20
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    cmd = [sys.executable, "-m", "skewlie", "chartab", "--group", "dihedral:250"]
+    cmd = [sys.executable, "-m", "skewlie", "form", "--group", "dihedral:256"]
     proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit, timeout=300)
     assert proc.returncode == EXIT_CHECK
     assert proc.stderr.startswith("error: out of memory")
