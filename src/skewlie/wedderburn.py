@@ -5,11 +5,13 @@ class matrices, built from the class representatives as the split needs them,
 commute, and their common eigenvectors over F_p are the central characters.
 One cyclic vector per piece of the eigenbasis splits it: the Krylov vectors of
 the piece's vector under a class matrix give its minimal polynomial, and each
-root its projection on one eigenspace.  Degrees and class values are recovered
-mod p and lifted to exact sums of roots of unity on one class per rational
-class, by an inverse discrete Fourier transform over the powers of its
-representative (a discrete log for a linear character); every other class g^k
-of the rational class takes the Galois twist by k.
+root its projection on one eigenspace.  The classes of a generating set split
+first, then the rest largest first, and the roots are tried first among the
+eigenvalues |K| zeta_o^t of the linear characters.  Degrees and class values
+are recovered mod p and lifted to exact sums of roots of unity on one class
+per rational class, by an inverse discrete Fourier transform over the powers
+of its representative (a discrete log for a linear character); every other
+class g^k of the rational class takes the Galois twist by k.
 
 Outside that build the Galois action is read as power maps on the classes.
 Galois orbits of characters give the rational central primitive idempotents,
@@ -30,7 +32,7 @@ from typing import Sequence
 
 from .cyclotomic import Cyclotomic, reduce_root_vector, twist_root_vector
 from .errors import ComputationError, SpecError
-from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent
+from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent, generators
 from .indicators import IndicatorReport, indicator_report
 from .involutions import AlgebraElement, Involution, skew_space
 from .linalg import rank
@@ -174,16 +176,18 @@ def _minimal_polynomial(v: list[int], m: tuple, p: int) -> tuple[list[list[int]]
         w = [sum(a * w[k] for k, a in row) % p for row in m]
 
 
-def _split(v: list[int], m: tuple, p: int) -> list[list[int]]:
+def _split(v: list[int], m: tuple, p: int, likely: Sequence[int] = ()) -> list[list[int]]:
     """Split the piece of v by m: one child w = (mu/(x - lam))(m) v per root lam
     of the minimal polynomial mu of v, a nonzero multiple of the projection of v
-    on the lam-eigenspace of m."""
+    on the lam-eigenspace of m, in increasing lam.  Each lam is tried in
+    ``likely`` first, then in the rest of F_p, and confirmed by mu(lam) = 0."""
     krylov, mu = _minimal_polynomial(v, m, p)
     deg = len(krylov)
     if deg == 1:
         return [v]
+    likely = dict.fromkeys(likely)
     roots = []  # scanned in O(1) memory: a --dixon-prime may be large
-    for lam in range(p):
+    for lam in chain(likely, (x for x in range(p) if x not in likely)):
         acc = 0
         for c in reversed(mu):
             acc = (acc * lam + c) % p
@@ -193,6 +197,7 @@ def _split(v: list[int], m: tuple, p: int) -> list[list[int]]:
                 break
     else:
         raise ComputationError("class matrix is not split semisimple mod p")
+    roots.sort()
     columns = list(zip(*krylov))
     children = []
     for lam in roots:
@@ -210,17 +215,27 @@ def _central_characters(group: Group, p: int) -> list[list[int]]:
     Each piece of the eigenbasis is kept as one vector whose coordinate on
     every omega_chi of the piece is nonzero.  The first piece is
     e_0 = sum_chi (chi(1)^2/|G|) omega_chi, nonzero on every omega_chi since
-    p > |G|.  The class matrices, largest class first, split every piece
-    until there is one piece per class; only the matrices used are built.
+    p > |G|.  The class matrices split every piece until there is one piece
+    per class: the classes of ``generators(group)`` first (their sums generate
+    Z(QG) if G is abelian), then the rest largest first, with the eigenvalues
+    |K_i| zeta_o^t, o = o(g_i), of the linear characters as the likely roots;
+    only the matrices used are built.
     """
-    sizes = conjugacy_classes(group).sizes()
+    cd = conjugacy_classes(group)
+    sizes = cd.sizes()
     s = len(sizes)
+    e = exponent(group)
+    z = pow(_primitive_root(p), (p - 1) // e, p)
+    order = {c: len(powers) for powers, twins in _rational_classes(group) for c, _ in twins}
+    first = dict.fromkeys(cd.class_of[g] for g in generators(group))
+    rest = sorted((i for i in range(1, s) if i not in first), key=lambda i: -sizes[i])
     pieces = [[1] + [0] * (s - 1)]
-    for i in sorted(range(1, s), key=lambda i: -sizes[i]):
+    for i in chain(first, rest):
         if len(pieces) >= s:
             break
-        m = class_matrix(group, i)
-        pieces = [w for v in pieces for w in _split(v, m, p)]
+        m, o = class_matrix(group, i), order[i]
+        likely = [sizes[i] * pow(z, e // o * t, p) % p for t in range(o)]
+        pieces = [w for v in pieces for w in _split(v, m, p, likely)]
     if len(pieces) != s:
         raise ComputationError(
             f"eigenspace splitting ended with {len(pieces)} pieces for {s} classes"

@@ -491,13 +491,21 @@ def test_decomposition_builds_no_cyclotomic(monkeypatch):
     assert report.table.values is values
 
 
+RANDOM_ORDER_CAP = 60
+
+
 @st.composite
 def random_permutation_groups(draw):
-    """Groups generated by 1-2 permutations of degree 3 or 4, times C2 or not: order <= 48."""
-    degree = draw(st.integers(3, 4))
-    perms = st.permutations(range(degree)).map(list)
-    g = group_from_permutations(draw(st.lists(perms, min_size=1, max_size=2)), degree)
-    if draw(st.booleans()):
+    """Groups generated by 1-2 permutations of degree 3 to 5, times C2 or not, of order
+    at most RANDOM_ORDER_CAP: a closure past the cap (S5) falls back to <first permutation>,
+    and C2 is taken only below half the cap (so A5, but not A5 x C2)."""
+    degree = draw(st.integers(3, 5))
+    perms = draw(st.lists(st.permutations(range(degree)).map(list), min_size=1, max_size=2))
+    try:
+        g = group_from_permutations(perms, degree, max_order=RANDOM_ORDER_CAP)
+    except SpecError:
+        g = group_from_permutations(perms[:1], degree)
+    if 2 * g.order <= RANDOM_ORDER_CAP and draw(st.booleans()):
         g = direct_product(g, build_group("cyclic:2"))
     return g
 
@@ -640,7 +648,7 @@ def test_table_matches_kernel_oracle():
         assert [o.members for o in galois_orbits(t)] == galois_orbits_by_twists(t), g.name
 
 
-@pytest.mark.parametrize("spec, most", [("cyclic:240", 1), ("abelian:2,2,2,2,2,2,2,2", 128)])
+@pytest.mark.parametrize("spec, most", [("cyclic:240", 1), ("abelian:2,2,2,2,2,2,2,2", 8)])
 def test_table_builds_only_the_class_matrices_it_splits_by(monkeypatch, spec, most):
     import skewlie.wedderburn as wedderburn
 
@@ -702,6 +710,49 @@ def test_splitting_guards(monkeypatch, spec, matrices, message):
     monkeypatch.setattr(wedderburn, "class_matrix", lambda group, i: products[i])
     with pytest.raises(ComputationError, match=message):
         character_table(g)
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "dicyclic:2", "alternating:5", "dihedral:15"])
+def test_split_candidates_change_only_the_search_order(monkeypatch, spec):
+    """The candidate roots |K_i| zeta_o^t against the plain scan of F_p on the same mu:
+    the same children, in the same order.  The degree-2 characters of S3 and Q8 have
+    eigenvalue 0, which is no candidate, on the first class split; every group here
+    has such a split, so the scan past the candidates runs too."""
+    import skewlie.wedderburn as wedderburn
+    from skewlie.wedderburn import _minimal_polynomial, _split
+
+    calls = []
+    monkeypatch.setattr(wedderburn, "_split", lambda v, m, p, likely=():
+                        calls.append((v, m, p, likely)) or _split(v, m, p, likely))
+    character_table(build_group(spec))
+    monkeypatch.undo()
+    outside = 0
+    for v, m, p, likely in calls:
+        assert likely, spec
+        assert _split(v, m, p, likely) == _split(v, m, p), spec
+        _, mu = _minimal_polynomial(v, m, p)
+        hits = sum(not sum(c * pow(lam, k, p) for k, c in enumerate(mu)) % p for lam in likely)
+        outside += hits < len(mu) - 1
+    assert outside, spec
+
+
+def test_split_candidates_that_miss_repeat_or_sit_on_a_jordan_block():
+    """Candidates that are not roots, or repeat, or cover every root, find the scan's
+    roots and children; a Jordan block with its one root among the candidates is still
+    not split semisimple."""
+    from skewlie.wedderburn import _split
+
+    p = 11
+    m = _sparse([[2, 0, 0], [0, 5, 0], [0, 0, 7]])  # roots 2, 5, 7
+    v = [1, 1, 1]
+    expected = _split(v, m, p)
+    assert len(expected) == 3
+    for likely in ([2], [7], [7, 7, 7], [3, 4, 9], [9, 7, 9, 2, 5, 2], [7, 5, 2], list(range(p))[::-1]):
+        assert _split(v, m, p, likely) == expected, likely
+    jordan = _sparse([[3, 0], [1, 3]])  # (x - 3)^2 on e_0
+    for likely in ([3], [3, 3], [3, 4]):
+        with pytest.raises(ComputationError, match="not split semisimple mod p"):
+            _split([1, 0], jordan, p, likely)
 
 
 def test_lifting_guards():
