@@ -5,7 +5,8 @@ Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
 built-in involution, ``decompose`` and ``form`` for the linear fixtures,
 ``verify`` for each of those catalog groups alone and for the fixtures alone,
 ``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes),
-``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS, ``form``
+the text ``chartab`` file of ``skewlie chartab --format text`` for those
+catalog groups and those wider groups, ``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS, ``form``
 for every catalog group of order <= FORM_MAX_ORDER under every built-in
 involution and for the fixtures at each seed of FORM_SEEDS, and ``form`` under
 the canonical involution for the groups of LARGE_FORM_GROUPS, seed 0.
@@ -15,6 +16,7 @@ output is meant to change.
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 from skewlie import (
@@ -25,6 +27,7 @@ from skewlie import (
     form_report,
     sign_characters,
 )
+from skewlie import cli
 from skewlie.catalog import CATALOG_SPECS, builtin_involutions, catalog_groups, linear_fixtures
 from skewlie.serialize import dumps
 from skewlie.verify import run_verification
@@ -54,8 +57,17 @@ def _sha(obj) -> str:
     return hashlib.sha256(dumps(obj).encode()).hexdigest()
 
 
+def _text_chartab_sha(spec: str, tmp: Path) -> str:
+    path = tmp / "chartab.txt"
+    assert cli.main(["chartab", "--group", spec, "--format", "text", "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def digests() -> dict[str, str]:
     out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec in [g.name for g in catalog_groups(max_order=MAX_ORDER)] + WIDE_CHARTAB:
+            out[f"chartab-text {spec}"] = _text_chartab_sha(spec, Path(tmp))
     for group in catalog_groups(max_order=MAX_ORDER):
         table = character_table(group)
         out[f"chartab {group.name}"] = _sha(table.to_json())
