@@ -8,7 +8,6 @@ a nonsingular bilinear form on the regular module whose adjoint involution is
 sigma, and the integral skew lattice of ZG.
 """
 
-from .cyclotomic import Cyclotomic, cyclotomic_add, cyclotomic_mul, galois_apply
 from .errors import ComputationError, SkewlieError, SpecError
 from .forms import (
     AdjointRealization,
@@ -41,13 +40,10 @@ from .involutions import (
     AlgebraElement,
     Involution,
     SkewSpaceReport,
-    apply_involution,
     bracket,
-    multiply,
     skew_space,
-    validate_involution,
 )
-from .linalg import hnf, kernel, rank, rref
+from .linalg import hnf, rank, rref
 from .wedderburn import (
     CentralIdempotent,
     CharacterTable,
@@ -77,7 +73,6 @@ __all__ = [
     "ComponentReport",
     "ComputationError",
     "ConjugacyData",
-    "Cyclotomic",
     "DecompositionReport",
     "GaloisOrbit",
     "Group",
@@ -87,7 +82,6 @@ __all__ = [
     "SkewlieError",
     "SpecError",
     "adjoint_space_matches_skew_span",
-    "apply_involution",
     "bracket",
     "build_group",
     "canonical_regular_form",
@@ -98,21 +92,16 @@ __all__ = [
     "complex_dimension_identity",
     "component_skew_dim",
     "conjugacy_classes",
-    "cyclotomic_add",
-    "cyclotomic_mul",
     "decomposition_report",
     "exponent",
     "find_dixon_prime",
     "form_report",
     "fs_indicator",
-    "galois_apply",
     "galois_orbits",
     "hnf",
     "indicator_report",
     "integral_skew_lattice",
     "involution_count_identity",
-    "kernel",
-    "multiply",
     "rank",
     "rational_idempotents",
     "realize_adjoint_form",
@@ -123,5 +112,4 @@ __all__ = [
     "skew_space",
     "square_root_count",
     "table_orthogonality",
-    "validate_involution",
 ]

@@ -11,9 +11,11 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
+from .cyclotomic import value_text
 from .errors import ComputationError, SpecError
 from .forms import form_report
 from .groups import DEFAULT_MAX_ORDER, build_group, exponent, square_root_count, conjugacy_classes
@@ -122,8 +124,10 @@ def cmd_chartab(args) -> int:
     else:
         header = "class sizes: " + " ".join(str(s) for s in table.classes.sizes())
         rows = [header]
-        for i, row in enumerate(table.values):
-            cells = " ".join(f"{str(v):>10s}" for v in row)
+        cell = {mv: f"{value_text(table.conductor, mv):>10s}"
+                for mv in set(chain.from_iterable(table.root_mults))}
+        for i, row in enumerate(table.root_mults):
+            cells = " ".join(map(cell.__getitem__, row))
             rows.append(f"chi_{i} (deg {table.degrees[i]}): {cells}")
         _emit(["\n".join(rows) + "\n"], args.out)
     return EXIT_OK

@@ -106,10 +106,6 @@ class AlgebraElement:
         return "AlgebraElement(" + (" + ".join(terms) or "0") + ")"
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Lie bracket a*b - b*a."""
     return a * b - b * a
@@ -260,13 +256,6 @@ class Involution:
         """The axioms were checked at construction; kept for callers that chain it."""
         return self
 
-    def apply_basis(self, g: int) -> AlgebraElement:
-        """Image of the basis element g."""
-        coeffs = [ZERO] * self.group.order
-        for h, c in self.columns[g]:
-            coeffs[h] = c
-        return AlgebraElement(self.group, coeffs)
-
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.group is not self.group:
             raise SpecError("group mismatch between involution and element")
@@ -284,14 +273,6 @@ def _sparse_sum(terms) -> tuple:
     for k, c in terms:
         acc[k] = acc.get(k, 0) + c
     return tuple(sorted((k, c) for k, c in acc.items() if c))
-
-
-def validate_involution(inv: Involution) -> Involution:
-    return inv.validate()
-
-
-def apply_involution(inv: Involution, x: AlgebraElement) -> AlgebraElement:
-    return inv.apply(x)
 
 
 def eigen_rows(inv: Involution, s: int) -> list[list]:

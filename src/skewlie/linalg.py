@@ -152,13 +152,6 @@ def nullspace_rows(m: Sequence[Sequence[Fraction]]) -> QMatrix:
     return basis
 
 
-def kernel(m: Sequence[Sequence[Fraction]]) -> QMatrix:
-    """Basis of the right null space as matrix columns: m @ kernel(m) == 0."""
-    basis = nullspace_rows(m)
-    ncols = len(m[0]) if m else 0
-    return [[basis[j][i] for j in range(len(basis))] for i in range(ncols)]
-
-
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
     """One solution of a·x = b with free variables set to 0, or None."""
     aug = [list(row) + [bv] for row, bv in zip(a, b)]

@@ -30,7 +30,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Sequence
 
-from .cyclotomic import Cyclotomic, reduce_root_vector, twist_root_vector
+from .cyclotomic import reduce_root_vector, twist_root_vector
 from .errors import ComputationError, SpecError
 from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent, generators
 from .indicators import IndicatorReport, indicator_report
@@ -209,7 +209,7 @@ def _split(v: list[int], m: tuple, p: int, likely: Sequence[int] = ()) -> list[l
     return children
 
 
-def _central_characters(group: Group, p: int) -> list[list[int]]:
+def _central_characters(group: Group, p: int, z: int) -> list[list[int]]:
     """One vector per central character omega_chi = (omega_chi(K_j))_j, up to a unit.
 
     Each piece of the eigenbasis is kept as one vector whose coordinate on
@@ -218,14 +218,14 @@ def _central_characters(group: Group, p: int) -> list[list[int]]:
     p > |G|.  The class matrices split every piece until there is one piece
     per class: the classes of ``generators(group)`` first (their sums generate
     Z(QG) if G is abelian), then the rest largest first, with the eigenvalues
-    |K_i| zeta_o^t, o = o(g_i), of the linear characters as the likely roots;
-    only the matrices used are built.
+    |K_i| zeta_o^t, o = o(g_i), of the linear characters as the likely roots,
+    zeta_o a power of the root of unity z of order exponent(G) mod p; only the
+    matrices used are built.
     """
     cd = conjugacy_classes(group)
     sizes = cd.sizes()
     s = len(sizes)
     e = exponent(group)
-    z = pow(_primitive_root(p), (p - 1) // e, p)
     order = {c: len(powers) for powers, twins in _rational_classes(group) for c, _ in twins}
     first = dict.fromkeys(cd.class_of[g] for g in generators(group))
     rest = sorted((i for i in range(1, s) if i not in first), key=lambda i: -sizes[i])
@@ -306,10 +306,10 @@ class CharacterTable:
     """Exact character table with values in Q(zeta_conductor).
 
     ``root_mults[i][j]`` is the value of character i on class j as the integer
-    multiplicities of the eigenvalue roots of unity, which is what the exact
-    checks and ``to_json`` work on.  ``values``, the same table as
-    ``Cyclotomic`` numbers for text output, and the results that depend on G
-    alone, not on an involution, are computed on first use and kept on the table.
+    multiplicities of the eigenvalue roots of unity, the one form of a value
+    that the exact checks, ``to_json`` and text output read.  The results that
+    depend on G alone, not on an involution, are computed on first use and
+    kept on the table.
     """
 
     group: Group
@@ -321,12 +321,6 @@ class CharacterTable:
 
     def __len__(self) -> int:
         return len(self.degrees)
-
-    @cached_property
-    def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
-        exact = {mv: Cyclotomic.from_root_vector(self.conductor, mv)
-                 for mv in set(chain.from_iterable(self.root_mults))}
-        return tuple(tuple(map(exact.__getitem__, row)) for row in self.root_mults)
 
     def power_map(self, k: int) -> tuple[int, ...]:
         """The class of x^k for x in each class: the class of g^j, for g the first
@@ -379,10 +373,10 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
     e = exponent(group)
     p = check_dixon_prime(group, prime) if prime is not None else find_dixon_prime(group)
     sizes = cd.sizes()
-    vectors = _central_characters(group, p)
+    z = pow(_primitive_root(p), (p - 1) // e, p)
+    vectors = _central_characters(group, p, z)
 
     size_inv = [pow(sz, p - 2, p) for sz in sizes]
-    z = pow(_primitive_root(p), (p - 1) // e, p)
     dlog = {pow(z, t, p): t for t in range(e)}
     lifts = _rational_classes(group)
     dft = {}  # order o -> (1/o mod p, rows m of zeta_o^(-m l) over l); degree > 1 only

@@ -6,11 +6,13 @@ minor search, spans through division-based Gaussian elimination.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import gcd, isqrt
 
-from skewlie import Cyclotomic
+from skewlie import SpecError
+from skewlie.cyclotomic import euler_phi, power_basis_table, reduce_root_vector
 
 
 def permutation_sign(perm) -> int:
@@ -107,6 +109,129 @@ def in_integer_row_span(h, row) -> bool:
             return False
         row = [x - q * y for x, y in zip(row, basis_row)]
     return not any(row)
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic in Q(zeta_e), the field the root vectors of the package stand for
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Cyclotomic:
+    """An element of Q(zeta_e) by its rational coordinates in the power basis
+    1, z, ..., z^(phi(e)-1), reduced modulo Phi_e."""
+
+    conductor: int
+    coeffs: tuple
+
+    def __post_init__(self):
+        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        if self.conductor < 1 or len(coeffs) != euler_phi(self.conductor):
+            raise SpecError(f"need phi({self.conductor}) coordinates at a positive "
+                            f"conductor, got {len(coeffs)}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def zero(cls, e):
+        return cls(e, [0] * euler_phi(e))
+
+    @classmethod
+    def rational(cls, e, value):
+        return cls(e, [value] + [0] * (euler_phi(e) - 1))
+
+    @classmethod
+    def one(cls, e):
+        return cls.rational(e, 1)
+
+    @classmethod
+    def root(cls, e, k=1):
+        """zeta_e^k."""
+        return cls.from_root_vector(e, [0] * (k % e) + [1])
+
+    @classmethod
+    def from_root_vector(cls, e, mults):
+        return cls(e, reduce_root_vector(e, mults))
+
+    def _check(self, other):
+        if self.conductor != other.conductor:
+            raise SpecError(f"conductor mismatch: {self.conductor} vs {other.conductor}")
+
+    def __add__(self, other):
+        self._check(other)
+        return Cyclotomic(self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        """The product of the power-basis polynomials, reduced through x^k mod Phi_e."""
+        self._check(other)
+        phi = len(self.coeffs)
+        prod = [Fraction(0)] * (2 * phi - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+        return Cyclotomic(self.conductor, self._reduce(enumerate(prod)))
+
+    def _reduce(self, terms):
+        """Power-basis coordinates of sum c x^j over the (j, c) terms."""
+        e = self.conductor
+        out = [Fraction(0)] * len(self.coeffs)
+        for j, c in terms:
+            if c:
+                for i, t in power_basis_table(e)[j % e]:
+                    out[i] += c * t
+        return out
+
+    def scale(self, q):
+        return Cyclotomic(self.conductor, [Fraction(q) * a for a in self.coeffs])
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def galois(self, k):
+        """Image under the field automorphism zeta -> zeta^k (gcd(k, e) = 1)."""
+        e = self.conductor
+        if gcd(k, e) != 1:
+            raise SpecError(f"{k} is not coprime to the conductor {e}")
+        return Cyclotomic(e, self._reduce((j * k, c) for j, c in enumerate(self.coeffs)))
+
+    def conjugate(self):
+        return self.galois(self.conductor - 1 if self.conductor > 1 else 1)
+
+    def is_rational(self):
+        return not any(self.coeffs[1:])
+
+    def rational_value(self):
+        if not self.is_rational():
+            raise ArithmeticError(f"{self} is not rational")
+        return self.coeffs[0]
+
+    def __str__(self):
+        if not self:
+            return "0"
+        terms = []
+        for j, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if j == 0:
+                terms.append(str(c))
+            else:
+                z = f"z{self.conductor}" + (f"^{j}" if j > 1 else "")
+                if c == 1:
+                    terms.append(z)
+                elif c == -1:
+                    terms.append(f"-{z}")
+                else:
+                    terms.append(f"{c}*{z}")
+        out = terms[0]
+        for t in terms[1:]:
+            out += t if t.startswith("-") else "+" + t
+        return out
+
+
+def cyclotomic_values(table):
+    """The values of a CharacterTable as Cyclotomic numbers, one row per character;
+    cells holding the same root vector share one number."""
+    exact = {mv: Cyclotomic.from_root_vector(table.conductor, mv)
+             for mv in set(chain.from_iterable(table.root_mults))}
+    return [[exact[mv] for mv in row] for row in table.root_mults]
 
 
 def cyclotomic_power(z, k):

@@ -208,7 +208,7 @@ def test_criterion_8_property_suites(catalog_ctx):
             joint = report.skew_basis + report.sym_basis
             if rank(joint) != g.order:
                 failures.append((g.name, label, "disjointness"))
-            images = [inv.apply_basis(x) for x in range(g.order)]
+            images = [inv.apply(AlgebraElement.basis(g, x)) for x in range(g.order)]
             for x in range(g.order):
                 if inv.apply(images[x]) != AlgebraElement.basis(g, x):
                     failures.append((g.name, label, "involution-squared"))

@@ -1,13 +1,22 @@
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import cyclotomic_power, embed
-from skewlie import Cyclotomic, SpecError, cyclotomic_add, cyclotomic_mul, galois_apply
-from skewlie.cyclotomic import cyclotomic_polynomial, euler_phi
+from oracle import Cyclotomic, cyclotomic_power, embed
+from skewlie import SpecError, build_group, character_table
+from skewlie.catalog import catalog_groups
+from skewlie.cyclotomic import (
+    cyclotomic_polynomial,
+    euler_phi,
+    reduce_root_vector,
+    twist_root_vector,
+    value_text,
+)
+from test_golden import MAX_ORDER, WIDE_CHARTAB
 
 
 def test_cyclotomic_polynomials():
@@ -20,12 +29,12 @@ def test_cyclotomic_polynomials():
 
 def test_zeta4_squared_is_minus_one():
     z = Cyclotomic.root(4)
-    assert cyclotomic_mul(z, z) == Cyclotomic.rational(4, -1)
+    assert z * z == Cyclotomic.rational(4, -1)
 
 
 def test_zeta3_plus_conjugate_is_minus_one():
     z = Cyclotomic.root(3)
-    assert cyclotomic_add(z, z * z) == Cyclotomic.rational(3, -1)
+    assert z + z * z == Cyclotomic.rational(3, -1)
 
 
 def test_zeta12_fourth_power_embeds_zeta3():
@@ -53,7 +62,7 @@ def test_minimal_polynomial_vanishes():
 
 def test_conductor_mismatch_raises():
     with pytest.raises(SpecError):
-        cyclotomic_mul(Cyclotomic.root(3), Cyclotomic.root(4))
+        Cyclotomic.root(3) * Cyclotomic.root(4)
 
 
 def test_conductor_one_and_two_behave_rationally():
@@ -93,17 +102,17 @@ def test_galois_is_ring_map(args):
     for k in range(1, e):
         if gcd(k, e) != 1:
             continue
-        assert galois_apply(k, a * b) == galois_apply(k, a) * galois_apply(k, b)
-        assert galois_apply(k, a + b) == galois_apply(k, a) + galois_apply(k, b)
+        assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+        assert (a + b).galois(k) == a.galois(k) + b.galois(k)
 
 
 def test_galois_identity_and_composition():
     e = 12
     a = Cyclotomic(e, [1, 2, Fraction(1, 3), -1])
-    assert galois_apply(1, a) == a
+    assert a.galois(1) == a
     for k1 in (5, 7, 11):
         for k2 in (5, 7, 11):
-            assert galois_apply(k1, galois_apply(k2, a)) == galois_apply((k1 * k2) % e, a)
+            assert a.galois(k2).galois(k1) == a.galois((k1 * k2) % e)
 
 
 def test_conjugation_fixes_rationals():
@@ -114,9 +123,32 @@ def test_conjugation_fixes_rationals():
 
 def test_galois_rejects_non_coprime():
     with pytest.raises(SpecError):
-        galois_apply(2, Cyclotomic.root(4))
+        Cyclotomic.root(4).galois(2)
 
 
 def test_is_rational():
     assert Cyclotomic.rational(5, 3).is_rational()
     assert not Cyclotomic.root(5).is_rational()
+
+
+@pytest.fixture(scope="module")
+def chartab_values():
+    """(conductor, root vector) of every distinct value of the tables whose text
+    ``chartab`` the golden digests freeze."""
+    groups = catalog_groups(max_order=MAX_ORDER) + [build_group(spec) for spec in WIDE_CHARTAB]
+    tables = [character_table(g) for g in groups]
+    return sorted({(t.conductor, mv) for t in tables for mv in chain.from_iterable(t.root_mults)})
+
+
+def test_value_text_matches_the_field_oracle(chartab_values):
+    assert len(chartab_values) > 500
+    for e, mv in chartab_values:
+        assert value_text(e, mv) == str(Cyclotomic.from_root_vector(e, mv)), (e, mv)
+
+
+def test_root_vector_twist_matches_the_field_automorphism(chartab_values):
+    for e, mv in chartab_values:
+        z = Cyclotomic.from_root_vector(e, mv)
+        for k in range(1, e + 1):
+            if gcd(k, e) == 1:
+                assert reduce_root_vector(e, twist_root_vector(mv, k, e)) == list(z.galois(k).coeffs)

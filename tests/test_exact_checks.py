@@ -7,12 +7,14 @@ table build's, which defines the values on the other classes of a rational
 class; everywhere else the Galois action is a power map on the classes.  The
 constraint systems of the forms are built and reduced in integers, on the gram
 and sigma scaled once to integers, and so is the rank certificate of the skew span.
+No module of the package or of the tests imports a name it never reads.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "skewlie"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "skewlie"
 
 
 def _imports_random(path: Path) -> bool:
@@ -60,3 +62,28 @@ def test_form_constraints_are_built_in_integers():
         for name, fn in builders.items():
             names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
             assert not names & {"Fraction", "ZERO"}, name
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads; a name in a string annotation is read."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.returns]
+    strings = [ast.parse(node.value, mode="eval") for a in annotations for node in ast.walk(a)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    read = {node.id for root in [tree, *strings] for node in ast.walk(root)
+            if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted(TESTS.glob("*.py"))
+    assert {p.name: names for p in modules if (names := _unread_imports(p))} == {}

@@ -123,7 +123,7 @@ def test_realize_returns_valid_witness(q8, canonical):
     assert check_adjoint_identity(r)
     # h(x, y) = functional(sigma(x) y) reproduces the gram matrix
     for g in range(q8.order):
-        sg = inv.apply_basis(g)
+        sg = inv.apply(AlgebraElement.basis(q8, g))
         for h in range(q8.order):
             prod = sg * AlgebraElement.basis(q8, h)
             value = sum(l * c for l, c in zip(r.functional, prod.coeffs))

@@ -10,13 +10,10 @@ from skewlie import (
     AlgebraElement,
     Involution,
     SpecError,
-    apply_involution,
     bracket,
     build_group,
-    multiply,
     sign_characters,
     skew_space,
-    validate_involution,
 )
 from skewlie.catalog import builtin_involutions, conjugated_canonical_involution
 from skewlie.groups import generators
@@ -30,25 +27,25 @@ def basis(g, i, scale=1):
 def test_basis_multiplication_matches_table(q8):
     for a in range(q8.order):
         for b in range(q8.order):
-            assert multiply(basis(q8, a), basis(q8, b)) == basis(q8, q8.mult[a][b])
+            assert basis(q8, a) * basis(q8, b) == basis(q8, q8.mult[a][b])
 
 
 def test_zero_divisor_in_c2():
     g = build_group("cyclic:2")
     one_plus = basis(g, 0) + basis(g, 1)
     one_minus = basis(g, 0) - basis(g, 1)
-    assert not multiply(one_plus, one_minus)
+    assert not one_plus * one_minus
 
 
 def test_q8_product_c_equals_ab(q8):
     # with a at index 1 and b at index 4, c = ab sits at index 5
     assert q8.mult[1][4] == 5
-    assert multiply(basis(q8, 1), basis(q8, 4)) == basis(q8, 5)
+    assert basis(q8, 1) * basis(q8, 4) == basis(q8, 5)
 
 
 def test_group_mismatch_rejected(q8, s3):
     with pytest.raises(SpecError):
-        multiply(basis(q8, 1), basis(s3, 1))
+        basis(q8, 1) * basis(s3, 1)
 
 
 def test_bracket_antisymmetry_and_bilinearity(q8):
@@ -78,19 +75,19 @@ def test_q8_skew_part_is_not_commutative(q8, canonical):
 def test_canonical_apply_on_basis(q8, canonical):
     inv = canonical(q8)
     for g in range(q8.order):
-        assert apply_involution(inv, basis(q8, g)) == basis(q8, q8.inv[g])
+        assert inv.apply(basis(q8, g)) == basis(q8, q8.inv[g])
 
 
 def test_oriented_with_trivial_alpha_is_canonical(q8, canonical):
     inv = canonical(q8)
-    oriented = validate_involution(Involution.oriented(q8, [1] * q8.order))
+    oriented = Involution.oriented(q8, [1] * q8.order)
     for g in range(q8.order):
         assert oriented.apply(basis(q8, g)) == inv.apply(basis(q8, g))
 
 
 def test_oriented_on_cyclic4_is_valid():
     g = build_group("cyclic:4")
-    inv = validate_involution(Involution.oriented(g, [1, -1, 1, -1]))
+    inv = Involution.oriented(g, [1, -1, 1, -1])
     report = skew_space(inv)
     assert report.skew_dim == 1
     assert report.fixed_minus == 0
@@ -100,24 +97,24 @@ def test_oriented_on_cyclic4_is_valid():
 def test_broken_map_rejected(c3):
     # fixes the generator but sends its square elsewhere: not multiplicative
     with pytest.raises(SpecError):
-        validate_involution(Involution.anti_automorphism(c3, [0, 1, 1]))
+        Involution.anti_automorphism(c3, [0, 1, 1])
     with pytest.raises(SpecError):
-        validate_involution(Involution.anti_automorphism(c3, [1, 2, 0]))
+        Involution.anti_automorphism(c3, [1, 2, 0])
 
 
 def test_alpha_must_be_homomorphism():
     g = build_group("cyclic:4")
     with pytest.raises(SpecError):
-        validate_involution(Involution.oriented(g, [1, -1, -1, 1]))
+        Involution.oriented(g, [1, -1, -1, 1])
     with pytest.raises(SpecError):
-        validate_involution(Involution.oriented(g, [1, 2, 1, 2]))
+        Involution.oriented(g, [1, 2, 1, 2])
 
 
 def test_linear_matrix_must_be_involutive(c3):
     n = c3.order
     not_involutive = [[Fraction(2) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     with pytest.raises(SpecError):
-        validate_involution(Involution.linear(c3, not_involutive))
+        Involution.linear(c3, not_involutive)
 
 
 def test_bad_spec_rejected_at_construction(c3, q8):
@@ -154,7 +151,7 @@ def test_involution_axioms_on_basis_pairs(q8, s3, canonical):
             assert inv.apply(images[x]) == basis(g, x)
             for y in range(g.order):
                 lhs = inv.apply(basis(g, g.mult[x][y]))
-                assert lhs == multiply(images[y], images[x])
+                assert lhs == images[y] * images[x]
 
 
 def test_skew_sym_decomposition(q8, canonical):
@@ -169,7 +166,7 @@ def test_fixed_point_dimension_formula():
         g = build_group(spec)
         from skewlie import sign_characters
         for alpha in sign_characters(g):
-            inv = validate_involution(Involution.oriented(g, alpha))
+            inv = Involution.oriented(g, alpha)
             report = skew_space(inv)
             expected = (g.order - report.fixed_plus - report.fixed_minus) // 2 + report.fixed_minus
             assert report.skew_dim == expected
@@ -210,8 +207,8 @@ def test_linear_variant_eigenspace_split(s3):
     matrix = [[Fraction(0)] * n for _ in range(n)]
     for g in range(n):
         matrix[s3.inv[g]][g] = Fraction(1)
-    linear = validate_involution(Involution.linear(s3, matrix))
-    canonical_report = skew_space(validate_involution(Involution.canonical(s3)))
+    linear = Involution.linear(s3, matrix)
+    canonical_report = skew_space(Involution.canonical(s3))
     linear_report = skew_space(linear)
     assert linear_report.skew_basis == canonical_report.skew_basis
     assert linear_report.sym_basis == canonical_report.sym_basis
@@ -236,11 +233,11 @@ def test_linear_involution_json_round_trip(c3):
     matrix = [[Fraction(0)] * n for _ in range(n)]
     for g in range(n):
         matrix[c3.inv[g]][g] = Fraction(1)
-    inv = validate_involution(Involution.linear(c3, matrix))
+    inv = Involution.linear(c3, matrix)
     obj = inv.to_json()
     assert obj["kind"] == "linear"
     assert all(isinstance(x, str) for row in obj["matrix"] for x in row)
-    rebuilt = validate_involution(Involution.from_json(c3, obj))
+    rebuilt = Involution.from_json(c3, obj)
     assert rebuilt.matrix == inv.matrix
 
 
