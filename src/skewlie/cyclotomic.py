@@ -88,7 +88,8 @@ def twist_root_vector(mv: Sequence[int], k: int, e: int) -> tuple[int, ...]:
 
 
 def value_text(e: int, mults: Sequence[int]) -> str:
-    """The value as text: its nonzero power-basis terms c, z<e>, -z<e>^j, c*z<e>^j, joined by signs."""
+    """sum_k mults[k] zeta_e^k as text: its nonzero power-basis terms c, z<e>^j,
+    -z<e>^j or c*z<e>^j (z<e> for j = 1) joined by their signs, or "0"."""
     terms = []
     for j, c in enumerate(reduce_root_vector(e, mults)):
         if c:

@@ -151,4 +151,5 @@ def test_root_vector_twist_matches_the_field_automorphism(chartab_values):
         z = Cyclotomic.from_root_vector(e, mv)
         for k in range(1, e + 1):
             if gcd(k, e) == 1:
-                assert reduce_root_vector(e, twist_root_vector(mv, k, e)) == list(z.galois(k).coeffs)
+                twisted = reduce_root_vector(e, twist_root_vector(mv, k, e))
+                assert twisted == list(z.galois(k).coeffs), (e, mv, k)

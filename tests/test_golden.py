@@ -1,15 +1,16 @@
-"""Golden digests of the JSON the CLI prints, frozen before refactors.
+"""Golden digests of what the CLI prints, frozen before refactors.
 
 Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
 ``decompose`` and ``form`` for every catalog group of order <= 12 under every
 built-in involution, ``decompose`` and ``form`` for the linear fixtures,
 ``verify`` for each of those catalog groups alone and for the fixtures alone,
 ``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes),
-the text ``chartab`` file of ``skewlie chartab --format text`` for those
-catalog groups and those wider groups, ``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS, ``form``
+``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS, ``form``
 for every catalog group of order <= FORM_MAX_ORDER under every built-in
 involution and for the fixtures at each seed of FORM_SEEDS, and ``form`` under
-the canonical involution for the groups of LARGE_FORM_GROUPS, seed 0.
+the canonical involution for the groups of LARGE_FORM_GROUPS, seed 0.  The
+``chartab-text`` entries are the sha256 of the file that ``skewlie chartab
+--format text --out`` writes, for the same catalog groups and WIDE_CHARTAB.
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when an
 output is meant to change.
 """

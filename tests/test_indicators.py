@@ -26,8 +26,8 @@ def indicator_by_elementwise_sum(table, index):
 
 def test_trivial_character_indicator(s3_table):
     trivial = next(
-        i for i in range(len(s3_table))
-        if all(v.rational_value() == 1 for v in cyclotomic_values(s3_table)[i])
+        i for i, row in enumerate(cyclotomic_values(s3_table))
+        if all(v.rational_value() == 1 for v in row)
     )
     assert fs_indicator(s3_table, trivial) == 1
 
@@ -108,8 +108,8 @@ def test_complex_characters_come_in_pairs():
     report = indicator_report(t)
     assert sorted(report.indicators) == [0, 0, 0, 0, 1]
     trivial = next(
-        i for i in range(5)
-        if all(v.is_rational() and v.rational_value() == 1 for v in cyclotomic_values(t)[i])
+        i for i, row in enumerate(cyclotomic_values(t))
+        if all(v.is_rational() and v.rational_value() == 1 for v in row)
     )
     assert report.indicators[trivial] == 1
     assert len(report.complex_pairs) == 2
