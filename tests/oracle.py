@@ -171,11 +171,11 @@ class Cyclotomic:
 
     def _reduce(self, terms):
         """Power-basis coordinates of sum c x^j over the (j, c) terms."""
-        e = self.conductor
+        e, table = self.conductor, power_basis_table(self.conductor)
         out = [Fraction(0)] * len(self.coeffs)
         for j, c in terms:
             if c:
-                for i, t in power_basis_table(e)[j % e]:
+                for i, t in table[j % e]:
                     out[i] += c * t
         return out
 
