@@ -2,9 +2,9 @@
 
 Every involution of QG is the adjoint involution of a nonsingular symmetric or
 skew-symmetric rational form h(x, y) = lam(sigma(x) y) on QG itself, for a
-suitable linear functional lam.  The symmetry constraints on lam are a finite
-exact linear system; a fixed-seed search picks a nonsingular solution.  The
-skew-adjoint condition h(f x, y) + h(x, f y) = 0 then cuts out exactly the
+suitable linear functional lam.  h is symmetric (skew) exactly when lam vanishes
+on the g - sigma(g) (g + sigma(g)); a fixed-seed search picks a nonsingular lam.
+The skew-adjoint condition h(f x, y) + h(x, f y) = 0 then cuts out exactly the
 skew-symmetric elements, and intersecting with ZG gives the integral lattice.
 """
 
@@ -117,31 +117,19 @@ def _solution_space(rows: Iterable[list[int]], n: int) -> QMatrix:
 
 
 def _functional_space(inv: Involution, want: str) -> QMatrix:
-    """Basis of functionals lam with lam(sigma(g)h) -+ lam(sigma(h)g) = 0, read on d*sigma."""
-    n = inv.group.order
-    mult = inv.group.mult
-    _, cols = inv.scaled_columns
-    sign = -1 if want == SYMMETRIC else 1
-
-    def constraint(g: int, h: int) -> list[int]:
-        row = [0] * n
-        for k, c in cols[g]:
-            row[mult[k][h]] += c
-        for k, c in cols[h]:
-            row[mult[k][g]] += sign * c
-        return row
-
-    return _solution_space((constraint(g, h) for g in range(n) for h in range(g, n)), n)
+    """Functionals lam with lam(sigma(g)h) = +-lam(sigma(h)g), i.e. lam(x -+ sigma(x)) = 0
+    for x = sigma(h)g; h = 1 gives every x = g, as sigma(1) = 1: the n rows g -+ sigma(g)."""
+    return _solution_space(eigen_rows(inv, -1 if want == SYMMETRIC else 1), inv.group.order)
 
 
 def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
     """Find a nonsingular symmetric (preferred) or skew form realizing sigma.
 
-    The adjoint identity h(f x, y) = h(x, sigma(f) y) holds for every
-    functional lam by anti-multiplicativity; the search only has to hit a
-    nonsingular gram matrix, drawing fixed-seed integer combinations of the
-    constraint-space basis.  lam and the gram are built in integers, on the basis
-    times its common denominator den and on d*sigma, and divided by den*d once.
+    The adjoint identity h(f x, y) = h(x, sigma(f) y) holds for every functional lam
+    by anti-multiplicativity, and h is symmetric (skew) exactly when lam o sigma = lam
+    (-lam).  The search only has to hit a nonsingular gram, drawing fixed-seed integer
+    combinations of the basis of those lam.  lam and the gram are built in integers, on
+    the basis times its common denominator den and on d*sigma, and divided by den*d once.
     """
     n = inv.group.order
     mult = inv.group.mult
@@ -247,7 +235,7 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> b
 def skew_lattice_generators(inv: Involution) -> list[list[int]]:
     """The nonzero integer rows g - sigma(g) of a group-induced involution."""
     _require_group_induced(inv, "integral lattice")
-    return [[int(x) for x in row] for row in eigen_rows(inv, -1) if any(row)]
+    return [row for row in eigen_rows(inv, -1) if any(row)]
 
 
 def integral_skew_lattice(inv: Involution) -> list[list[int]]:

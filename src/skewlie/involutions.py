@@ -275,14 +275,15 @@ def _sparse_sum(terms) -> tuple:
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
-def eigen_rows(inv: Involution, s: int) -> list[list]:
-    """Dense rows g + s*sigma(g), s = +-1: they span the s-eigenspace of sigma, in ints
-    when sigma is group-induced."""
+def eigen_rows(inv: Involution, s: int) -> list[list[int]]:
+    """Integer rows d*g + s*(d*sigma)(g), s = +-1, on ``scaled_columns``: they span
+    the s-eigenspace of sigma."""
     n = inv.group.order
+    d, cols = inv.scaled_columns
     rows = []
-    for g, col in enumerate(inv.columns):
+    for g, col in enumerate(cols):
         row = [0] * n
-        row[g] = 1
+        row[g] = d
         for h, c in col:
             row[h] += s * c
         rows.append(row)

@@ -278,8 +278,10 @@ def test_seed_env_respected(capsys, monkeypatch):
 
 def test_out_of_memory_exits_two_with_message():
     """A MemoryError ends in exit 2 and one line, not a traceback.  The address-space
-    cap acts only on the child; the form of dihedral:256 (order 512) solves a system
-    of n(n+1)/2 integer rows of length n, 67 million entries, far beyond it."""
+    cap acts only on the child; the skew-span check of the form of dihedral:256
+    (order 512) builds n integer columns of length n^2, 134 million entries, far
+    beyond it.  A group table past the default order cap would exhaust the cap
+    sooner; this input runs out inside the form computation, within the default cap."""
     cap = 256 << 20
 
     def limit():

@@ -48,12 +48,13 @@ CONSTRAINT_BUILDERS = {
     "forms": ("_solution_space", "_functional_space", "_skew_adjoint_columns",
               "skew_adjoint_space", "adjoint_space_matches_skew_span", "check_adjoint_identity"),
     "linalg": ("rank_mod_p_reaches",),
+    "involutions": ("eigen_rows",),
 }
 
 
 def test_form_constraints_are_built_in_integers():
-    """The constraint builders of the forms, the skew-span certificate and the rank
-    mod p call no Fraction( and read no ZERO."""
+    """The constraint builders of the forms, the skew-span certificate, the rank
+    mod p and the rows g -+ sigma(g) call no Fraction( and read no ZERO."""
     for module, wanted in CONSTRAINT_BUILDERS.items():
         tree = ast.parse((SRC / f"{module}.py").read_text())
         builders = {node.name: node for node in ast.walk(tree)

@@ -242,10 +242,10 @@ def test_form_report_shape(q8, canonical):
     assert all(isinstance(x, str) for x in rep["functional"])
 
 
-def _form_cases():
-    """Every catalog group of order <= 12 under every built-in involution, and the
-    four linear fixtures."""
-    for group in catalog_groups(max_order=12):
+def _form_cases(max_order: int = 12):
+    """Every catalog group up to max_order under every built-in involution, and the
+    four linear fixtures; at FORMS_ORDER_LIMIT, the forms `verify` realizes."""
+    for group in catalog_groups(max_order=max_order):
         for label, inv in builtin_involutions(group):
             yield f"{group.name} {label}", inv
     for label, _, inv in linear_fixtures():
@@ -253,14 +253,19 @@ def _form_cases():
 
 
 def test_integer_route_matches_the_rational_oracle():
-    """The integer constraint rows give the same functional spaces, grams,
-    functionals and skew-adjoint spaces as rational rows reduced by division,
-    and the same adjoint check, for seeds 0-2."""
+    """The n integer rows g -+ sigma(g) give the same functional spaces as the
+    n(n+1)/2 rational pair rows reduced by division, on every form `verify` realizes;
+    and the same grams, functionals and skew-adjoint spaces, and the same adjoint
+    check, on the form cases for seeds 0-2."""
+    verified = list(_form_cases(FORMS_ORDER_LIMIT))
+    assert len(verified) == 161
+    for label, inv in verified:
+        for want in ("symmetric", "skew"):
+            expected = functional_space_by_fractions(inv.group.mult, inv.columns,
+                                                     want == "symmetric")
+            assert forms._functional_space(inv, want) == expected, (label, want)
     for label, inv in _form_cases():
         mult, columns = inv.group.mult, inv.columns
-        for want in ("symmetric", "skew"):
-            expected = functional_space_by_fractions(mult, columns, want == "symmetric")
-            assert forms._functional_space(inv, want) == expected, label
         for seed in (0, 1, 2):
             r = realize_adjoint_form(inv, seed=seed)
             gram, lam = realize_by_fractions(mult, columns, seed, forms.DEFAULT_ATTEMPTS)
@@ -299,8 +304,8 @@ def test_every_one_entry_change_fails_the_skew_span_check():
 
 
 def test_every_constraint_row_is_built_and_reduced(monkeypatch):
-    """n(n+1)/2 functional rows and n^2 skew-adjoint rows reach the solver, and
-    every distinct nonzero one of them reaches the echelon step."""
+    """n functional rows g -+ sigma(g) and n^2 skew-adjoint rows reach the solver,
+    and every distinct nonzero one of them reaches the echelon step."""
     built, reduced = [], []
     solution_space, int_echelon = forms._solution_space, forms._int_echelon
 
@@ -317,7 +322,7 @@ def test_every_constraint_row_is_built_and_reduced(monkeypatch):
     monkeypatch.setattr(forms, "_int_echelon", counting_echelon)
     _, inv = s3_conjugated_fixture()
     skew_adjoint_space(realize_adjoint_form(inv, seed=0))
-    assert [count for count, _ in built] == [21, 36]
+    assert [count for count, _ in built] == [6, 36]
     assert reduced == [distinct for _, distinct in built]
 
 
@@ -401,9 +406,7 @@ def test_the_fixed_prime_needs_no_fallback_on_the_verify_forms(monkeypatch):
         return ranks[-1][0]
 
     monkeypatch.setattr(forms, "rank", recording_rank)
-    cases = [inv for group in catalog_groups(max_order=FORMS_ORDER_LIMIT)
-             for _, inv in builtin_involutions(group)]
-    cases += [inv for _, _, inv in linear_fixtures()]
+    cases = [inv for _, inv in _form_cases(FORMS_ORDER_LIMIT)]
     assert len(cases) == 161
     for inv in cases:
         assert all(form_report(inv, seed=0)["checks"].values())
