@@ -4,7 +4,8 @@ Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
 ``decompose`` and ``form`` for every catalog group of order <= 12 under every
 built-in involution, ``decompose`` and ``form`` for the linear fixtures,
 ``verify`` for each of those catalog groups alone and for the fixtures alone,
-``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes),
+``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes), for
+every other catalog group of order > 12 and for LARGE_CHARTAB,
 ``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS, ``form``
 for every catalog group of order <= FORM_MAX_ORDER under every built-in
 involution and for the fixtures at each seed of FORM_SEEDS, and ``form`` under
@@ -42,6 +43,7 @@ WIDE_CHARTAB = (
     + ["product:cyclic:5,dicyclic:4", "product:cyclic:9,dicyclic:2",
        "product:cyclic:8,alternating:4"]
 )
+LARGE_CHARTAB = ("cyclic:120", "dihedral:128", "product:alternating:5,dicyclic:4")
 # every catalog group, the benchmark's decompose-mid groups outside the
 # catalog, and two groups with many sign characters or many elements
 SIGN_CHARACTER_GROUPS = CATALOG_SPECS + (
@@ -83,7 +85,8 @@ def digests() -> dict[str, str]:
         out[f"form {label}"] = _sha(form_report(inv, seed=0))
     # no catalog group has order <= 0, so only the linear fixtures run
     out["verify fixtures"] = _sha(run_verification(max_order=0).to_json())
-    for spec in WIDE_CHARTAB:
+    above = [g.name for g in catalog_groups() if g.order > MAX_ORDER and g.name not in WIDE_CHARTAB]
+    for spec in WIDE_CHARTAB + above + list(LARGE_CHARTAB):
         out[f"chartab {spec}"] = _sha(character_table(build_group(spec)).to_json())
     for spec in SIGN_CHARACTER_GROUPS:
         out[f"sign_characters {spec}"] = _sha(sign_characters(build_group(spec)))
