@@ -13,8 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
+from itertools import repeat
 from math import lcm
+from operator import add, mul, ne
 from typing import Iterable
 
 from .errors import ComputationError, SpecError
@@ -221,10 +223,8 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> b
     for g, terms in enumerate(scaled):
         if terms == ((g, d),):
             continue  # sigma(g) = g
-        image = [d * x for x in cols[g]]
-        for h, c in terms:
-            image = [a - c * b for a, b in zip(image, cols[h])]
-        if any(image):
+        image = reduce(partial(map, add), (map(mul, repeat(c), cols[h]) for h, c in terms))
+        if any(map(ne, map(mul, repeat(d), cols[g]), image)):  # stops at the first mismatch
             return False
     skew = skew_space(inv)
     if rank_mod_p_reaches(zip(*cols), inv.group.order - skew.skew_dim):

@@ -109,10 +109,12 @@ def _check_table(name: str, mult: list[list[int]]) -> Group:
 
 
 def _built_group(name: str, order: int, row, max_order: int) -> Group:
-    """Check the order against the cap, then build the table from row(x) and check it."""
+    """Check the order against the cap, then build the table from row(x) and check it;
+    equal entries share one int object, and one outside 0..order-1 is left as it is."""
     if order > max_order:
         raise SpecError(f"{name}: order {order} exceeds the configured cap {max_order}")
-    return _check_table(name, [row(x) for x in range(order)])
+    ints = {i: i for i in range(order)}
+    return _check_table(name, [tuple(map(ints.get, r, r)) for r in map(row, range(order))])
 
 
 def cyclic_group(n: int, name: str | None = None, max_order: int = DEFAULT_MAX_ORDER) -> Group:

@@ -8,15 +8,15 @@ the piece's vector under a class matrix give its minimal polynomial, and each
 root its projection on one eigenspace.  The classes of a generating set split
 first, then the rest largest first, and the roots are tried first among the
 eigenvalues |K| zeta_o^t of the linear characters.  Degrees and class values
-are recovered mod p and lifted to exact sums of roots of unity on one class
-per rational class, by an inverse discrete Fourier transform over the powers
-of its representative (a discrete log for a linear character); every other
-class g^k of the rational class takes the Galois twist by k.
-
-Outside that build the Galois action is read as power maps on the classes.
-Galois orbits of characters give the rational central primitive idempotents,
-and each simple component of QG is classified against an involution as
-orthogonal, symplectic, or unitary from the dimension of its skew part.
+are recovered mod p.  The twist of chi by a unit k is chi read through the
+power map of k, mod p as well as exactly: so one character per Galois orbit is
+lifted to sums of roots of unity, by an inverse DFT over the powers of one
+representative per rational class and the twist by k on its other classes g^k,
+and the other rows of the orbit are read through the power maps, each matched
+to its own eigenvector mod p.  Galois orbits of the exact rows give the
+rational central primitive idempotents, and each simple component of QG is
+classified against an involution as orthogonal, symplectic, or unitary from
+the dimension of its skew part.
 """
 
 from __future__ import annotations
@@ -297,6 +297,25 @@ def _lift(xs: list[int], d: int, e: int, p: int, dft: dict, dlog: dict) -> list[
     return mv
 
 
+def _power_map(group: Group, k: int) -> tuple[int, ...]:
+    """The class of x^k for x in each class: the class of g^j, for g the first
+    representative of its rational class, goes to the class of g^(jk).  For k
+    prime to the exponent chi(x^k) is the Galois twist of chi(x) by k, also mod
+    p (Isaacs, Character Theory of Finite Groups)."""
+    image = [0] * len(conjugacy_classes(group))
+    for powers, twins in _rational_classes(group):
+        for c, j in twins:
+            image[c] = powers[j * k % len(powers)]
+    return tuple(image)
+
+
+@_per_group
+def _unit_power_maps(group: Group) -> tuple[tuple[int, ...], ...]:
+    """The distinct power maps of the units k mod exponent(G), in increasing k."""
+    e = exponent(group)
+    return tuple(dict.fromkeys(_power_map(group, k) for k in range(1, e + 1) if gcd(k, e) == 1))
+
+
 # ---------------------------------------------------------------------------
 # character table
 # ---------------------------------------------------------------------------
@@ -323,15 +342,8 @@ class CharacterTable:
         return len(self.degrees)
 
     def power_map(self, k: int) -> tuple[int, ...]:
-        """The class of x^k for x in each class: the class of g^j, for g the first
-        representative of its rational class, goes to the class of g^(jk).  For k
-        prime to the conductor chi(x^k) is the Galois twist of chi(x) by k (Isaacs,
-        Character Theory of Finite Groups)."""
-        image = [0] * len(self.classes)
-        for powers, twins in _rational_classes(self.group):
-            for c, j in twins:
-                image[c] = powers[j * k % len(powers)]
-        return tuple(image)
+        """The class of x^k for x in each class."""
+        return _power_map(self.group, k)
 
     @cached_property
     def orbits(self) -> tuple[GaloisOrbit, ...]:
@@ -372,42 +384,47 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
     n = group.order
     e = exponent(group)
     p = check_dixon_prime(group, prime) if prime is not None else find_dixon_prime(group)
-    sizes = cd.sizes()
     z = pow(_primitive_root(p), (p - 1) // e, p)
     vectors = _central_characters(group, p, z)
 
-    size_inv = [pow(sz, p - 2, p) for sz in sizes]
+    size_inv = [pow(sz, p - 2, p) for sz in cd.sizes()]
     dlog = {pow(z, t, p): t for t in range(e)}
-    lifts = _rational_classes(group)
     dft = {}  # order o -> (1/o mod p, rows m of zeta_o^(-m l) over l); degree > 1 only
 
     interned: dict = {}  # one tuple object per distinct value
+    twists: dict = {}  # chi^k mod p -> row of chi^k, for each row lifted so far
     rows = []
     for v in vectors:
         # normalize so the identity-class coordinate is 1, recover the degree mod p
         if v[0] % p == 0:
             raise ComputationError("eigenvector vanishes on the identity class")
         u0_inv = pow(v[0], p - 2, p)
-        u = [x * u0_inv % p for x in v]
-        t = sum(u[j] * u[cd.class_inverse[j]] * size_inv[j] for j in range(s)) % p
+        w = [x * u0_inv * y % p for x, y in zip(v, size_inv)]  # u_j / |K_j| for u = v / v[0]
+        t = sum(map(mul, w, map(v.__getitem__, cd.class_inverse))) * u0_inv % p
         d_sq = n * pow(t, p - 2, p) % p
         d = isqrt(d_sq)
         if d * d != d_sq or d == 0 or n % d != 0:
             raise ComputationError("character degree recovery failed")
-        x_mod = [d * u[j] * size_inv[j] % p for j in range(s)]
-
-        mults: list = [None] * s
-        for powers, twins in lifts:
-            o = len(powers)
-            if d > 1 and o not in dft:
-                zo = pow(z, e // o, p)
-                dft[o] = (pow(o, p - 2, p),
-                          [[pow(zo, -m * l % o, p) for l in range(o)] for m in range(o)])
-            mv = _lift([x_mod[c] for c in powers], d, e, p, dft, dlog)
-            for twin, k in twins:
-                tv = twist_root_vector(mv, k, e)
-                mults[twin] = interned.setdefault(tv, tv)
-        rows.append((d, tuple(mults)))
+        x_mod = tuple([d * x % p for x in w])
+        row = twists.pop(x_mod, None)
+        if row is None:  # the first character of its Galois orbit: lift it
+            mults: list = [None] * s
+            for powers, twins in _rational_classes(group):
+                o = len(powers)
+                if d > 1 and o not in dft:
+                    zo = pow(z, e // o, p)
+                    dft[o] = (pow(o, p - 2, p),
+                              [[pow(zo, -m * l % o, p) for l in range(o)] for m in range(o)])
+                mv = _lift([x_mod[c] for c in powers], d, e, p, dft, dlog)
+                for twin, k in twins:
+                    tv = twist_root_vector(mv, k, e)
+                    mults[twin] = interned.setdefault(tv, tv)
+            row = tuple(mults)
+            for pm in _unit_power_maps(group):  # chi^k is chi read through the power map of k
+                key = tuple(map(x_mod.__getitem__, pm))
+                if key != x_mod and key not in twists:
+                    twists[key] = tuple(map(row.__getitem__, pm))
+        rows.append((d, row))
 
     rows.sort(key=lambda r: (r[0], r[1]))
     degrees = tuple(r[0] for r in rows)
@@ -416,6 +433,8 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
         raise ComputationError("degree squares do not sum to the group order")
     if len(set(root_mults)) != s:
         raise ComputationError("character rows are not distinct")
+    if twists:
+        raise ComputationError("a Galois twist mod p matches no eigenvector")
     return CharacterTable(
         group=group,
         classes=cd,
@@ -483,13 +502,11 @@ class GaloisOrbit:
 def galois_orbits(table: CharacterTable) -> list[GaloisOrbit]:
     """The orbits of the rows under the twists by the units k mod the conductor.
 
-    The twist of a row by k is the row read through ``table.power_map(k)`` on
-    every table ``character_table`` builds: its value on a class g^j is the
-    twist by j of the lift on g, and that lift, a DFT of chi mod p on the powers
-    of g, is fixed by every k with g^k conjugate to g.
+    The twist of a row by k is the row read through the power map of k.  The
+    orbits are read from the exact rows, not from the build, which grouped the
+    characters mod p: so they cross-check that grouping.
     """
-    e = table.conductor
-    maps = {table.power_map(k) for k in range(1, e + 1) if gcd(k, e) == 1}
+    maps = _unit_power_maps(table.group)
     row_index = {row: i for i, row in enumerate(table.root_mults)}
     orbits, assigned = [], set()
     for i, row in enumerate(table.root_mults):

@@ -295,6 +295,21 @@ def test_out_of_memory_exits_two_with_message():
     assert proc.stdout == ""
 
 
+def test_group_at_the_order_cap_fits_in_96_mb():
+    """The table of dihedral:1000 (order 2000, the default cap) holds 4 million
+    entries; as one int object per element they fit under a 96 MB address-space
+    cap on the child, where one object per entry would not."""
+    cap = 96 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    cmd = [sys.executable, "-m", "skewlie", "group-info", "--group", "dihedral:1000"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["order"] == 2000
+
+
 @pytest.mark.parametrize("spec", ["cyclic:100000", "dihedral:50000", "dicyclic:25000"])
 def test_order_cap_is_read_before_the_table_is_built(spec):
     """A family above the cap exits 1 with the cap message at once; the n^2 table of

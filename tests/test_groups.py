@@ -134,6 +134,10 @@ def test_bad_tables_rejected():
         group_from_table([[0, 1], [0, 1]])  # rows are permutations, columns are not
     with pytest.raises(SpecError):
         group_from_table([[1, 0], [0, 1]])  # identity not at 0
+    # -1 indexes a tuple from its end, onto 2; 3 lies past the end
+    for table in ([[0, 1, 2], [1, -1, 0], [2, 0, 1]], [[0, 1, 2], [1, 3, 0], [2, 0, 1]]):
+        with pytest.raises(SpecError, match=r"row 1 is not a permutation of 0\.\.2"):
+            group_from_table(table)
     with pytest.raises(SpecError):
         # latin square, identity at 0, but not associative: (1*1)*2 != 1*(1*2)
         group_from_table(LOOP_5)

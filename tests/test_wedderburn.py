@@ -788,3 +788,30 @@ def test_table_guards(monkeypatch, spec, change, message):
     monkeypatch.setattr(wedderburn, "_central_characters", changed)
     with pytest.raises(ComputationError, match=message):
         character_table(build_group(spec))
+
+
+@pytest.mark.parametrize("spec, lifts", [("cyclic:60", 144), ("dihedral:30", 100),
+                                         ("abelian:2,4,8", 784)])
+def test_one_lift_per_galois_orbit(monkeypatch, spec, lifts):
+    """The build lifts one character per Galois orbit, once on each rational
+    class, and reads the other rows of the orbit through the power maps."""
+    calls = []
+    true_lift = wedderburn._lift
+    monkeypatch.setattr(wedderburn, "_lift", lambda *a: calls.append(a) or true_lift(*a))
+    g = build_group(spec)
+    t = character_table(g)
+    assert len(calls) == len(t.orbits) * len(wedderburn._rational_classes(g)) == lifts
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:5", "alternating:5", "dicyclic:3"])
+def test_a_wrong_power_map_fails_the_build(monkeypatch, spec):
+    """Each row read through a power map must be the twist of an eigenvector mod
+    p.  Every map below moves the identity class, as no power map does, so some
+    twist of a lifted character matches no eigenvector."""
+    def swapped(group):
+        return tuple((pm[1], pm[0]) + pm[2:] for pm in true_maps(group))
+
+    true_maps = wedderburn._unit_power_maps
+    monkeypatch.setattr(wedderburn, "_unit_power_maps", swapped)
+    with pytest.raises(ComputationError, match="Galois twist mod p matches no eigenvector"):
+        character_table(build_group(spec))
