@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .cyclotomic import reduce_root_vector
 from .errors import ComputationError
@@ -17,23 +17,28 @@ if TYPE_CHECKING:
 
 def fs_indicator(table: "CharacterTable", index: int) -> int:
     """(1/|G|) sum_g chi(g^2), always -1, 0, or 1; each distinct chi(g^2) is read once."""
+    return next(_indicators(table, [table.root_mults[index]]))
+
+
+def _indicators(table: "CharacterTable", rows: Iterable[tuple]) -> Iterator[int]:
+    """The indicator of each of the rows, from one power map at 2."""
     e = table.conductor
     sizes = table.classes.sizes()
     weights: dict[int, int] = {}  # squared class -> total size of the classes squaring to it
     for j, k in enumerate(table.power_map(2)):
         weights[k] = weights.get(k, 0) + sizes[j]
-    row = table.root_mults[index]
-    acc = [0] * e
-    for k, w in weights.items():
-        for t in compress(range(e), row[k]):  # the nonzero entries only
-            acc[t] += w * row[k][t]
-    red = reduce_root_vector(e, acc)
-    if any(red[1:]):
-        raise ComputationError("indicator sum is not rational (table bug)")
-    value = Fraction(red[0], table.group.order)
-    if value.denominator != 1 or value not in (-1, 0, 1):
-        raise ComputationError(f"indicator {value} outside {{-1,0,1}} (table bug)")
-    return int(value)
+    for row in rows:
+        acc = [0] * e
+        for k, w in weights.items():
+            for t in compress(range(e), row[k]):  # the nonzero entries only
+                acc[t] += w * row[k][t]
+        red = reduce_root_vector(e, acc)
+        if any(red[1:]):
+            raise ComputationError("indicator sum is not rational (table bug)")
+        value = Fraction(red[0], table.group.order)
+        if value.denominator != 1 or value not in (-1, 0, 1):
+            raise ComputationError(f"indicator {value} outside {{-1,0,1}} (table bug)")
+        yield int(value)
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ def involution_count_identity(table: "CharacterTable") -> tuple[bool, dict]:
 
 def indicator_report(table: "CharacterTable") -> IndicatorReport:
     """Indicators, the conjugate pairs, read through the inverse classes, and the ledger."""
-    indicators = tuple(fs_indicator(table, i) for i in range(len(table)))
+    indicators = tuple(_indicators(table, table.root_mults))
     real = tuple(i for i, nu in enumerate(indicators) if nu == 1)
     symp = tuple(i for i, nu in enumerate(indicators) if nu == -1)
     row_index = {row: i for i, row in enumerate(table.root_mults)}

@@ -13,8 +13,8 @@ power map of k, mod p as well as exactly: so one character per Galois orbit is
 lifted to sums of roots of unity, by an inverse DFT over the powers of one
 representative per rational class and the twist by k on its other classes g^k,
 and the other rows of the orbit are read through the power maps, each matched
-to its own eigenvector mod p.  Galois orbits of the exact rows give the
-rational central primitive idempotents, and each simple component of QG is
+to its own eigenvector mod p.  The Galois orbits so found give the rational
+central primitive idempotents, and each simple component of QG is
 classified against an involution as orthogonal, symplectic, or unitary from
 the dimension of its skew part.
 """
@@ -336,6 +336,7 @@ class CharacterTable:
     conductor: int
     degrees: tuple[int, ...]
     root_mults: tuple[tuple[tuple[int, ...], ...], ...]
+    orbit_of: tuple[int, ...]  # a label per row, shared by the rows of one Galois orbit
     prime: int
 
     def __len__(self) -> int:
@@ -392,7 +393,7 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
     dft = {}  # order o -> (1/o mod p, rows m of zeta_o^(-m l) over l); degree > 1 only
 
     interned: dict = {}  # one tuple object per distinct value
-    twists: dict = {}  # chi^k mod p -> row of chi^k, for each row lifted so far
+    twists: dict = {}  # chi^k mod p -> (row of chi^k, orbit of chi), for each row lifted so far
     rows = []
     for v in vectors:
         # normalize so the identity-class coordinate is 1, recover the degree mod p
@@ -406,7 +407,7 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
         if d * d != d_sq or d == 0 or n % d != 0:
             raise ComputationError("character degree recovery failed")
         x_mod = tuple([d * x % p for x in w])
-        row = twists.pop(x_mod, None)
+        row, orbit = twists.pop(x_mod, (None, len(rows)))
         if row is None:  # the first character of its Galois orbit: lift it
             mults: list = [None] * s
             for powers, twins in _rational_classes(group):
@@ -423,15 +424,14 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
             for pm in _unit_power_maps(group):  # chi^k is chi read through the power map of k
                 key = tuple(map(x_mod.__getitem__, pm))
                 if key != x_mod and key not in twists:
-                    twists[key] = tuple(map(row.__getitem__, pm))
-        rows.append((d, row))
+                    twists[key] = (tuple(map(row.__getitem__, pm)), orbit)
+        rows.append((d, row, orbit, x_mod))
 
     rows.sort(key=lambda r: (r[0], r[1]))
-    degrees = tuple(r[0] for r in rows)
-    root_mults = tuple(r[1] for r in rows)
+    degrees, root_mults, orbit_of, keys = zip(*rows)
     if sum(d * d for d in degrees) != n:
         raise ComputationError("degree squares do not sum to the group order")
-    if len(set(root_mults)) != s:
+    if len(set(keys)) != s:  # each row reduces mod p to its own key
         raise ComputationError("character rows are not distinct")
     if twists:
         raise ComputationError("a Galois twist mod p matches no eigenvector")
@@ -441,6 +441,7 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
         conductor=e,
         degrees=degrees,
         root_mults=root_mults,
+        orbit_of=orbit_of,
         prime=p,
     )
 
@@ -491,8 +492,11 @@ class GaloisOrbit:
     """One orbit of characters under zeta -> zeta^k; one rational component."""
 
     members: tuple[int, ...]
-    degree: int        # common character degree n
-    field_degree: int  # [Q(chi) : Q] = orbit size
+    degree: int  # common character degree n
+
+    @property
+    def field_degree(self) -> int:  # [Q(chi) : Q] = orbit size
+        return len(self.members)
 
     @property
     def dim_q(self) -> int:
@@ -500,26 +504,16 @@ class GaloisOrbit:
 
 
 def galois_orbits(table: CharacterTable) -> list[GaloisOrbit]:
-    """The orbits of the rows under the twists by the units k mod the conductor.
-
-    The twist of a row by k is the row read through the power map of k.  The
-    orbits are read from the exact rows, not from the build, which grouped the
-    characters mod p: so they cross-check that grouping.
-    """
-    maps = _unit_power_maps(table.group)
-    row_index = {row: i for i, row in enumerate(table.root_mults)}
-    orbits, assigned = [], set()
-    for i, row in enumerate(table.root_mults):
-        if i in assigned:
-            continue
-        members = {row_index.get(tuple(map(row.__getitem__, pm))) for pm in maps}
-        if None in members:
-            raise ComputationError("Galois twist left the character table")
-        assigned.update(members)
-        members = tuple(sorted(members))
-        orbits.append(GaloisOrbit(members, table.degrees[i], field_degree=len(members)))
-    orbits.sort(key=lambda o: (o.degree, o.members[0]))
-    return orbits
+    """The orbits of the rows under the twists by the units k mod the conductor,
+    as the build labelled them in ``orbit_of``.  It matched every row read
+    through a unit power map to its own eigenvector mod p, and distinct
+    characters are distinct mod p (<chi, chi> = |G| is prime to p), so these
+    are the orbits of the exact rows."""
+    members: dict[int, list[int]] = {}
+    for i, orbit in enumerate(table.orbit_of):
+        members.setdefault(orbit, []).append(i)
+    return sorted((GaloisOrbit(tuple(m), table.degrees[m[0]]) for m in members.values()),
+                  key=lambda o: (o.degree, o.members[0]))
 
 
 @dataclass(frozen=True)

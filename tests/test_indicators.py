@@ -143,3 +143,17 @@ def test_symplectic_components_have_indicator_minus_one(q8, q8_table):
         if comp.type == "symplectic":
             for member in orbits[comp.component_id].members:
                 assert rep.table.indicators.indicators[member] == -1
+
+
+def test_indicator_report_reads_the_power_map_at_2_once(monkeypatch):
+    """One power map per table, not one per character."""
+    import skewlie.wedderburn as wedderburn
+
+    t = character_table(build_group("cyclic:12"))
+    calls = []
+    true_power_map = wedderburn._power_map
+    monkeypatch.setattr(wedderburn, "_power_map",
+                        lambda group, k: calls.append(k) or true_power_map(group, k))
+    report = indicator_report(t)
+    assert calls == [2]
+    assert report.indicators == tuple(fs_indicator(t, i) for i in range(len(t)))
