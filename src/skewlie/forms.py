@@ -17,7 +17,7 @@ from functools import cached_property, partial, reduce
 from itertools import repeat
 from math import lcm
 from operator import add, mul, ne
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ComputationError, SpecError
 from .groups import generators
@@ -109,10 +109,9 @@ def canonical_regular_form(inv: Involution) -> AdjointRealization:
     return AdjointRealization(form=form, involution=inv, functional=functional)
 
 
-def _solution_space(rows: Iterable[list[int]], n: int) -> QMatrix:
+def _solution_space(rows: Iterable[Sequence[int]], n: int) -> QMatrix:
     """Null space basis of the distinct nonzero rows (Q^n if none), from their echelon form."""
-    constraints = sorted(row for row in rows if any(row))
-    constraints = [row for i, row in enumerate(constraints) if not i or row != constraints[i - 1]]
+    constraints = sorted({tuple(row) for row in rows if any(row)})
     if not constraints:
         return identity(n)
     return nullspace_rows(constraints[:len(_int_echelon(constraints))])
@@ -183,19 +182,18 @@ def check_adjoint_identity(r: AdjointRealization) -> bool:
     return all(holds(f, x, y) for f in generators(group) for x in range(n) for y in range(n))
 
 
-def _skew_adjoint_columns(r: AdjointRealization) -> list[list[int]]:
-    """col_z = [h(zx, y) + h(x, zy) for all (x, y)] on the integer gram, one per z:
-    f satisfies the skew-adjoint condition exactly when sum_z f_z col_z = 0."""
-    n = r.involution.group.order
+def _skew_adjoint_blocks(r: AdjointRealization) -> Iterator[list[list[int]]]:
+    """B_x[z][y] = h(zx, y) + h(x, zy) on the integer gram, one n x n block per x:
+    f satisfies the skew-adjoint condition exactly when sum_z f_z B_x[z] = 0 for all x."""
     gram = r.form.int_gram
-    cols = []
-    for mz in r.involution.group.mult:
-        col = []
-        for x in range(n):
-            gx = gram[x]
-            col += [a + gx[m] for a, m in zip(gram[mz[x]], mz)]
-        cols.append(col)
-    return cols
+    mult = r.involution.group.mult
+    for x, gx in enumerate(gram):
+        yield [[a + gx[m] for a, m in zip(gram[mz[x]], mz)] for mz in mult]
+
+
+def _skew_adjoint_rows(r: AdjointRealization) -> Iterator[tuple[int, ...]]:
+    """The rows (x, y) of the skew-adjoint system, x-major: the columns of each block."""
+    return (row for block in _skew_adjoint_blocks(r) for row in zip(*block))
 
 
 def skew_adjoint_space(r: AdjointRealization) -> QMatrix:
@@ -205,7 +203,7 @@ def skew_adjoint_space(r: AdjointRealization) -> QMatrix:
     one exact linear system in the |G| coefficients of f, one integer row per (x, y).
     """
     n = r.involution.group.order
-    return rref_rows(_solution_space(map(list, zip(*_skew_adjoint_columns(r))), n))
+    return rref_rows(_solution_space(_skew_adjoint_rows(r), n))
 
 
 def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> bool:
@@ -213,21 +211,20 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> b
 
     Let N be its solution space and S the span of the g - sigma(g).  S lies in N
     when each d*(g - sigma(g)), with d*sigma in integers, solves every one of the
-    n^2 rows; that is read on the columns of the system, not derived from the
-    adjoint identity.  N = S then follows once the rank of the system reaches
+    n^2 rows; that is read on every block B_x, not derived from the adjoint
+    identity.  N = S then follows once the rank of the system reaches
     n - dim S mod a prime, since the rank mod p never exceeds the rank over Q.
     Short of that, the exact solution space decides.
     """
-    cols = _skew_adjoint_columns(r)
     d, scaled = inv.scaled_columns
-    for g, terms in enumerate(scaled):
-        if terms == ((g, d),):
-            continue  # sigma(g) = g
-        image = reduce(partial(map, add), (map(mul, repeat(c), cols[h]) for h, c in terms))
-        if any(map(ne, map(mul, repeat(d), cols[g]), image)):  # stops at the first mismatch
-            return False
+    moved = [(g, terms) for g, terms in enumerate(scaled) if terms != ((g, d),)]
+    for block in _skew_adjoint_blocks(r):
+        for g, terms in moved:
+            image = reduce(partial(map, add), (map(mul, repeat(c), block[h]) for h, c in terms))
+            if any(map(ne, map(mul, repeat(d), block[g]), image)):  # stops at the first mismatch
+                return False
     skew = skew_space(inv)
-    if rank_mod_p_reaches(zip(*cols), inv.group.order - skew.skew_dim):
+    if rank_mod_p_reaches(_skew_adjoint_rows(r), inv.group.order - skew.skew_dim):
         return True
     return skew_adjoint_space(r) == skew.skew_basis
 

@@ -102,14 +102,16 @@ def indicator_report(table: "CharacterTable") -> IndicatorReport:
     indicators = tuple(_indicators(table, table.root_mults))
     real = tuple(i for i, nu in enumerate(indicators) if nu == 1)
     symp = tuple(i for i, nu in enumerate(indicators) if nu == -1)
-    row_index = {row: i for i, row in enumerate(table.root_mults)}
-    conj = table.classes.class_inverse  # conj chi(g) = chi(g^-1)
+    rows = table.root_mults
+    orbit = {i: o.members for o in table.orbits for i in o.members}
+    conj = table.classes.class_inverse  # conj chi(g) = chi(g^-1), the twist by -1
     pairs = []
     paired = set()
     for i, nu in enumerate(indicators):
         if nu != 0 or i in paired:
             continue
-        j = row_index.get(tuple(table.root_mults[i][c] for c in conj))
+        bar = tuple(rows[i][c] for c in conj)
+        j = next((j for j in orbit[i] if rows[j] == bar), None)
         if j is None:
             raise ComputationError("conjugate character missing from the table")
         if j == i or indicators[j] != 0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import resource
 import subprocess
@@ -278,21 +279,37 @@ def test_seed_env_respected(capsys, monkeypatch):
 
 def test_out_of_memory_exits_two_with_message():
     """A MemoryError ends in exit 2 and one line, not a traceback.  The address-space
-    cap acts only on the child; the skew-span check of the form of dihedral:256
-    (order 512) builds n integer columns of length n^2, 134 million entries, far
-    beyond it.  A group table past the default order cap would exhaust the cap
-    sooner; this input runs out inside the form computation, within the default cap."""
+    cap acts only on the child; the form of dihedral:1000 (order 2000, the default
+    cap) builds a rational gram of n^2 Fractions, 4 million objects, beyond it.  The
+    group table alone fits (see below), so this input runs out inside the form
+    computation, within the default cap."""
     cap = 256 << 20
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    cmd = [sys.executable, "-m", "skewlie", "form", "--group", "dihedral:256"]
+    cmd = [sys.executable, "-m", "skewlie", "form", "--group", "dihedral:1000"]
     proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit, timeout=300)
     assert proc.returncode == EXIT_CHECK
     assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_form_reads_the_skew_adjoint_system_in_96_mb():
+    """The skew-span check of the form of dihedral:96 (order 192) reads one n x n
+    block of the system at a time, not n columns of n^2 ints (7 million entries),
+    so it fits under a 96 MB address-space cap on the child, with the same output."""
+    cap = 96 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    cmd = [sys.executable, "-m", "skewlie", "form", "--group", "dihedral:96"]
+    proc = subprocess.run(cmd, capture_output=True, preexec_fn=limit, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "38d695ae996309ac57d867a395d832d1b84a31407d596ec485b7ed58fc5ebaa8")
 
 
 def test_group_at_the_order_cap_fits_in_96_mb():

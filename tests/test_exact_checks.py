@@ -45,8 +45,9 @@ def test_only_the_table_build_imports_the_root_vector_twist():
 
 
 CONSTRAINT_BUILDERS = {
-    "forms": ("_solution_space", "_functional_space", "_skew_adjoint_columns",
-              "skew_adjoint_space", "adjoint_space_matches_skew_span", "check_adjoint_identity"),
+    "forms": ("_solution_space", "_functional_space", "_skew_adjoint_blocks",
+              "_skew_adjoint_rows", "skew_adjoint_space", "adjoint_space_matches_skew_span",
+              "check_adjoint_identity"),
     "linalg": ("rank_mod_p_reaches",),
     "involutions": ("eigen_rows",),
 }
