@@ -14,28 +14,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import repeat
-from math import lcm
+from itertools import chain, repeat
+from math import gcd, lcm
 from operator import add, mul, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ComputationError, SpecError
 from .groups import generators
 from .involutions import Involution, eigen_rows, skew_space
-from .linalg import (
-    QMatrix,
-    ZERO,
-    ONE,
-    _int_echelon,
-    _primitive_int_rows,
-    hnf,
-    identity,
-    nullspace_rows,
-    rank,
-    rank_mod_p_reaches,
-    rref_rows,
-)
-from .serialize import frac_matrix, frac_row
+from .linalg import (QMatrix, ZERO, ONE, _int_echelon, _primitive_int_rows, hnf, identity,
+                     nullspace_rows, rank, rank_mod_p_reaches, rref_rows)
+from .serialize import frac_row, frac_str
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
@@ -43,25 +32,34 @@ SKEW = "skew"
 DEFAULT_ATTEMPTS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BilinearForm:
-    """Gram matrix of a nonsingular form on the group basis of QG."""
+    """A form on the group basis of QG with gram scale * int_gram: int_gram of content 1,
+    with the rank, symmetry and null spaces of the form, and one positive rational scale.
+    A rational ``gram`` given instead is split so; otherwise it is built only when read."""
 
-    gram: QMatrix
+    int_gram: list[list[int]]
+    scale: Fraction
     symmetry: str  # symmetric | skew
 
+    def __init__(self, symmetry: str, int_gram: list[list[int]] | None = None,
+                 scale: Fraction = ONE, gram: QMatrix | None = None):
+        if gram is not None:
+            scale = Fraction(1, den := reduce(lcm, (x.denominator for row in gram for x in row), 1))
+            int_gram = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+        content = gcd(*(gcd(*row) for row in int_gram)) or 1
+        if content > 1:
+            int_gram = [[x // content for x in row] for row in int_gram]
+        vars(self).update(int_gram=int_gram, scale=scale * content, symmetry=symmetry)
+
     @cached_property
-    def int_gram(self) -> list[list[int]]:
-        """The gram times one positive scalar, to integers of content 1: the same
-        rank, symmetry and null spaces (one scalar, so never row by row)."""
-        n = len(self.gram)
-        flat = _primitive_int_rows([[x for row in self.gram for x in row]])[0]
-        return [flat[i:i + n] for i in range(0, n * n, n)]
+    def gram(self) -> QMatrix:
+        return [[x * self.scale for x in row] for row in self.int_gram]
 
     @cached_property
     def nonsingular(self) -> bool:
         """Rank n mod a prime proves it; short of that, the exact rank decides."""
-        n = len(self.gram)
+        n = len(self.int_gram)
         return rank_mod_p_reaches(self.int_gram, n) or rank(self.int_gram) == n
 
 
@@ -74,11 +72,11 @@ class AdjointRealization:
     functional: tuple[Fraction, ...]
 
 
-def _symmetry_of(gram: QMatrix) -> str:
-    n = len(gram)
-    if all(gram[i][j] == gram[j][i] for i in range(n) for j in range(i, n)):
+def _symmetry_of(gram: list[list[int]]) -> str:
+    transpose = list(map(list, zip(*gram)))
+    if gram == transpose:
         return SYMMETRIC
-    if all(gram[i][j] == -gram[j][i] for i in range(n) for j in range(i, n)):
+    if all(not any(map(add, row, col)) for row, col in zip(gram, transpose)):
         return SKEW
     raise ComputationError("gram matrix is neither symmetric nor skew-symmetric")
 
@@ -90,23 +88,17 @@ def _require_group_induced(inv: Involution, what: str) -> None:
 
 
 def canonical_regular_form(inv: Involution) -> AdjointRealization:
-    """The coefficient-of-identity form for a group-induced involution.
-
-    h(g, h) = identity coefficient of sigma(g) h, which is a signed permutation
-    matrix: symmetric and nonsingular by construction.
-    """
+    """The coefficient-of-identity form of a group-induced involution: h(g, h) is the
+    identity coefficient of sigma(g) h, a signed permutation matrix, so symmetric and
+    nonsingular by construction."""
     _require_group_induced(inv, "canonical regular form")
-    group = inv.group
-    n = group.order
-    gram = [[ZERO] * n for _ in range(n)]
-    for g, col in enumerate(inv.columns):
-        for k, c in col:
-            gram[g][group.inv[k]] += c
-    functional = tuple([ONE] + [ZERO] * (n - 1))
-    form = BilinearForm(gram=gram, symmetry=_symmetry_of(gram))
-    if form.symmetry != SYMMETRIC:
+    n = inv.group.order
+    gram = [[0] * n for _ in range(n)]
+    for g, ((k, c),) in enumerate(inv.columns):
+        gram[g][inv.group.inv[k]] = c
+    if _symmetry_of(gram) != SYMMETRIC:
         raise ComputationError("coefficient-of-identity form came out non-symmetric")
-    return AdjointRealization(form=form, involution=inv, functional=functional)
+    return AdjointRealization(BilinearForm(SYMMETRIC, gram), inv, tuple([ONE] + [ZERO] * (n - 1)))
 
 
 def _solution_space(rows: Iterable[Sequence[int]], n: int) -> QMatrix:
@@ -129,8 +121,8 @@ def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
     The adjoint identity h(f x, y) = h(x, sigma(f) y) holds for every functional lam
     by anti-multiplicativity, and h is symmetric (skew) exactly when lam o sigma = lam
     (-lam).  The search only has to hit a nonsingular gram, drawing fixed-seed integer
-    combinations of the basis of those lam.  lam and the gram are built in integers, on
-    the basis times its common denominator den and on d*sigma, and divided by den*d once.
+    combinations of the basis of those lam.  lam and the gram are integer sums, on the
+    basis times its common denominator den and on d*sigma, with the scale 1/(den*d).
     """
     n = inv.group.order
     mult = inv.group.mult
@@ -145,41 +137,46 @@ def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
         for _ in range(DEFAULT_ATTEMPTS):
             weights = [rng.randint(-9, 9) for _ in basis]
             lam = [sum(w * row[i] for w, row in zip(weights, int_basis)) for i in range(n)]
-            # gram[g][h] = den * d * lam(sigma(g) h)
-            gram = [[sum(c * lam[mult[k][h]] for k, c in col) for h in range(n)] for col in cols]
-            form = BilinearForm(gram=[[Fraction(x, den * d) for x in row] for row in gram],
-                                symmetry=want)
+            form = BilinearForm(symmetry=want, int_gram=_draw_gram(lam, cols, mult),
+                                scale=Fraction(1, den * d))
             if not form.nonsingular:
                 continue
             if _symmetry_of(form.int_gram) != want:
                 raise ComputationError("constraint solution has the wrong symmetry")
-            functional = tuple(Fraction(x, den) for x in lam)
-            return AdjointRealization(form=form, involution=inv, functional=functional)
-    raise ComputationError(
-        f"no nonsingular symmetric or skew realization found in {DEFAULT_ATTEMPTS} draws per class"
-    )
+            return AdjointRealization(form, inv, tuple(Fraction(x, den) for x in lam))
+    raise ComputationError(f"no nonsingular symmetric or skew realization found in "
+                           f"{DEFAULT_ATTEMPTS} draws per class")
+
+
+def _draw_gram(lam: list[int], cols, mult) -> list[list[int]]:
+    """gram[g][h] = lam((d*sigma)(g) h): row g sums c * lam[k h] over the (k, c) of column g."""
+    return [list(reduce(partial(map, add), (map(mul, repeat(c), map(lam.__getitem__, mult[k]))
+                                            for k, c in col))) for col in cols]
+
+
+def _equals_combination(d: int, left: list[int], terms, row) -> bool:
+    """Whether d * left == sum c * row(h) over the (h, c) of terms, lists of ints, up to
+    the first mismatch; one term (h, +-d) is one comparison of left with +-row(h)."""
+    if len(terms) == 1 and terms[0][1] in (d, -d):
+        h, c = terms[0]
+        return left == row(h) if c == d else not any(map(add, left, row(h)))
+    image = reduce(partial(map, add), (map(mul, repeat(c), row(h)) for h, c in terms))
+    return not any(map(ne, map(mul, repeat(d), left), image))
 
 
 def check_adjoint_identity(r: AdjointRealization) -> bool:
-    """h(f x, y) == h(x, sigma(f) y) for f in the generating set S and all basis x, y.
-
-    This is exact at every order.  If the identity holds for f1 and f2, then by
-    bilinearity and the anti-multiplicativity of sigma, checked when sigma was
-    built, h(f1 f2 x, y) = h(f2 x, sigma(f1) y) = h(x, sigma(f2) sigma(f1) y)
-    = h(x, sigma(f1 f2) y); and f = 1 holds because sigma(1) = 1.  It is read on
-    the integer gram, with the left side times the scale d of d*sigma on the right.
-    """
-    inv = r.involution
-    group = inv.group
-    n = group.order
+    """h(f x, y) == h(x, sigma(f) y) for f in the generating set S and all basis x, y,
+    exact at every order: if it holds for f1 and f2, then by bilinearity and the
+    anti-multiplicativity of sigma, checked when sigma was built, h(f1 f2 x, y) =
+    h(f2 x, sigma(f1) y) = h(x, sigma(f2) sigma(f1) y) = h(x, sigma(f1 f2) y); and
+    f = 1 holds as sigma(1) = 1.  Read one row over y per (f, x) of the integer gram:
+    d times row fx against the sum of w times row x read through z, over d*sigma(f)."""
     gram = r.form.int_gram
-    mult = group.mult
-    d, columns = inv.scaled_columns
-
-    def holds(f: int, x: int, y: int) -> bool:
-        return d * gram[mult[f][x]][y] == sum(w * gram[x][mult[z][y]] for z, w in columns[f])
-
-    return all(holds(f, x, y) for f in generators(group) for x in range(n) for y in range(n))
+    mult = r.involution.group.mult
+    d, columns = r.involution.scaled_columns
+    return all(_equals_combination(d, gram[mult[f][x]], columns[f],
+                                   lambda z: list(map(gx.__getitem__, mult[z])))
+               for f in generators(r.involution.group) for x, gx in enumerate(gram))
 
 
 def _skew_adjoint_blocks(r: AdjointRealization) -> Iterator[list[list[int]]]:
@@ -211,18 +208,17 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> b
 
     Let N be its solution space and S the span of the g - sigma(g).  S lies in N
     when each d*(g - sigma(g)), with d*sigma in integers, solves every one of the
-    n^2 rows; that is read on every block B_x, not derived from the adjoint
-    identity.  N = S then follows once the rank of the system reaches
-    n - dim S mod a prime, since the rank mod p never exceeds the rank over Q.
-    Short of that, the exact solution space decides.
+    n^2 rows, read on every block B_x (for sigma induced by G one comparison of two
+    rows per g), not derived from the adjoint identity.  N = S then follows once the
+    rank of the system reaches n - dim S mod a prime, since the rank mod p never
+    exceeds the rank over Q.  Short of that, the exact solution space decides.
     """
     d, scaled = inv.scaled_columns
     moved = [(g, terms) for g, terms in enumerate(scaled) if terms != ((g, d),)]
     for block in _skew_adjoint_blocks(r):
-        for g, terms in moved:
-            image = reduce(partial(map, add), (map(mul, repeat(c), block[h]) for h, c in terms))
-            if any(map(ne, map(mul, repeat(d), block[g]), image)):  # stops at the first mismatch
-                return False
+        if not all(_equals_combination(d, block[g], terms, block.__getitem__)
+                   for g, terms in moved):
+            return False
     skew = skew_space(inv)
     if rank_mod_p_reaches(_skew_adjoint_rows(r), inv.group.order - skew.skew_dim):
         return True
@@ -263,11 +259,13 @@ def form_report(inv: Involution, seed: int = 0) -> dict:
     """JSON-ready form artifact with all verification bits."""
     r = realize_adjoint_form(inv, seed=seed)
     checks = form_checks(r)
+    gram, scale = r.form.int_gram, r.form.scale
+    text = {x: frac_str(x * scale) for x in set(chain.from_iterable(gram))}
     return {
         "group": inv.group.name,
         "involution": inv.to_json(),
         "symmetry": r.form.symmetry,
-        "gram": frac_matrix(r.form.gram),
+        "gram": [list(map(text.__getitem__, row)) for row in gram],
         "functional": frac_row(r.functional),
         "checks": checks,
     }

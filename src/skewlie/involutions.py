@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import SpecError
 from .groups import Group, conjugacy_classes, generators
-from .linalg import QMatrix, ZERO, mat, rank, rref_rows
+from .linalg import QMatrix, ZERO, _int_echelon, mat, rref_rows
 from .serialize import frac_str
 
 CANONICAL = "canonical"
@@ -250,7 +250,7 @@ class Involution:
     @cached_property
     def skew_dim(self) -> int:
         """Dimension of the skew elements: the integer rank of the rows g - sigma(g)."""
-        return rank(eigen_rows(self, -1))
+        return len(_int_echelon(eigen_rows(self, -1)))
 
     def validate(self) -> "Involution":
         """The axioms were checked at construction; kept for callers that chain it."""

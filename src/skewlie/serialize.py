@@ -18,10 +18,6 @@ def frac_row(row: Sequence) -> list[str]:
     return [frac_str(x) for x in row]
 
 
-def frac_matrix(m: Sequence[Sequence]) -> list[list[str]]:
-    return [frac_row(row) for row in m]
-
-
 def chunks(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2) + "\\n"`` in pieces, for dicts with
     str keys, lists, tuples, str, int, bool and None; anything else is a TypeError.

@@ -21,21 +21,21 @@ the dimension of its skew part.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cyclotomic import reduce_root_vector, twist_root_vector
 from .errors import ComputationError, SpecError
 from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent, generators
 from .indicators import IndicatorReport, indicator_report
 from .involutions import AlgebraElement, Involution, skew_space
-from .linalg import rank
+from .linalg import rank, rank_mod_p_reaches
 
 DEFAULT_PRIME_BOUND = 10**8
 
@@ -363,6 +363,24 @@ class CharacterTable:
         return {"idempotent_axioms": idempotent_axioms_hold(self.idempotents),
                 "orthogonality": table_orthogonality(self)}
 
+    @cached_property
+    def center_rows(self) -> tuple[tuple[list[int], ...], ...]:
+        """Per component, rows z_C = E K_C in class order that span its center e Z(QG),
+        read until their rank mod p reaches [Z:Q].  Once the idempotent axioms hold,
+        Z(QG) is the direct sum of the e Z(QG): their dimensions sum to s, as do the
+        [Z:Q], so these lower bounds prove every dimension.  If the axioms fail, or a
+        rank mod p falls short, the exact rank of all s rows decides."""
+        axioms = self.checks["idempotent_axioms"]
+        out = []
+        for orbit, idem in zip(self.orbits, self.idempotents):
+            rows = _center_rows(self.group, idem.coords, read := [])
+            if not (axioms and rank_mod_p_reaches(rows, orbit.field_degree)):
+                deque(rows, 0)  # read the rest
+                if rank(read) != orbit.field_degree:
+                    raise ComputationError("center basis has the wrong dimension")
+            out.append(tuple(read))
+        return tuple(out)
+
     def to_json(self) -> dict:
         """Each value as its power-basis coordinates, one list of strings per
         distinct value that every cell holding it shares."""
@@ -559,6 +577,13 @@ def rational_idempotents(table: CharacterTable) -> list[CentralIdempotent]:
     return idems
 
 
+def _center_rows(group: Group, coords: Sequence[int], read: list) -> Iterator[list[int]]:
+    """z_C = E K_C in class coordinates for each class C in order, kept in ``read``."""
+    for c in range(len(coords)):
+        read.append(_combine(coords, class_matrix(group, c), len(coords)))
+        yield read[-1]
+
+
 def idempotent_axioms_hold(idems: Sequence[CentralIdempotent]) -> bool:
     """sum e_i = 1 and e_i e_j = delta_ij e_i.
 
@@ -656,6 +681,7 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
     orbits = table.orbits
     idems = table.idempotents
     perm = sigma_action_on_components(idems, inv)
+    centers = table.center_rows
     s = len(table.classes)
     sigma_sums = inv.class_sum_images
     reports = []
@@ -666,37 +692,28 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
         ndeg = orbit.degree
         cdeg = orbit.field_degree
         skew = component_skew_dim(idems[i], inv)
-        # the z_C = |G| e K_C over all classes C span the center of eQG, of dimension [Z:Q]
-        center = [_combine(idems[i].coords, class_matrix(table.group, c), s) for c in range(s)]
-        if rank(center) != cdeg:
-            raise ComputationError("center basis has the wrong dimension")
         if j != i:
             twin = orbits[j]
             if (twin.degree, twin.field_degree) != (ndeg, cdeg):
                 raise ComputationError("swapped components have mismatched invariants")
             if skew != ndeg * ndeg * cdeg:
-                raise ComputationError(
-                    f"component {i}: pair skew dimension {skew} != n^2*[Z:Q] "
-                    f"= {ndeg * ndeg * cdeg}"
-                )
+                raise ComputationError(f"component {i}: pair skew dimension {skew} != n^2*[Z:Q] "
+                                       f"= {ndeg * ndeg * cdeg}")
             kind, typ = PAIR, UNITARY
-        elif all(_combine(z, sigma_sums, s) == z for z in center):
+        elif all(_combine(z, sigma_sums, s) == z for z in centers[i]):
             dz, rem = divmod(skew, cdeg)
             if rem == 0 and dz == ndeg * (ndeg - 1) // 2:
                 typ = ORTHOGONAL
             elif rem == 0 and dz == ndeg * (ndeg + 1) // 2 and ndeg % 2 == 0:
                 typ = SYMPLECTIC
             else:
-                raise ComputationError(
-                    f"component {i}: first-kind skew dimension {skew} fits no formula "
-                    f"(n={ndeg}, center degree {cdeg})"
-                )
+                raise ComputationError(f"component {i}: first-kind skew dimension {skew} fits "
+                                       f"no formula (n={ndeg}, center degree {cdeg})")
             kind = FIRST
         else:
             if 2 * skew != ndeg * ndeg * cdeg:
                 raise ComputationError(
-                    f"component {i}: second-kind skew dimension {skew} != n^2*[Z:Q]/2"
-                )
+                    f"component {i}: second-kind skew dimension {skew} != n^2*[Z:Q]/2")
             kind, typ = SECOND, UNITARY
         reports.append(ComponentReport(
             component_id=i, dim_q=orbit.dim_q, center_degree=cdeg, degree_n=ndeg,

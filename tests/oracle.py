@@ -500,6 +500,32 @@ def structure_constants_by_products(mult, classes):
     return table
 
 
+def center_kinds_by_every_class(mult, classes, constants, idempotents, sigmas):
+    """Per idempotent E = |G| e, in class coordinates: the rank, by division, of all s
+    rows E K_C, which span the center e Z(QG), and its kind under each sigma (given by
+    its columns): "pair" if sigma moves E, "first" if it fixes every row, else "second"."""
+    s = len(classes)
+    class_of = {g: k for k, cls in enumerate(classes) for g in cls}
+
+    def fixed(z, columns):
+        full = [z[class_of[g]] for g in range(len(mult))]
+        image = [0] * len(mult)
+        for g, col in enumerate(columns):
+            for h, c in col:
+                image[h] += c * full[g]
+        return image == full
+
+    out = []
+    for coords in idempotents:
+        rows = [[sum(coords[j] * constants[c][j][k] for j in range(s)) for k in range(s)]
+                for c in range(s)]
+        kinds = ["pair" if not fixed(coords, cols)
+                 else "first" if all(fixed(z, cols) for z in rows) else "second"
+                 for cols in sigmas]
+        out.append((len(division_rref(rows)), kinds))
+    return out
+
+
 def skew_dim_by_rank(mult, columns, e) -> int:
     """Rank of {e(g - sigma(g)) : g in G}, where columns[g] holds sigma(g) as (index, coeff) pairs."""
     n = len(mult)

@@ -279,16 +279,18 @@ def test_seed_env_respected(capsys, monkeypatch):
 
 def test_out_of_memory_exits_two_with_message():
     """A MemoryError ends in exit 2 and one line, not a traceback.  The address-space
-    cap acts only on the child; the form of dihedral:1000 (order 2000, the default
-    cap) builds a rational gram of n^2 Fractions, 4 million objects, beyond it.  The
-    group table alone fits (see below), so this input runs out inside the form
-    computation, within the default cap."""
+    cap acts only on the child.  The form of dihedral:1250 (order 2500, above the
+    default cap, so --max-order lifts it) finds its functional space as a rational RREF
+    and null space basis, near 3 million Fractions, beyond the cap.  Its group table
+    fits, so this input runs out inside the form computation, in seconds; at order 2000
+    the integer gram fits, and only its rank mod p runs out, after about a minute."""
     cap = 256 << 20
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    cmd = [sys.executable, "-m", "skewlie", "form", "--group", "dihedral:1000"]
+    cmd = [sys.executable, "-m", "skewlie", "form", "--group", "dihedral:1250",
+           "--max-order", "2500"]
     proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit, timeout=300)
     assert proc.returncode == EXIT_CHECK
     assert proc.stderr.startswith("error: out of memory")

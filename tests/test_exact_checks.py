@@ -45,17 +45,19 @@ def test_only_the_table_build_imports_the_root_vector_twist():
 
 
 CONSTRAINT_BUILDERS = {
-    "forms": ("_solution_space", "_functional_space", "_skew_adjoint_blocks",
-              "_skew_adjoint_rows", "skew_adjoint_space", "adjoint_space_matches_skew_span",
-              "check_adjoint_identity"),
+    "forms": ("_solution_space", "_functional_space", "_draw_gram", "_equals_combination",
+              "_skew_adjoint_blocks", "_skew_adjoint_rows", "skew_adjoint_space",
+              "adjoint_space_matches_skew_span", "check_adjoint_identity"),
     "linalg": ("rank_mod_p_reaches",),
     "involutions": ("eigen_rows",),
+    "wedderburn": ("_center_rows",),
 }
 
 
 def test_form_constraints_are_built_in_integers():
-    """The constraint builders of the forms, the skew-span certificate, the rank
-    mod p and the rows g -+ sigma(g) call no Fraction( and read no ZERO."""
+    """The constraint builders of the forms, the gram draw, the row comparisons, the
+    skew-span certificate, the rank mod p, the rows g -+ sigma(g) and the center rows
+    call no Fraction( and read no ZERO."""
     for module, wanted in CONSTRAINT_BUILDERS.items():
         tree = ast.parse((SRC / f"{module}.py").read_text())
         builders = {node.name: node for node in ast.walk(tree)

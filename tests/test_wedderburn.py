@@ -35,10 +35,12 @@ from skewlie.catalog import (
 from skewlie import wedderburn
 from skewlie.errors import ComputationError
 from skewlie.groups import direct_product, group_from_permutations
+from skewlie.linalg import rank
 from skewlie.wedderburn import CentralIdempotent, check_dixon_prime, idempotent_axioms_hold
 
 from oracle import (
     Cyclotomic,
+    center_kinds_by_every_class,
     cyclotomic_values,
     galois_orbits_by_twists,
     idempotent_axioms_by_convolution,
@@ -501,8 +503,9 @@ def random_permutation_groups(draw):
 @given(random_permutation_groups())
 def test_random_groups_against_oracles(g):
     """Every oriented involution of a random group: the report's checks, the integer rank
-    of skew_space against the dense oracle, and the idempotent axioms by convolution;
-    the class matrices and the table itself against their oracles."""
+    of skew_space against the dense oracle, the idempotent axioms by convolution, and
+    the center rows and kinds against all s rows; the class matrices and the table
+    itself against their oracles."""
     cd = conjugacy_classes(g)
     constants = structure_constants_by_products(g.mult, cd.classes)
     assert class_structure_constants(g) == constants, g.name
@@ -511,11 +514,12 @@ def test_random_groups_against_oracles(g):
     assert [o.members for o in t.orbits] == galois_orbits_by_twists(t), g.name
     assert idempotent_axioms_by_convolution(g.mult, [ci.element.coeffs for ci in t.idempotents])
     one = [1] + [0] * (g.order - 1)
-    for alpha in sign_characters(g):
-        inv = Involution.oriented(g, alpha)
+    oriented = [Involution.oriented(g, alpha) for alpha in sign_characters(g)]
+    for inv in oriented:
         report = decomposition_report(g, inv, table=t)
-        assert all(report.checks.values()), (g.name, alpha, report.checks)
-        assert report.skew_dim == skew_dim_by_rank(g.mult, inv.columns, one), (g.name, alpha)
+        assert all(report.checks.values()), (g.name, inv.to_json(), report.checks)
+        assert report.skew_dim == skew_dim_by_rank(g.mult, inv.columns, one), g.name
+    _assert_centers_match_oracle(g, t, constants, oriented)
 
 
 def _axiom_mutants(idems):
@@ -592,6 +596,45 @@ def test_classification_checks_raise_on_mismatch(monkeypatch, q8, c3, canonical)
     vars(t)["idempotents"] = (merged, *idems[1:])
     with pytest.raises(ComputationError, match="center basis has the wrong dimension"):
         classify_components(t, canonical(q8))
+
+
+def _assert_centers_match_oracle(g, t, constants, invs):
+    """The center rows read by the count span a space of the rank of all s rows, which
+    is [Z:Q], and every component gets the oracle's kind under each involution."""
+    expected = center_kinds_by_every_class(g.mult, conjugacy_classes(g).classes, constants,
+                                           [ci.coords for ci in t.idempotents],
+                                           [inv.columns for inv in invs])
+    for i, orbit in enumerate(t.orbits):
+        assert rank(t.center_rows[i]) == expected[i][0] == orbit.field_degree, (g.name, i)
+    for k, inv in enumerate(invs):
+        for c in classify_components(t, inv):
+            assert c.kind == expected[c.component_id][1][k], (g.name, inv.to_json(), c)
+
+
+def test_center_rows_match_every_class_oracle():
+    """On the catalog and ORACLE_WIDE, under every built-in involution."""
+    for g in catalog_groups() + [build_group(spec) for spec in ORACLE_WIDE]:
+        constants = structure_constants_by_products(g.mult, conjugacy_classes(g).classes)
+        _assert_centers_match_oracle(g, character_table(g), constants,
+                                     [inv for _, inv in builtin_involutions(g)])
+
+
+def test_center_rows_built_once_per_table(monkeypatch):
+    """Across every built-in involution of dicyclic:3, the rows z_C of each component's
+    center are made once, on the first classification."""
+    made = []
+    center_rows = wedderburn._center_rows
+
+    def counted(group, coords, read):
+        made.append(coords)
+        return center_rows(group, coords, read)
+
+    monkeypatch.setattr(wedderburn, "_center_rows", counted)
+    g = build_group("dicyclic:3")
+    t = character_table(g)
+    for _, inv in builtin_involutions(g):
+        assert len(decomposition_report(g, inv, table=t).components) > 1
+    assert made == [ci.coords for ci in t.idempotents]
 
 
 def test_sigma_on_class_sums_built_once_per_involution(monkeypatch):
