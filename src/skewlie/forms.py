@@ -83,18 +83,18 @@ def _symmetry_of(gram: list[list[int]]) -> str:
 
 def _require_group_induced(inv: Involution, what: str) -> None:
     """Group-induced involutions are exactly those with one signed entry per column."""
-    if any(len(col) != 1 for col in inv.columns):
+    if any(len(col) != 1 for col in inv.scaled_columns[1]):
         raise SpecError(f"{what} needs a group-induced involution")
 
 
 def canonical_regular_form(inv: Involution) -> AdjointRealization:
     """The coefficient-of-identity form of a group-induced involution: h(g, h) is the
     identity coefficient of sigma(g) h, a signed permutation matrix, so symmetric and
-    nonsingular by construction."""
+    nonsingular by construction.  One entry in every column forces d = 1 and coefficients +-1."""
     _require_group_induced(inv, "canonical regular form")
     n = inv.group.order
     gram = [[0] * n for _ in range(n)]
-    for g, ((k, c),) in enumerate(inv.columns):
+    for g, ((k, c),) in enumerate(inv.scaled_columns[1]):
         gram[g][inv.group.inv[k]] = c
     if _symmetry_of(gram) != SYMMETRIC:
         raise ComputationError("coefficient-of-identity form came out non-symmetric")

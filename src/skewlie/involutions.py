@@ -3,9 +3,9 @@
 An involution is additive, reverses products, and squares to the identity.
 All four spec kinds (canonical g -> g^-1, oriented g -> alpha(g) g^-1, a
 general anti-automorphism of G, or an arbitrary rational matrix) are stored
-the same way, as the sparse images of the basis elements, and are checked
-against the axioms once, when they are built.  The group-induced kinds are the
-case where every image is a single signed basis element.
+the same way, as d and the sparse integer images of the basis elements under
+d*sigma, and are checked against the axioms once, in integers, when built.
+The group-induced kinds are d = 1 with every image one signed basis element.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import SpecError
 from .groups import Group, conjugacy_classes, generators
-from .linalg import QMatrix, ZERO, _int_echelon, mat, rref_rows
+from .linalg import QMatrix, ZERO, _int_echelon, rref_rows
 from .serialize import frac_str
 
 CANONICAL = "canonical"
@@ -115,22 +115,24 @@ def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 class Involution:
     """An involution of QG, checked against the axioms when it is built.
 
-    ``columns[g]`` is the image sigma(g) as a tuple of (index, coeff) pairs,
-    sorted by index with no zero coefficient.  Group-induced involutions are
-    the one-entry case with coeff +1 or -1; ``kind`` is only the JSON label.
-    ``scaled_columns``, ``class_sum_images`` (sigma on the center) and
-    ``skew_dim`` are computed on first use.  A ``SkewSpaceReport`` is not kept
-    here: it points back at the involution, and the cycle would keep both alive
-    until the collector's next full pass.
+    ``scaled_columns`` is (d, columns) for d the least common denominator of
+    sigma: ``columns[g]`` is d*sigma(g) as a tuple of (index, int) pairs, sorted
+    by index with no zero coefficient.  Group-induced involutions are the case
+    d = 1 with one entry, +1 or -1, per column; ``kind`` is only the JSON label.
+    ``matrix`` is sigma in Fractions; ``class_sum_images`` (sigma on the center)
+    and ``skew_dim`` are computed on first use.  A ``SkewSpaceReport`` is not
+    kept here: it points back at the involution, and the cycle would keep both
+    alive until the collector's next full pass.
     """
 
     group: Group
     kind: str
-    columns: tuple[tuple[tuple[int, int | Fraction], ...], ...]
+    scaled_columns: tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
 
     def __post_init__(self) -> None:
         """sigma(sigma(g)) = g for every g, and sigma(gs) = sigma(s) sigma(g) for
-        every g and every s in the generating set S or s = 1.
+        every g and every s in the generating set S or s = 1; on tau = d*sigma,
+        tau(tau(g)) = d^2 g and d tau(gs) = tau(s) tau(g).
 
         s = 1 gives sigma(1) sigma(g) = sigma(g) for all g, and sigma is onto,
         so sigma(1) = 1.  Induction on the length of h as a word in S then gives
@@ -138,20 +140,23 @@ class Involution:
         sigma(gh) = sigma(s) sigma(h) sigma(g) = sigma(hs) sigma(g).
         """
         mult = self.group.mult
-        cols = self.columns
+        d, cols = self.scaled_columns
+        if d != 1 and (d < 1 or gcd(d, *(c for col in cols for _, c in col)) != 1):
+            raise SpecError(f"d = {d} is not the least common denominator of sigma")
         for g, cg in enumerate(cols):
-            if _sparse_sum((k, c * a) for h, a in cg for k, c in cols[h]) != ((g, 1),):
+            if _sparse_sum((k, c * a) for h, a in cg for k, c in cols[h]) != ((g, d * d),):
                 raise SpecError(f"not an involution at element {g}")
+        targets = cols if d == 1 else tuple(tuple((h, d * c) for h, c in col) for col in cols)
         for s in (0, *generators(self.group)):
             cs = cols[s]
             for g, cg in enumerate(cols):
                 product = _sparse_sum((mult[i][j], a * b) for i, a in cs for j, b in cg)
-                if product != cols[mult[g][s]]:
+                if product != targets[mult[g][s]]:
                     raise SpecError(f"not an anti-homomorphism at pair ({g},{s})")
 
     @classmethod
     def canonical(cls, group: Group) -> "Involution":
-        return cls(group, CANONICAL, tuple(((h, 1),) for h in group.inv))
+        return cls(group, CANONICAL, (1, tuple(((h, 1),) for h in group.inv)))
 
     @classmethod
     def oriented(cls, group: Group, alpha: Sequence[int]) -> "Involution":
@@ -159,7 +164,7 @@ class Involution:
             raise SpecError("alpha length must equal the group order")
         if any(type(a) is not int or a not in (1, -1) for a in alpha):
             raise SpecError("alpha values must be +1 or -1")
-        return cls(group, ORIENTED, tuple(((h, a),) for h, a in zip(group.inv, alpha)))
+        return cls(group, ORIENTED, (1, tuple(((h, a),) for h, a in zip(group.inv, alpha))))
 
     @classmethod
     def anti_automorphism(cls, group: Group, mapping: Sequence[int]) -> "Involution":
@@ -167,7 +172,7 @@ class Involution:
             raise SpecError("map entries must be integers")
         if sorted(mapping) != list(range(group.order)):
             raise SpecError("map is not a permutation of the group elements")
-        return cls(group, ANTI_AUTOMORPHISM, tuple(((h, 1),) for h in mapping))
+        return cls(group, ANTI_AUTOMORPHISM, (1, tuple(((h, 1),) for h in mapping)))
 
     @classmethod
     def linear(cls, group: Group, matrix: Sequence[Sequence]) -> "Involution":
@@ -176,11 +181,12 @@ class Involution:
                 or any(not isinstance(row, Sequence) or len(row) != n for row in matrix)):
             raise SpecError("linear involution matrix must be |G| x |G|")
         try:
-            m = mat(matrix)
+            m = [[Fraction(x) for x in row] for row in matrix]
         except (TypeError, ValueError, ZeroDivisionError):
             raise SpecError("linear involution matrix entries must be rationals") from None
-        cols = tuple(tuple((h, m[h][g]) for h in range(n) if m[h][g]) for g in range(n))
-        return cls(group, LINEAR, cols)
+        d = lcm(*(x.denominator for row in m for x in row))
+        cols = tuple(tuple((h, int(m[h][g] * d)) for h in range(n) if m[h][g]) for g in range(n))
+        return cls(group, LINEAR, (d, cols))
 
     @classmethod
     def from_json(cls, group: Group, obj: dict) -> "Involution":
@@ -207,9 +213,9 @@ class Involution:
         if self.kind == CANONICAL:
             return {"kind": CANONICAL}
         if self.kind == ORIENTED:
-            return {"kind": ORIENTED, "alpha": [col[0][1] for col in self.columns]}
+            return {"kind": ORIENTED, "alpha": [col[0][1] for col in self.scaled_columns[1]]}
         if self.kind == ANTI_AUTOMORPHISM:
-            return {"kind": ANTI_AUTOMORPHISM, "map": [col[0][0] for col in self.columns]}
+            return {"kind": ANTI_AUTOMORPHISM, "map": [col[0][0] for col in self.scaled_columns[1]]}
         return {
             "kind": LINEAR,
             "matrix": [[frac_str(x) for x in row] for row in self.matrix],
@@ -220,16 +226,11 @@ class Involution:
         """Dense matrix with column g holding the coefficients of sigma(g)."""
         n = self.group.order
         m = [[ZERO] * n for _ in range(n)]
-        for g, col in enumerate(self.columns):
+        d, cols = self.scaled_columns
+        for g, col in enumerate(cols):
             for h, c in col:
-                m[h][g] = Fraction(c)
+                m[h][g] = Fraction(c, d)
         return m
-
-    @cached_property
-    def scaled_columns(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """(d, the columns of d*sigma) for d the lcm of the coefficient denominators."""
-        d = lcm(*(c.denominator for col in self.columns for _, c in col))
-        return d, tuple(tuple((h, int(c * d)) for h, c in col) for col in self.columns)
 
     @cached_property
     def class_sum_images(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
@@ -237,14 +238,15 @@ class Involution:
         (k, coefficient on the representative of class k)."""
         cd = conjugacy_classes(self.group)
         rep_class = {r: k for k, r in enumerate(cd.class_reps)}
+        d, cols = self.scaled_columns
         out = []
         for cls in cd.classes:
             row = [0] * len(cd)
             for g in cls:
-                for h, c in self.columns[g]:
+                for h, c in cols[g]:
                     if h in rep_class:
                         row[rep_class[h]] += c
-            out.append(tuple((k, v) for k, v in enumerate(row) if v))
+            out.append(tuple((k, v if d == 1 else Fraction(v, d)) for k, v in enumerate(row) if v))
         return tuple(out)
 
     @cached_property
@@ -260,11 +262,12 @@ class Involution:
         if x.group is not self.group:
             raise SpecError("group mismatch between involution and element")
         out = [ZERO] * self.group.order
+        d, cols = self.scaled_columns
         for g, a in enumerate(x.coeffs):
             if a:
-                for h, c in self.columns[g]:
+                for h, c in cols[g]:
                     out[h] += c * a
-        return AlgebraElement(self.group, out)
+        return AlgebraElement(self.group, [v / d for v in out])
 
 
 def _sparse_sum(terms) -> tuple:
@@ -319,9 +322,10 @@ def skew_space(inv: Involution) -> SkewSpaceReport:
     skew_dim is the integer rank of the rows g - sigma(g); the RREF bases are
     unique, so the split is canonical.
     """
+    d, cols = inv.scaled_columns
     return SkewSpaceReport(
         involution=inv,
         skew_dim=inv.skew_dim,
-        fixed_plus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, 1),)),
-        fixed_minus=sum(1 for g, col in enumerate(inv.columns) if col == ((g, -1),)),
+        fixed_plus=sum(1 for g, col in enumerate(cols) if col == ((g, d),)),
+        fixed_minus=sum(1 for g, col in enumerate(cols) if col == ((g, -d),)),
     )

@@ -21,11 +21,6 @@ ONE = Fraction(1)
 MODULUS = 2**61 - 1  # a Mersenne prime
 
 
-def mat(rows: Sequence[Sequence]) -> QMatrix:
-    """Coerce nested sequences of ints/Fractions/strings into a QMatrix."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def identity(n: int) -> QMatrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 

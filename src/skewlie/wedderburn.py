@@ -652,11 +652,12 @@ def component_skew_dim(idem: CentralIdempotent, inv: Involution) -> int:
     sigma_e = tuple(_combine(e, inv.class_sum_images, len(cd)))
     f = e if sigma_e == e else [a + b for a, b in zip(e, sigma_e)]
     mult, ginv, class_of = group.mult, group.inv, cd.class_of
-    trace = sum(m * f[class_of[mult[g][ginv[h]]]]  # |G| tr(sigma L_f)
-                for g, col in enumerate(inv.columns) for h, m in col)
-    twice, rem = divmod(n * f[0] - trace, n)
+    d, cols = inv.scaled_columns
+    trace = sum(m * f[class_of[mult[g][ginv[h]]]]  # d |G| tr(sigma L_f)
+                for g, col in enumerate(cols) for h, m in col)
+    twice, rem = divmod(d * n * f[0] - trace, d * n)
     if twice < 0 or rem or twice % 2:
-        raise ComputationError(f"trace formula gives the skew dimension {(twice + rem / n) / 2}")
+        raise ComputationError(f"trace formula gives the skew dimension {(twice + rem / d / n) / 2}")
     return twice // 2
 
 

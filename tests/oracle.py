@@ -61,6 +61,18 @@ def rank_by_minors(m, p=None) -> int:
     return 0
 
 
+def mat(rows):
+    """Coerce nested sequences of ints/Fractions/strings into a rational matrix."""
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def fraction_columns(inv):
+    """sigma(g) for every g as sorted (index, Fraction) pairs without zeros, read off
+    the dense ``inv.matrix``, not off the integer columns the package stores."""
+    m = inv.matrix
+    return [tuple((h, row[g]) for h, row in enumerate(m) if row[g]) for g in range(len(m))]
+
+
 def division_rref(m):
     """Classic divide-by-pivot RREF, a different code path from the package."""
     rows = [[Fraction(x) for x in row] for row in m]

@@ -6,7 +6,8 @@ other module must not import ``random``.  The one root-vector twist is the
 table build's, which defines the values on the other classes of a rational
 class; everywhere else the Galois action is a power map on the classes.  The
 constraint systems of the forms are built and reduced in integers, on the gram
-and sigma scaled once to integers, and so is the rank certificate of the skew span.
+and sigma scaled once to integers, and so are the rank certificate of the skew
+span, the axiom checks of an involution and the trace formula of a component.
 No module of the package or of the tests imports a name it never reads.
 """
 
@@ -49,14 +50,15 @@ CONSTRAINT_BUILDERS = {
               "_skew_adjoint_blocks", "_skew_adjoint_rows", "skew_adjoint_space",
               "adjoint_space_matches_skew_span", "check_adjoint_identity"),
     "linalg": ("rank_mod_p_reaches",),
-    "involutions": ("eigen_rows",),
-    "wedderburn": ("_center_rows",),
+    "involutions": ("eigen_rows", "__post_init__", "_sparse_sum"),
+    "wedderburn": ("_center_rows", "component_skew_dim"),
 }
 
 
 def test_form_constraints_are_built_in_integers():
     """The constraint builders of the forms, the gram draw, the row comparisons, the
-    skew-span certificate, the rank mod p, the rows g -+ sigma(g) and the center rows
+    skew-span certificate, the rank mod p, the rows g -+ sigma(g), the involution
+    axioms on d*sigma, the trace formula of component_skew_dim and the center rows
     call no Fraction( and read no ZERO."""
     for module, wanted in CONSTRAINT_BUILDERS.items():
         tree = ast.parse((SRC / f"{module}.py").read_text())

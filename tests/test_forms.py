@@ -9,7 +9,9 @@ import pytest
 from oracle import (
     adjoint_identity_by_fractions,
     adjoint_identity_by_triples,
+    fraction_columns,
     functional_space_by_fractions,
+    mat,
     realize_by_fractions,
     skew_adjoint_space_by_fractions,
 )
@@ -38,7 +40,7 @@ from skewlie.catalog import (
     s3_conjugated_fixture,
 )
 from skewlie.groups import generators
-from skewlie.linalg import MODULUS, hnf, identity, mat, rank, rank_mod_p_reaches, rref_rows
+from skewlie.linalg import MODULUS, hnf, identity, rank, rank_mod_p_reaches, rref_rows
 from skewlie.verify import FORMS_ORDER_LIMIT
 
 
@@ -61,7 +63,7 @@ def test_oriented_c4_gram_is_signed_diagonal():
 def test_adjoint_identity_all_triples_q8(q8, canonical):
     r = canonical_regular_form(canonical(q8))
     assert check_adjoint_identity(r)
-    assert adjoint_identity_by_triples(q8.mult, r.involution.columns, r.form.gram)
+    assert adjoint_identity_by_triples(q8.mult, fraction_columns(r.involution), r.form.gram)
 
 
 def _one_entry_changes(r):
@@ -83,7 +85,8 @@ def test_adjoint_identity_matches_all_triples_oracle():
         inv = inv or Involution.canonical(group)
         r = realize_adjoint_form(inv, seed=0)
         for case in (r, *_one_entry_changes(r)):
-            expected = adjoint_identity_by_triples(group.mult, inv.columns, case.form.gram)
+            expected = adjoint_identity_by_triples(group.mult, fraction_columns(inv),
+                                                   case.form.gram)
             assert check_adjoint_identity(case) == expected, label
 
 
@@ -96,7 +99,8 @@ def test_adjoint_identity_is_checked_on_every_generator():
     alpha = next(a for a in sign_characters(g) if a[1] == 1 and a[6] == -1)
     r = realize_adjoint_form(Involution.oriented(g, alpha), seed=0)
     mixed = replace(r, involution=Involution.canonical(g))
-    assert not adjoint_identity_by_triples(g.mult, mixed.involution.columns, mixed.form.gram)
+    assert not adjoint_identity_by_triples(g.mult, fraction_columns(mixed.involution),
+                                           mixed.form.gram)
     assert not check_adjoint_identity(mixed)
 
 
@@ -261,11 +265,11 @@ def test_integer_route_matches_the_rational_oracle():
     assert len(verified) == 161
     for label, inv in verified:
         for want in ("symmetric", "skew"):
-            expected = functional_space_by_fractions(inv.group.mult, inv.columns,
+            expected = functional_space_by_fractions(inv.group.mult, fraction_columns(inv),
                                                      want == "symmetric")
             assert forms._functional_space(inv, want) == expected, (label, want)
     for label, inv in _form_cases():
-        mult, columns = inv.group.mult, inv.columns
+        mult, columns = inv.group.mult, fraction_columns(inv)
         for seed in (0, 1, 2):
             r = realize_adjoint_form(inv, seed=seed)
             gram, lam = realize_by_fractions(mult, columns, seed, forms.DEFAULT_ATTEMPTS)
@@ -374,7 +378,7 @@ def test_a_rank_short_mod_p_falls_back_to_the_exact_space(monkeypatch):
     calls = _counting_exact_space(monkeypatch)
     inv = Involution.canonical(build_group("symmetric:3"))
     r = realize_adjoint_form(inv, seed=0)
-    assert r.form.gram == realize_by_fractions(inv.group.mult, inv.columns, 0,
+    assert r.form.gram == realize_by_fractions(inv.group.mult, fraction_columns(inv), 0,
                                                forms.DEFAULT_ATTEMPTS)[0]
     assert r.form.nonsingular
     assert adjoint_space_matches_skew_span(inv, r)

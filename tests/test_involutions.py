@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import involution_axioms_hold
+from oracle import involution_axioms_hold, mat
 
 from skewlie import (
     AlgebraElement,
@@ -15,9 +16,10 @@ from skewlie import (
     sign_characters,
     skew_space,
 )
-from skewlie.catalog import builtin_involutions, conjugated_canonical_involution
+from skewlie.catalog import (builtin_involutions, conjugated_canonical_involution,
+                             s3_conjugated_fixture)
 from skewlie.groups import generators
-from skewlie.linalg import mat, rank, rref_rows
+from skewlie.linalg import rank, rref_rows
 
 
 def basis(g, i, scale=1):
@@ -124,9 +126,19 @@ def test_bad_spec_rejected_at_construction(c3, q8):
     inv = Involution.canonical(q8)
     assert inv.validate() is inv
     with pytest.raises(AttributeError):
-        inv.columns = Involution.canonical(c3).columns
+        inv.scaled_columns = Involution.canonical(c3).scaled_columns
     with pytest.raises(AttributeError):
         inv.kind = "linear"
+
+
+def test_scaled_columns_must_be_in_lowest_terms(q8):
+    """(k d, k d*sigma) passes the axioms for any k != 0 but misstates sigma, so
+    only the least positive d is stored."""
+    cols = Involution.canonical(q8).scaled_columns[1]
+    for k in (2, -1):
+        scaled = tuple(tuple((h, k * c) for h, c in col) for col in cols)
+        with pytest.raises(SpecError, match="least common denominator"):
+            Involution(q8, "canonical", (k, scaled))
 
 
 def test_q8_skew_dim(q8, canonical):
@@ -229,16 +241,25 @@ def test_involution_json_round_trip(q8):
 
 
 def test_linear_involution_json_round_trip(c3):
+    """d, the integer columns of d*sigma, the JSON and sigma itself survive the round
+    trip: d = 1 for inversion on C3 as a matrix, d = 3 for the conjugated S3 fixture."""
     n = c3.order
     matrix = [[Fraction(0)] * n for _ in range(n)]
     for g in range(n):
         matrix[c3.inv[g]][g] = Fraction(1)
-    inv = Involution.linear(c3, matrix)
-    obj = inv.to_json()
-    assert obj["kind"] == "linear"
-    assert all(isinstance(x, str) for row in obj["matrix"] for x in row)
-    rebuilt = Involution.from_json(c3, obj)
-    assert rebuilt.matrix == inv.matrix
+    _, fixture = s3_conjugated_fixture()
+    assert fixture.scaled_columns[0] == 3
+    for inv in (Involution.linear(c3, matrix), fixture):
+        d, cols = inv.scaled_columns
+        assert all(type(c) is int for col in cols for _, c in col)
+        obj = inv.to_json()
+        assert obj["kind"] == "linear"
+        assert all(isinstance(x, str) for row in obj["matrix"] for x in row)
+        rebuilt = Involution.from_json(inv.group, obj)
+        assert rebuilt.scaled_columns == inv.scaled_columns
+        assert rebuilt.to_json() == obj
+        assert rebuilt.matrix == inv.matrix
+        assert lcm(*(x.denominator for row in inv.matrix for x in row)) == d
 
 
 SMALL_GROUPS = [build_group(spec) for spec in (

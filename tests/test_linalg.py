@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracle import (
     division_rref,
     in_integer_row_span,
+    mat,
     matmul,
     rank_by_minors,
     row_space_equal,
@@ -16,7 +17,6 @@ from skewlie.linalg import (
     MODULUS,
     hnf,
     identity,
-    mat,
     nullspace_rows,
     rank,
     rank_mod_p_reaches,

@@ -42,6 +42,7 @@ from oracle import (
     Cyclotomic,
     center_kinds_by_every_class,
     cyclotomic_values,
+    fraction_columns,
     galois_orbits_by_twists,
     idempotent_axioms_by_convolution,
     skew_dim_by_rank,
@@ -448,10 +449,11 @@ def test_skew_dims_match_rank_oracle(oracle_cases):
         one = [1] + [0] * (g.order - 1)
         for inv in invs:
             ssr = skew_space(inv)
-            assert (ssr.skew_dim == skew_dim_by_rank(g.mult, inv.columns, one)
+            columns = fraction_columns(inv)
+            assert (ssr.skew_dim == skew_dim_by_rank(g.mult, columns, one)
                     == len(ssr.skew_basis)), (g.name, inv.to_json())
             for ci in t.idempotents:
-                expected = skew_dim_by_rank(g.mult, inv.columns, ci.element.coeffs)
+                expected = skew_dim_by_rank(g.mult, columns, ci.element.coeffs)
                 assert component_skew_dim(ci, inv) == expected, (g.name, inv.to_json())
                 swapped += inv.apply(ci.element) != ci.element
     assert swapped > 0
@@ -518,7 +520,7 @@ def test_random_groups_against_oracles(g):
     for inv in oriented:
         report = decomposition_report(g, inv, table=t)
         assert all(report.checks.values()), (g.name, inv.to_json(), report.checks)
-        assert report.skew_dim == skew_dim_by_rank(g.mult, inv.columns, one), g.name
+        assert report.skew_dim == skew_dim_by_rank(g.mult, fraction_columns(inv), one), g.name
     _assert_centers_match_oracle(g, t, constants, oriented)
 
 
@@ -603,7 +605,7 @@ def _assert_centers_match_oracle(g, t, constants, invs):
     is [Z:Q], and every component gets the oracle's kind under each involution."""
     expected = center_kinds_by_every_class(g.mult, conjugacy_classes(g).classes, constants,
                                            [ci.coords for ci in t.idempotents],
-                                           [inv.columns for inv in invs])
+                                           [fraction_columns(inv) for inv in invs])
     for i, orbit in enumerate(t.orbits):
         assert rank(t.center_rows[i]) == expected[i][0] == orbit.field_degree, (g.name, i)
     for k, inv in enumerate(invs):
