@@ -17,13 +17,13 @@ from functools import cached_property, partial, reduce
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul, ne
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .errors import ComputationError, SpecError
 from .groups import generators
 from .involutions import Involution, eigen_rows, skew_space
-from .linalg import (QMatrix, ZERO, ONE, _int_echelon, _primitive_int_rows, hnf, identity,
-                     nullspace_rows, rank, rank_mod_p_reaches, rref_rows)
+from .linalg import (QMatrix, ZERO, ONE, _clear_denominators, hnf, null_space, rank,
+                     rank_mod_p_reaches, rref_rows)
 from .serialize import frac_row, frac_str
 
 SYMMETRIC = "symmetric"
@@ -101,18 +101,11 @@ def canonical_regular_form(inv: Involution) -> AdjointRealization:
     return AdjointRealization(BilinearForm(SYMMETRIC, gram), inv, tuple([ONE] + [ZERO] * (n - 1)))
 
 
-def _solution_space(rows: Iterable[Sequence[int]], n: int) -> QMatrix:
-    """Null space basis of the distinct nonzero rows (Q^n if none), from their echelon form."""
-    constraints = sorted({tuple(row) for row in rows if any(row)})
-    if not constraints:
-        return identity(n)
-    return nullspace_rows(constraints[:len(_int_echelon(constraints))])
-
-
-def _functional_space(inv: Involution, want: str) -> QMatrix:
+def _functional_space(inv: Involution, want: str) -> tuple[int, list[list[int]]]:
     """Functionals lam with lam(sigma(g)h) = +-lam(sigma(h)g), i.e. lam(x -+ sigma(x)) = 0
-    for x = sigma(h)g; h = 1 gives every x = g, as sigma(1) = 1: the n rows g -+ sigma(g)."""
-    return _solution_space(eigen_rows(inv, -1 if want == SYMMETRIC else 1), inv.group.order)
+    for x = sigma(h)g; h = 1 gives every x = g, as sigma(1) = 1: the n rows g -+ sigma(g),
+    as the (L, B) of ``null_space``."""
+    return null_space(eigen_rows(inv, -1 if want == SYMMETRIC else 1), inv.group.order)
 
 
 def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
@@ -122,21 +115,19 @@ def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
     by anti-multiplicativity, and h is symmetric (skew) exactly when lam o sigma = lam
     (-lam).  The search only has to hit a nonsingular gram, drawing fixed-seed integer
     combinations of the basis of those lam.  lam and the gram are integer sums, on the
-    basis times its common denominator den and on d*sigma, with the scale 1/(den*d).
+    basis over its common denominator den and on d*sigma, with the scale 1/(den*d).
     """
     n = inv.group.order
     mult = inv.group.mult
     d, cols = inv.scaled_columns
     rng = random.Random(seed)
     for want in (SYMMETRIC, SKEW):
-        basis = _functional_space(inv, want)
+        den, basis = _functional_space(inv, want)
         if not basis:
             continue
-        den = reduce(lcm, (x.denominator for row in basis for x in row), 1)
-        int_basis = [[x.numerator * (den // x.denominator) for x in row] for row in basis]
         for _ in range(DEFAULT_ATTEMPTS):
             weights = [rng.randint(-9, 9) for _ in basis]
-            lam = [sum(w * row[i] for w, row in zip(weights, int_basis)) for i in range(n)]
+            lam = [sum(w * row[i] for w, row in zip(weights, basis)) for i in range(n)]
             form = BilinearForm(symmetry=want, int_gram=_draw_gram(lam, cols, mult),
                                 scale=Fraction(1, den * d))
             if not form.nonsingular:
@@ -197,10 +188,10 @@ def skew_adjoint_space(r: AdjointRealization) -> QMatrix:
     """RREF basis of {f in QG : h(f x, y) + h(x, f y) = 0 for all x, y}.
 
     f acts by left multiplication on the regular module, so the condition is
-    one exact linear system in the |G| coefficients of f, one integer row per (x, y).
+    one exact linear system in the |G| coefficients of f, one integer row per (x, y);
+    only the distinct rows are reduced, at most n of the n^2 on the canonical form.
     """
-    n = r.involution.group.order
-    return rref_rows(_solution_space(_skew_adjoint_rows(r), n))
+    return rref_rows(null_space(set(_skew_adjoint_rows(r)), r.involution.group.order)[1])
 
 
 def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> bool:
@@ -240,7 +231,7 @@ def integral_skew_lattice(inv: Involution) -> list[list[int]]:
     """
     gens = skew_lattice_generators(inv)
     space = skew_adjoint_space(canonical_regular_form(inv))
-    lattice = hnf(gens + _primitive_int_rows(space))
+    lattice = hnf(gens + _clear_denominators(space))
     if len(lattice) != len(space):
         raise ComputationError("integral lattice rank differs from the rational space")
     return lattice

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import SpecError
 from .groups import Group, conjugacy_classes, generators
-from .linalg import QMatrix, ZERO, _int_echelon, rref_rows
+from .linalg import QMatrix, ZERO, _echelon, rref_rows
 from .serialize import frac_str
 
 CANONICAL = "canonical"
@@ -180,9 +180,10 @@ class Involution:
         if (not isinstance(matrix, Sequence) or len(matrix) != n
                 or any(not isinstance(row, Sequence) or len(row) != n for row in matrix)):
             raise SpecError("linear involution matrix must be |G| x |G|")
+        parse = cache(Fraction)  # one Fraction per distinct entry
         try:
-            m = [[Fraction(x) for x in row] for row in matrix]
-        except (TypeError, ValueError, ZeroDivisionError):
+            m = [list(map(parse, row)) for row in matrix]
+        except (TypeError, ValueError, ArithmeticError):
             raise SpecError("linear involution matrix entries must be rationals") from None
         d = lcm(*(x.denominator for row in m for x in row))
         cols = tuple(tuple((h, int(m[h][g] * d)) for h in range(n) if m[h][g]) for g in range(n))
@@ -252,7 +253,7 @@ class Involution:
     @cached_property
     def skew_dim(self) -> int:
         """Dimension of the skew elements: the integer rank of the rows g - sigma(g)."""
-        return len(_int_echelon(eigen_rows(self, -1)))
+        return len(_echelon(eigen_rows(self, -1)))
 
     def validate(self) -> "Involution":
         """The axioms were checked at construction; kept for callers that chain it."""

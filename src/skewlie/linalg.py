@@ -1,9 +1,11 @@
 """Exact dense linear algebra over the rationals and the integers.
 
 Matrices are row-major lists of lists of ``fractions.Fraction`` (``QMatrix``),
-or plain ints for the integer lattice routines.  Elimination is fraction-free:
-rows are scaled to primitive integer vectors, reduced with cross-multiplication,
-and only normalized back to rationals at the end.
+or plain ints for the integer lattice routines.  Every exact space comes from one
+fraction-free elimination, ``_echelon``, which reads integer rows one at a time,
+reduces them by cross-multiplication and keeps the RREF rows up to scale.  ``rank``,
+``rref`` and ``solve`` scale rational rows to integers first; ``null_space`` returns
+the canonical kernel basis in integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -21,20 +23,12 @@ ONE = Fraction(1)
 MODULUS = 2**61 - 1  # a Mersenne prime
 
 
-def identity(n: int) -> QMatrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def _primitive_int_rows(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row to a primitive integer vector (zero rows stay zero)."""
+def _clear_denominators(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators, primitive if the row has an entry 1."""
     out = []
     for row in m:
         den = reduce(lcm, (x.denominator for x in row), 1)
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        g = reduce(gcd, ints, 0)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
@@ -47,29 +41,27 @@ def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
     return [x // g2 for x in new] if g2 > 1 else new
 
 
-def _int_echelon(rows: list[list[int]]) -> list[int]:
-    """In-place fraction-free row echelon reduction; returns pivot columns."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for k in range(r, nrows):
-            if rows[k][c]:
-                piv = k
-                break
-        if piv is None:
+def _echelon(rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
+    """Fraction-free reduced echelon form of integer rows read one at a time, as
+    {pivot column: primitive row}: each new row is reduced against the kept rows, then
+    its pivot's column is cleared from them.  A kept row starts at its pivot and is 0
+    at the other pivots, so the kept rows are the RREF rows up to scale."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        row = list(row)
+        for c, prow in pivots.items():
+            if row[c]:
+                row = _cancel(row, prow, c)
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        for k in range(r + 1, nrows):
-            if rows[k][c]:
-                rows[k] = _cancel(rows[k], prow, c)
-        pivots.append(c)
-        r += 1
+        g = reduce(gcd, row, 0)
+        if g > 1:
+            row = [x // g for x in row]
+        for k, prow in pivots.items():
+            if prow[c]:
+                pivots[k] = _cancel(prow, row, c)
+        pivots[c] = row
     return pivots
 
 
@@ -102,23 +94,16 @@ def rank_mod_p_reaches(rows: Iterable[Sequence[int]], target: int) -> bool:
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    rows = _primitive_int_rows(m)
-    return len(_int_echelon(rows))
+    return len(_echelon(_clear_denominators(m)))
 
 
 def rref(m: Sequence[Sequence[Fraction]]) -> tuple[QMatrix, int, list[int]]:
-    """Reduced row echelon form: (rref matrix, rank, pivot columns), cleared in integers."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rows = _primitive_int_rows(m)
-    pivots = _int_echelon(rows)
-    rnk = len(pivots)
-    for i in range(rnk - 1, -1, -1):
-        for j in range(i + 1, rnk):
-            if rows[i][pivots[j]]:
-                rows[i] = _cancel(rows[i], rows[j], pivots[j])
-    out = [[Fraction(x, rows[i][pc]) for x in rows[i]] for i, pc in enumerate(pivots)]
-    return out + [[ZERO] * ncols for _ in range(nrows - rnk)], rnk, pivots
+    """Reduced row echelon form: (rref matrix, rank, pivot columns)."""
+    ncols = len(m[0]) if m else 0
+    echelon = _echelon(_clear_denominators(m))
+    pivots = sorted(echelon)
+    out = [[Fraction(x, echelon[c][c]) for x in echelon[c]] for c in pivots]
+    return out + [[ZERO] * ncols for _ in range(len(m) - len(pivots))], len(pivots), pivots
 
 
 def rref_rows(m: Sequence[Sequence[Fraction]]) -> QMatrix:
@@ -127,24 +112,21 @@ def rref_rows(m: Sequence[Sequence[Fraction]]) -> QMatrix:
     return out[:rnk]
 
 
-def nullspace_rows(m: Sequence[Sequence[Fraction]]) -> QMatrix:
-    """Basis vectors of the right null space, one per row, in canonical form.
-
-    Each basis vector carries a 1 in "its" free column and 0 in the others',
-    so span comparisons reduce to RREF equality of the stacked rows.
-    """
-    out, _, pivots = rref(m)
-    ncols = len(m[0]) if m else 0
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def null_space(rows: Iterable[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
+    """(L, B) for the right null space of integer rows of length n: B / L is its canonical
+    basis, one vector per free column with 1 there and 0 in the other free columns.  L is
+    the lcm of the pivots; with no rows, L = 1 and B is the identity."""
+    echelon = _echelon(rows)
+    den = reduce(lcm, (row[c] for c, row in echelon.items()), 1)
     basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -out[i][f]
-        basis.append(v)
-    return basis
+    for f in range(n):
+        if f not in echelon:
+            v = [0] * n
+            v[f] = den
+            for c, row in echelon.items():
+                v[c] = -row[f] * (den // row[c])
+            basis.append(v)
+    return den, basis
 
 
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:

@@ -100,11 +100,6 @@ def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 
 
-def matmul(a, b):
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
 def row_space_equal(a, b) -> bool:
     """Rational row-span equality by the division RREF."""
     return division_rref(a) == division_rref(b)
@@ -297,10 +292,15 @@ def adjoint_identity_by_fractions(mult, gens, columns, gram) -> bool:
     )
 
 
-def solution_space_by_fractions(rows, n):
-    """Canonical null space basis of rational rows, by the division RREF: one
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def nullspace_rows(m):
+    """Canonical null space basis of a rational matrix, by the division RREF: one
     vector per free column, 1 there and 0 in the other free columns."""
-    reduced = division_rref(rows)
+    n = len(m[0]) if m else 0
+    reduced = division_rref(m)
     pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
     basis = []
     for f in (c for c in range(n) if c not in pivots):
@@ -326,7 +326,7 @@ def functional_space_by_fractions(mult, columns, symmetric: bool):
             for k, c in columns[h]:
                 row[mult[k][g]] += sign * c
             rows.append(row)
-    return solution_space_by_fractions(rows, n)
+    return nullspace_rows(rows)
 
 
 def realize_by_fractions(mult, columns, seed, attempts):
@@ -357,7 +357,7 @@ def skew_adjoint_space_by_fractions(mult, gram):
     n = len(mult)
     rows = [[gram[mult[z][x]][y] + gram[x][mult[z][y]] for z in range(n)]
             for x in range(n) for y in range(n)]
-    return division_rref(solution_space_by_fractions(rows, n))
+    return division_rref(nullspace_rows(rows))
 
 
 def conjugation_orbits(mult, inv):

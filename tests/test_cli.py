@@ -178,6 +178,7 @@ def test_malformed_involution_json_exits_one(capsys):
         ('{"kind": "oriented"}', "'alpha'"),
         ('{"kind": "anti_automorphism", "map": [0.0, 1.0]}', "integers"),
         ('{"kind": "linear", "matrix": [["x", "0"], ["0", "1"]]}', "rationals"),
+        ('{"kind": "linear", "matrix": [[Infinity, 0], [0, 1]]}', "rationals"),
         ('{"kind": "linear", "matrix": 5}', "|G| x |G|"),
         ('{"kind": "oriented", "alpha": [1.0, -1.0]}', "+1 or -1"),
     ]
@@ -279,18 +280,17 @@ def test_seed_env_respected(capsys, monkeypatch):
 
 def test_out_of_memory_exits_two_with_message():
     """A MemoryError ends in exit 2 and one line, not a traceback.  The address-space
-    cap acts only on the child.  The form of dihedral:1250 (order 2500, above the
-    default cap, so --max-order lifts it) finds its functional space as a rational RREF
-    and null space basis, near 3 million Fractions, beyond the cap.  Its group table
-    fits, so this input runs out inside the form computation, in seconds; at order 2000
-    the integer gram fits, and only its rank mod p runs out, after about a minute."""
+    cap acts only on the child.  The form of dihedral:1500 (order 3000, above the
+    default cap, so --max-order lifts it) fits its group table and its functional space,
+    and runs out drawing the 3000 x 3000 integer gram, in seconds.  At order 2500 the
+    gram fits, and only its rank mod p runs out, after more than a minute."""
     cap = 256 << 20
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    cmd = [sys.executable, "-m", "skewlie", "form", "--group", "dihedral:1250",
-           "--max-order", "2500"]
+    cmd = [sys.executable, "-m", "skewlie", "form", "--group", "dihedral:1500",
+           "--max-order", "3000"]
     proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit, timeout=300)
     assert proc.returncode == EXIT_CHECK
     assert proc.stderr.startswith("error: out of memory")

@@ -46,10 +46,10 @@ def test_only_the_table_build_imports_the_root_vector_twist():
 
 
 CONSTRAINT_BUILDERS = {
-    "forms": ("_solution_space", "_functional_space", "_draw_gram", "_equals_combination",
+    "forms": ("_functional_space", "_draw_gram", "_equals_combination",
               "_skew_adjoint_blocks", "_skew_adjoint_rows", "skew_adjoint_space",
               "adjoint_space_matches_skew_span", "check_adjoint_identity"),
-    "linalg": ("rank_mod_p_reaches",),
+    "linalg": ("_echelon", "null_space", "rank_mod_p_reaches"),
     "involutions": ("eigen_rows", "__post_init__", "_sparse_sum"),
     "wedderburn": ("_center_rows", "component_skew_dim"),
 }

@@ -11,6 +11,7 @@ from oracle import (
     adjoint_identity_by_triples,
     fraction_columns,
     functional_space_by_fractions,
+    identity,
     mat,
     realize_by_fractions,
     skew_adjoint_space_by_fractions,
@@ -30,7 +31,7 @@ from skewlie import (
     skew_adjoint_space,
     skew_space,
 )
-from skewlie import forms
+from skewlie import forms, linalg
 from skewlie.catalog import (
     builtin_involutions,
     catalog_groups,
@@ -40,7 +41,8 @@ from skewlie.catalog import (
     s3_conjugated_fixture,
 )
 from skewlie.groups import generators
-from skewlie.linalg import MODULUS, hnf, identity, rank, rank_mod_p_reaches, rref_rows
+from skewlie.involutions import eigen_rows
+from skewlie.linalg import MODULUS, hnf, rank, rank_mod_p_reaches, rref_rows
 from skewlie.verify import FORMS_ORDER_LIMIT
 
 
@@ -257,8 +259,8 @@ def _form_cases(max_order: int = 12):
 
 
 def test_integer_route_matches_the_rational_oracle():
-    """The n integer rows g -+ sigma(g) give the same functional spaces as the
-    n(n+1)/2 rational pair rows reduced by division, on every form `verify` realizes;
+    """The n integer rows g -+ sigma(g) give the same functional spaces, as B / L, as
+    the n(n+1)/2 rational pair rows reduced by division, on every form `verify` realizes;
     and the same grams, functionals and skew-adjoint spaces, and the same adjoint
     check, on the form cases for seeds 0-2."""
     verified = list(_form_cases(FORMS_ORDER_LIMIT))
@@ -267,7 +269,8 @@ def test_integer_route_matches_the_rational_oracle():
         for want in ("symmetric", "skew"):
             expected = functional_space_by_fractions(inv.group.mult, fraction_columns(inv),
                                                      want == "symmetric")
-            assert forms._functional_space(inv, want) == expected, (label, want)
+            den, basis = forms._functional_space(inv, want)
+            assert [[Fraction(x, den) for x in row] for row in basis] == expected, (label, want)
     for label, inv in _form_cases():
         mult, columns = inv.group.mult, fraction_columns(inv)
         for seed in (0, 1, 2):
@@ -308,26 +311,30 @@ def test_every_one_entry_change_fails_the_skew_span_check():
 
 
 def test_every_constraint_row_is_built_and_reduced(monkeypatch):
-    """n functional rows g -+ sigma(g) and n^2 skew-adjoint rows reach the solver,
-    and every distinct nonzero one of them reaches the echelon step."""
-    built, reduced = [], []
-    solution_space, int_echelon = forms._solution_space, forms._int_echelon
+    """The n functional rows g -+ sigma(g) and every distinct one of the n^2
+    skew-adjoint rows reach the solver, and the solver's elimination reads them all."""
+    solved, read = [], []
+    null_space, echelon = forms.null_space, linalg._echelon
 
     def counting_space(rows, n):
-        rows = list(rows)
-        built.append((len(rows), len({tuple(row) for row in rows if any(row)})))
-        return solution_space(rows, n)
+        solved.append(list(rows))
+        return null_space(solved[-1], n)
 
     def counting_echelon(rows):
-        reduced.append(len(rows))
-        return int_echelon(rows)
+        read.append(list(rows))
+        return echelon(read[-1])
 
-    monkeypatch.setattr(forms, "_solution_space", counting_space)
-    monkeypatch.setattr(forms, "_int_echelon", counting_echelon)
+    monkeypatch.setattr(forms, "null_space", counting_space)
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
     _, inv = s3_conjugated_fixture()
-    skew_adjoint_space(realize_adjoint_form(inv, seed=0))
-    assert [count for count, _ in built] == [6, 36]
-    assert reduced == [distinct for _, distinct in built]
+    r = realize_adjoint_form(inv, seed=0)
+    skew_adjoint_space(r)
+    rows = list(forms._skew_adjoint_rows(r))
+    assert len(rows) == 36
+    assert [len(x) for x in solved] == [6, len(set(rows))]
+    assert solved[0] == eigen_rows(inv, -1 if r.form.symmetry == "symmetric" else 1)
+    assert set(solved[1]) == set(rows)
+    assert all(x in read for x in solved)
 
 
 def test_the_certificate_matches_the_exact_route():

@@ -119,6 +119,19 @@ def test_linear_matrix_must_be_involutive(c3):
         Involution.linear(c3, not_involutive)
 
 
+@pytest.mark.parametrize("bad", ["x", "1/0", "", None, float("nan"), float("inf"),
+                                 [1], {"a": 1}, (), 1j])
+def test_every_bad_linear_entry_raises_one_message(c3, bad):
+    """Entries are parsed once per distinct value; a bad one, hashable or not, first
+    or after good ones it does not equal, raises the same SpecError."""
+    for i, j in ((0, 0), (2, 1)):
+        matrix = [["1" if a == b else 0 for b in range(3)] for a in range(3)]
+        matrix[i][j] = bad
+        with pytest.raises(SpecError) as err:
+            Involution.linear(c3, matrix)
+        assert str(err.value) == "linear involution matrix entries must be rationals"
+
+
 def test_bad_spec_rejected_at_construction(c3, q8):
     # no .validate() call: the axioms are checked when the spec is built
     with pytest.raises(SpecError):

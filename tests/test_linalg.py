@@ -6,18 +6,19 @@ from hypothesis import strategies as st
 
 from oracle import (
     division_rref,
+    identity,
     in_integer_row_span,
     mat,
-    matmul,
+    nullspace_rows,
     rank_by_minors,
     row_space_equal,
     transpose,
 )
 from skewlie.linalg import (
     MODULUS,
+    _echelon,
     hnf,
-    identity,
-    nullspace_rows,
+    null_space,
     rank,
     rank_mod_p_reaches,
     rref,
@@ -40,6 +41,18 @@ def small_matrices(max_rows=5, max_cols=5):
             )
         )
     )
+
+
+def int_matrices(max_rows=6, max_cols=5):
+    return st.integers(1, max_cols).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+                           min_size=1, max_size=max_rows))
+
+
+def over_l(space):
+    """B / L as Fractions, for the (L, B) of null_space."""
+    den, basis = space
+    return [[Fraction(x, den) for x in row] for row in basis]
 
 
 def test_rref_identity():
@@ -99,10 +112,9 @@ def test_rank_mod_p_reaches_reads_rows_only_until_the_target():
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices())
+@given(int_matrices())
 def test_rank_plus_nullity(m):
-    m = mat(m)
-    assert rank(m) + len(nullspace_rows(m)) == len(m[0])
+    assert rank(mat(m)) + len(null_space(m, len(m[0]))[1]) == len(m[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,30 +132,46 @@ def test_rref_agrees_with_division_oracle(m):
 
 
 def test_kernel_of_identity_is_empty():
-    assert nullspace_rows(identity(3)) == []
+    assert null_space([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == (1, [])
 
 
 def test_kernel_of_zero_matrix():
-    z = mat([[0, 0, 0], [0, 0, 0]])
-    assert nullspace_rows(z) == identity(3)
+    ones = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert null_space([], 3) == (1, ones)
+    assert null_space([[0, 0, 0], [0, 0, 0]], 3) == (1, ones)
+    assert over_l(null_space([], 3)) == nullspace_rows(mat([[0, 0, 0]])) == identity(3)
 
 
 def test_kernel_single_constraint():
-    m = mat([[1, 1, 0]])
-    k = nullspace_rows(m)
-    assert k == mat([[-1, 1, 0], [0, 0, 1]])
-    assert matmul(m, transpose(k)) == [[Fraction(0), Fraction(0)]]
+    assert null_space([[1, 1, 0]], 3) == (1, [[-1, 1, 0], [0, 0, 1]])
+    assert null_space([[2, 3, 0]], 3) == (2, [[-3, 2, 0], [0, 0, 2]])
+    assert over_l(null_space([[2, 3, 0]], 3)) == nullspace_rows(mat([[2, 3, 0]]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices())
+@given(int_matrices())
 def test_kernel_annihilates(m):
-    m = mat(m)
-    k = nullspace_rows(m)
-    assert len(k) + rank(m) == len(m[0])
-    if k:
-        prod = matmul(m, transpose(k))
-        assert all(x == 0 for row in prod for x in row)
+    """B / L is the kernel read off the division RREF, and m B^T = 0 in integers."""
+    den, basis = null_space(m, len(m[0]))
+    assert den > 0
+    assert over_l((den, basis)) == nullspace_rows(mat(m))
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m for v in basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(), st.randoms(use_true_random=False))
+def test_echelon_reads_any_order_and_repeats_alike(m, rng):
+    """Shuffled and duplicated streams of the same rows give the same pivots, those of
+    the RREF, the same B / L, and never more kept rows than columns."""
+    n = len(m[0])
+    stream = m + [rng.choice(m) for _ in range(rng.randint(0, 6))]
+    rng.shuffle(stream)
+    kept = _echelon(iter(stream))
+    assert len(kept) <= n
+    reduced = division_rref(m)
+    assert sorted(kept) == [next(c for c, x in enumerate(row) if x) for row in reduced]
+    assert [[Fraction(x, kept[c][c]) for x in kept[c]] for c in sorted(kept)] == reduced
+    assert over_l(null_space(iter(stream), n)) == over_l(null_space(m, n))
 
 
 def test_solve_consistent_and_inconsistent():
