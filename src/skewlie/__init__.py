@@ -43,7 +43,7 @@ from .involutions import (
     bracket,
     skew_space,
 )
-from .linalg import hnf, rank, rref
+from .linalg import hnf
 from .wedderburn import (
     CentralIdempotent,
     CharacterTable,
@@ -102,10 +102,8 @@ __all__ = [
     "indicator_report",
     "integral_skew_lattice",
     "involution_count_identity",
-    "rank",
     "rational_idempotents",
     "realize_adjoint_form",
-    "rref",
     "sigma_action_on_components",
     "sign_characters",
     "skew_adjoint_space",

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from .errors import ComputationError
 from .groups import Group, abelian_group, build_group, sign_characters, symmetric_group
 from .involutions import AlgebraElement, Involution
-from .linalg import solve
+from .linalg import null_space
 
 CATALOG_SPECS: tuple[str, ...] = tuple(
     [f"cyclic:{n}" for n in range(1, 31)]
@@ -81,18 +83,25 @@ def c3c3_swap_involution() -> tuple[Group, Involution]:
 
 
 def algebra_unit_inverse(u: AlgebraElement) -> AlgebraElement:
-    """Inverse of a unit of QG via the left-multiplication matrix."""
+    """Inverse of a unit of QG from the kernel of the integer rows [D L_u | -D e_1].
+
+    Column z of L_u holds u z, and D is the lcm of u's denominators, so the kernel
+    holds the (x, t) with u x = t.  A right inverse is a two-sided one in QG, so u is
+    a unit exactly when some kernel vector has t != 0; then L_u is invertible and the
+    kernel is that one vector B_0, with t = L, and otherwise t = 0 on all of it, B_0
+    included.  So u^-1 = B_0[:n] / L."""
     group = u.group
     n = group.order
     mult = group.mult
     inv = group.inv
-    # column z of L_u holds u*z, i.e. L_u[h][z] = u[h z^-1]
-    lmat = [[u.coeffs[mult[h][inv[z]]] for z in range(n)] for h in range(n)]
-    target = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    x = solve(lmat, target)
-    if x is None:
+    d = reduce(lcm, (c.denominator for c in u.coeffs), 1)
+    du = [c.numerator * (d // c.denominator) for c in u.coeffs]
+    # L_u[h][z] = u[h z^-1]
+    rows = [[du[mult[h][inv[z]]] for z in range(n)] + [-d if h == 0 else 0] for h in range(n)]
+    den, (b0, *_) = null_space(rows, n + 1)
+    if not b0[n]:
         raise ComputationError("element is not a unit of the group algebra")
-    return AlgebraElement(group, x)
+    return AlgebraElement(group, [Fraction(x, den) for x in b0[:n]])
 
 
 def conjugated_canonical_involution(group: Group, unit: AlgebraElement) -> Involution:

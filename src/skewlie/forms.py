@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul, ne
 from typing import Iterator
 
 from .errors import ComputationError, SpecError
 from .groups import generators
-from .involutions import Involution, eigen_rows, skew_space
-from .linalg import (QMatrix, ZERO, ONE, _clear_denominators, hnf, null_space, rank,
-                     rank_mod_p_reaches, rref_rows)
+from .involutions import ZERO, Involution, QMatrix, eigen_rows
+from .linalg import _echelon, hnf, null_space, rank_mod_p_reaches, row_basis
 from .serialize import frac_row, frac_str
 
 SYMMETRIC = "symmetric"
@@ -31,22 +30,20 @@ SKEW = "skew"
 
 DEFAULT_ATTEMPTS = 64
 
+ONE = Fraction(1)
+
 
 @dataclass(frozen=True, init=False)
 class BilinearForm:
     """A form on the group basis of QG with gram scale * int_gram: int_gram of content 1,
     with the rank, symmetry and null spaces of the form, and one positive rational scale.
-    A rational ``gram`` given instead is split so; otherwise it is built only when read."""
+    The rational ``gram`` is built only when read."""
 
     int_gram: list[list[int]]
     scale: Fraction
     symmetry: str  # symmetric | skew
 
-    def __init__(self, symmetry: str, int_gram: list[list[int]] | None = None,
-                 scale: Fraction = ONE, gram: QMatrix | None = None):
-        if gram is not None:
-            scale = Fraction(1, den := reduce(lcm, (x.denominator for row in gram for x in row), 1))
-            int_gram = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+    def __init__(self, symmetry: str, int_gram: list[list[int]], scale: Fraction = ONE):
         content = gcd(*(gcd(*row) for row in int_gram)) or 1
         if content > 1:
             int_gram = [[x // content for x in row] for row in int_gram]
@@ -60,7 +57,7 @@ class BilinearForm:
     def nonsingular(self) -> bool:
         """Rank n mod a prime proves it; short of that, the exact rank decides."""
         n = len(self.int_gram)
-        return rank_mod_p_reaches(self.int_gram, n) or rank(self.int_gram) == n
+        return rank_mod_p_reaches(self.int_gram, n) or len(_echelon(self.int_gram)) == n
 
 
 @dataclass(frozen=True)
@@ -184,14 +181,15 @@ def _skew_adjoint_rows(r: AdjointRealization) -> Iterator[tuple[int, ...]]:
     return (row for block in _skew_adjoint_blocks(r) for row in zip(*block))
 
 
-def skew_adjoint_space(r: AdjointRealization) -> QMatrix:
-    """RREF basis of {f in QG : h(f x, y) + h(x, f y) = 0 for all x, y}.
+def skew_adjoint_space(r: AdjointRealization) -> list[list[int]]:
+    """Canonical integer basis (``linalg.row_basis``) of
+    {f in QG : h(f x, y) + h(x, f y) = 0 for all x, y}.
 
     f acts by left multiplication on the regular module, so the condition is
     one exact linear system in the |G| coefficients of f, one integer row per (x, y);
     only the distinct rows are reduced, at most n of the n^2 on the canonical form.
     """
-    return rref_rows(null_space(set(_skew_adjoint_rows(r)), r.involution.group.order)[1])
+    return row_basis(null_space(set(_skew_adjoint_rows(r)), r.involution.group.order)[1])
 
 
 def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> bool:
@@ -202,7 +200,8 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> b
     n^2 rows, read on every block B_x (for sigma induced by G one comparison of two
     rows per g), not derived from the adjoint identity.  N = S then follows once the
     rank of the system reaches n - dim S mod a prime, since the rank mod p never
-    exceeds the rank over Q.  Short of that, the exact solution space decides.
+    exceeds the rank over Q.  Short of that, the exact rank of its distinct rows
+    decides: N = S exactly when it is n - dim S.
     """
     d, scaled = inv.scaled_columns
     moved = [(g, terms) for g, terms in enumerate(scaled) if terms != ((g, d),)]
@@ -210,10 +209,9 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> b
         if not all(_equals_combination(d, block[g], terms, block.__getitem__)
                    for g, terms in moved):
             return False
-    skew = skew_space(inv)
-    if rank_mod_p_reaches(_skew_adjoint_rows(r), inv.group.order - skew.skew_dim):
-        return True
-    return skew_adjoint_space(r) == skew.skew_basis
+    target = inv.group.order - inv.skew_dim
+    return (rank_mod_p_reaches(_skew_adjoint_rows(r), target)
+            or len(_echelon(set(_skew_adjoint_rows(r)))) == target)
 
 
 def skew_lattice_generators(inv: Involution) -> list[list[int]]:
@@ -226,12 +224,12 @@ def integral_skew_lattice(inv: Involution) -> list[list[int]]:
     """HNF basis of ZG intersected with the skew-adjoint solution space.
 
     Saturation via HNF of the integer generators {g - sigma(g)} stacked with
-    the primitive integer multiples of the RREF basis of the rational solution
-    space (a row with a pivot 1 is primitive once its denominators are cleared).
+    the canonical integer basis of the rational solution space, whose rows are
+    primitive.
     """
     gens = skew_lattice_generators(inv)
     space = skew_adjoint_space(canonical_regular_form(inv))
-    lattice = hnf(gens + _clear_denominators(space))
+    lattice = hnf(gens + space)
     if len(lattice) != len(space):
         raise ComputationError("integral lattice rank differs from the rational space")
     return lattice

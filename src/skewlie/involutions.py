@@ -18,8 +18,12 @@ from typing import Iterable, Sequence
 
 from .errors import SpecError
 from .groups import Group, conjugacy_classes, generators
-from .linalg import QMatrix, ZERO, _echelon, rref_rows
+from .linalg import _echelon, row_basis
 from .serialize import frac_str
+
+QMatrix = list[list[Fraction]]
+
+ZERO = Fraction(0)
 
 CANONICAL = "canonical"
 ORIENTED = "oriented"
@@ -296,7 +300,8 @@ def eigen_rows(inv: Involution, s: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class SkewSpaceReport:
-    """The -1 and +1 eigenspaces of an involution on QG; the RREF bases and
+    """The -1 and +1 eigenspaces of an involution on QG; their canonical integer bases
+    (``linalg.row_basis``: the RREF rows, each primitive with a positive pivot) and
     ``sym_dim`` are built on first read."""
 
     involution: Involution
@@ -305,12 +310,12 @@ class SkewSpaceReport:
     fixed_minus: int
 
     @cached_property
-    def skew_basis(self) -> QMatrix:
-        return rref_rows(eigen_rows(self.involution, -1))
+    def skew_basis(self) -> list[list[int]]:
+        return row_basis(eigen_rows(self.involution, -1))
 
     @cached_property
-    def sym_basis(self) -> QMatrix:
-        return rref_rows(eigen_rows(self.involution, 1))
+    def sym_basis(self) -> list[list[int]]:
+        return row_basis(eigen_rows(self.involution, 1))
 
     @cached_property
     def sym_dim(self) -> int:
@@ -320,7 +325,7 @@ class SkewSpaceReport:
 def skew_space(inv: Involution) -> SkewSpaceReport:
     """Split QG into symmetric and skew-symmetric parts under the involution.
 
-    skew_dim is the integer rank of the rows g - sigma(g); the RREF bases are
+    skew_dim is the integer rank of the rows g - sigma(g); the integer bases are
     unique, so the split is canonical.
     """
     d, cols = inv.scaled_columns

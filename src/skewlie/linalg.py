@@ -1,35 +1,20 @@
-"""Exact dense linear algebra over the rationals and the integers.
+"""Exact dense linear algebra over the integers.
 
-Matrices are row-major lists of lists of ``fractions.Fraction`` (``QMatrix``),
-or plain ints for the integer lattice routines.  Every exact space comes from one
-fraction-free elimination, ``_echelon``, which reads integer rows one at a time,
-reduces them by cross-multiplication and keeps the RREF rows up to scale.  ``rank``,
-``rref`` and ``solve`` scale rational rows to integers first; ``null_space`` returns
-the canonical kernel basis in integers over one common denominator.
+Every exact space comes from one fraction-free elimination, ``_echelon``, which reads
+integer rows one at a time, reduces them by cross-multiplication and keeps the RREF
+rows up to scale.  A subspace of Q^n has one representation, its canonical integer
+basis: ``row_basis`` returns the primitive integer multiples of its RREF rows, and
+``null_space`` the canonical kernel basis over one common denominator.  The rank of
+integer rows is ``len(_echelon(rows))``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-QMatrix = list[list[Fraction]]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 MODULUS = 2**61 - 1  # a Mersenne prime
-
-
-def _clear_denominators(m: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators, primitive if the row has an entry 1."""
-    out = []
-    for row in m:
-        den = reduce(lcm, (x.denominator for x in row), 1)
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
 
 
 def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
@@ -93,23 +78,11 @@ def rank_mod_p_reaches(rows: Iterable[Sequence[int]], target: int) -> bool:
     return False
 
 
-def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    return len(_echelon(_clear_denominators(m)))
-
-
-def rref(m: Sequence[Sequence[Fraction]]) -> tuple[QMatrix, int, list[int]]:
-    """Reduced row echelon form: (rref matrix, rank, pivot columns)."""
-    ncols = len(m[0]) if m else 0
-    echelon = _echelon(_clear_denominators(m))
-    pivots = sorted(echelon)
-    out = [[Fraction(x, echelon[c][c]) for x in echelon[c]] for c in pivots]
-    return out + [[ZERO] * ncols for _ in range(len(m) - len(pivots))], len(pivots), pivots
-
-
-def rref_rows(m: Sequence[Sequence[Fraction]]) -> QMatrix:
-    """Nonzero rows of the RREF: a canonical basis of the row space."""
-    out, rnk, _ = rref(m)
-    return out[:rnk]
+def row_basis(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The canonical integer basis of the row space: the RREF rows in pivot order,
+    each scaled to a primitive integer row with a positive pivot."""
+    echelon = _echelon(rows)
+    return [row if row[c] > 0 else [-x for x in row] for c, row in sorted(echelon.items())]
 
 
 def null_space(rows: Iterable[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
@@ -127,19 +100,6 @@ def null_space(rows: Iterable[Sequence[int]], n: int) -> tuple[int, list[list[in
                 v[c] = -row[f] * (den // row[c])
             basis.append(v)
     return den, basis
-
-
-def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution of a·x = b with free variables set to 0, or None."""
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    out, rnk, pivots = rref(aug)
-    ncols = len(a[0]) if a else 0
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [ZERO] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = out[i][ncols]
-    return x
 
 
 def hnf(m: Sequence[Sequence[int]]) -> list[list[int]]:

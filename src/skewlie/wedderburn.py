@@ -35,7 +35,7 @@ from .errors import ComputationError, SpecError
 from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent, generators
 from .indicators import IndicatorReport, indicator_report
 from .involutions import AlgebraElement, Involution, skew_space
-from .linalg import rank, rank_mod_p_reaches
+from .linalg import _echelon, rank_mod_p_reaches
 
 DEFAULT_PRIME_BOUND = 10**8
 
@@ -376,7 +376,7 @@ class CharacterTable:
             rows = _center_rows(self.group, idem.coords, read := [])
             if not (axioms and rank_mod_p_reaches(rows, orbit.field_degree)):
                 deque(rows, 0)  # read the rest
-                if rank(read) != orbit.field_degree:
+                if len(_echelon(read)) != orbit.field_degree:
                     raise ComputationError("center basis has the wrong dimension")
             out.append(tuple(read))
         return tuple(out)

@@ -96,6 +96,17 @@ def division_rref(m):
     return [row for row in rows if any(row)]
 
 
+def rank(m) -> int:
+    """The rank of a rational or integer matrix, by the division RREF."""
+    return len(division_rref(m))
+
+
+def over_pivots(rows):
+    """Each nonzero row divided by its first nonzero entry, as Fractions: the RREF
+    rows, when the rows are a canonical integer basis such as ``linalg.row_basis``'s."""
+    return [[Fraction(x, next(v for v in row if v)) for x in row] for row in rows]
+
+
 def transpose(m):
     return [list(col) for col in zip(*m)] if m else []
 

@@ -8,7 +8,9 @@ class; everywhere else the Galois action is a power map on the classes.  The
 constraint systems of the forms are built and reduced in integers, on the gram
 and sigma scaled once to integers, and so are the rank certificate of the skew
 span, the axiom checks of an involution and the trace formula of a component.
-No module of the package or of the tests imports a name it never reads.
+The linear algebra module is integers only: an exact subspace has one
+representation, its canonical integer basis.  No module of the package or of the
+tests imports a name it never reads.
 """
 
 import ast
@@ -49,7 +51,7 @@ CONSTRAINT_BUILDERS = {
     "forms": ("_functional_space", "_draw_gram", "_equals_combination",
               "_skew_adjoint_blocks", "_skew_adjoint_rows", "skew_adjoint_space",
               "adjoint_space_matches_skew_span", "check_adjoint_identity"),
-    "linalg": ("_echelon", "null_space", "rank_mod_p_reaches"),
+    "linalg": ("_echelon", "row_basis", "null_space", "rank_mod_p_reaches"),
     "involutions": ("eigen_rows", "__post_init__", "_sparse_sum"),
     "wedderburn": ("_center_rows", "component_skew_dim"),
 }
@@ -68,6 +70,14 @@ def test_form_constraints_are_built_in_integers():
         for name, fn in builders.items():
             names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
             assert not names & {"Fraction", "ZERO"}, name
+
+
+def test_linalg_imports_nothing_from_fractions():
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert modules and "fractions" not in modules
 
 
 def _unread_imports(path: Path) -> list[str]:

@@ -13,7 +13,10 @@ from oracle import (
     functional_space_by_fractions,
     identity,
     mat,
+    over_pivots,
+    rank,
     realize_by_fractions,
+    row_space_equal,
     skew_adjoint_space_by_fractions,
 )
 from skewlie import (
@@ -42,7 +45,7 @@ from skewlie.catalog import (
 )
 from skewlie.groups import generators
 from skewlie.involutions import eigen_rows
-from skewlie.linalg import MODULUS, hnf, rank, rank_mod_p_reaches, rref_rows
+from skewlie.linalg import MODULUS, hnf, rank_mod_p_reaches
 from skewlie.verify import FORMS_ORDER_LIMIT
 
 
@@ -69,13 +72,13 @@ def test_adjoint_identity_all_triples_q8(q8, canonical):
 
 
 def _one_entry_changes(r):
-    """r with gram[i][j] raised by 1, for every cell (i, j)."""
-    n = len(r.form.gram)
+    """r with int_gram[i][j] raised by 1, for every cell (i, j)."""
+    n = len(r.form.int_gram)
     for i in range(n):
         for j in range(n):
-            gram = [list(row) for row in r.form.gram]
+            gram = [list(row) for row in r.form.int_gram]
             gram[i][j] += 1
-            yield replace(r, form=replace(r.form, gram=gram))
+            yield replace(r, form=replace(r.form, int_gram=gram))
 
 
 def test_adjoint_identity_matches_all_triples_oracle():
@@ -151,10 +154,10 @@ def test_skew_adjoint_space_s3(s3, canonical):
     assert len(space) == 1
     # spanned by the difference of the two 3-cycles
     three_cycles = [g for g in range(s3.order) if s3.element_order(g) == 3]
-    expected = [Fraction(0)] * s3.order
-    expected[three_cycles[0]] = Fraction(1)
-    expected[three_cycles[1]] = Fraction(-1)
-    assert space == rref_rows([expected])
+    expected = [0] * s3.order
+    expected[three_cycles[0]] = 1
+    expected[three_cycles[1]] = -1
+    assert space == [expected]
     assert space == skew_space(inv).skew_basis
 
 
@@ -218,7 +221,7 @@ def test_lattice_spans_rational_solution_space(q8, canonical):
     lat = integral_skew_lattice(inv)
     space = skew_adjoint_space(canonical_regular_form(inv))
     assert len(lat) == len(space)
-    assert rref_rows(mat(lat)) == space
+    assert row_space_equal(lat, space)
 
 
 def test_lattice_needs_group_induced():
@@ -282,7 +285,8 @@ def test_integer_route_matches_the_rational_oracle():
             scale = next(x / g for x, g in zip(flat, chain(*gram)) if g)
             assert scale > 0 and reduce(gcd, flat, 0) == 1, label
             assert r.form.int_gram == [[scale * g for g in row] for row in gram], label
-            assert skew_adjoint_space(r) == skew_adjoint_space_by_fractions(mult, gram), label
+            assert (over_pivots(skew_adjoint_space(r))
+                    == skew_adjoint_space_by_fractions(mult, gram)), label
             assert check_adjoint_identity(r), label
             assert adjoint_identity_by_fractions(mult, generators(inv.group), columns, gram)
 
@@ -350,15 +354,21 @@ def test_the_certificate_matches_the_exact_route():
                 assert adjoint_space_matches_skew_span(inv, case) == exact, (label, seed)
 
 
-def _counting_exact_space(monkeypatch) -> list:
-    calls = []
+def _counting_exact_ranks(monkeypatch) -> list:
+    """The rows of every exact rank that forms takes: for the skew-span certificate the
+    distinct rows of the system, a set; for nonsingular the integer gram, a list."""
+    calls, echelon = [], forms._echelon
 
-    def counting(r):
-        calls.append(r)
-        return skew_adjoint_space(r)
+    def counting(rows):
+        calls.append(rows)
+        return echelon(rows)
 
-    monkeypatch.setattr(forms, "skew_adjoint_space", counting)
+    monkeypatch.setattr(forms, "_echelon", counting)
     return calls
+
+
+def _certificate_ranks(calls) -> list:
+    return [rows for rows in calls if isinstance(rows, set)]
 
 
 def test_the_certificate_matches_the_exact_route_across_involutions(monkeypatch):
@@ -366,7 +376,7 @@ def test_the_certificate_matches_the_exact_route_across_involutions(monkeypatch)
     Where the skew span of sigma lies inside that of the form's involution, part (a)
     holds and only the rank tells the spans apart, as on C2 with the canonical
     involution and the form of the oriented one."""
-    calls = _counting_exact_space(monkeypatch)
+    calls = _counting_exact_ranks(monkeypatch)
     for group in catalog_groups(max_order=12):
         involutions = [inv for _, inv in builtin_involutions(group)]
         for r in [realize_adjoint_form(inv, seed=0) for inv in involutions]:
@@ -375,61 +385,58 @@ def test_the_certificate_matches_the_exact_route_across_involutions(monkeypatch)
                 exact = skew_adjoint_space(r) == skew_space(inv).skew_basis
                 assert adjoint_space_matches_skew_span(inv, r) == exact, group.name
                 assert exact == (skew_space(inv).skew_basis == own), group.name
-    assert calls
+    assert _certificate_ranks(calls)
 
 
 def test_a_rank_short_mod_p_falls_back_to_the_exact_space(monkeypatch):
     """With a rank mod p that never reaches its target, the skew span is decided by
-    the full solution space and nonsingularity by the exact rank: the same answers."""
+    the exact rank of the system's distinct rows and nonsingularity by the exact rank
+    of the gram: the same answers as the full solution space."""
     monkeypatch.setattr(forms, "rank_mod_p_reaches", lambda rows, target: False)
-    calls = _counting_exact_space(monkeypatch)
+    calls = _counting_exact_ranks(monkeypatch)
     inv = Involution.canonical(build_group("symmetric:3"))
     r = realize_adjoint_form(inv, seed=0)
     assert r.form.gram == realize_by_fractions(inv.group.mult, fraction_columns(inv), 0,
                                                forms.DEFAULT_ATTEMPTS)[0]
     assert r.form.nonsingular
+    assert calls == [r.form.int_gram]
     assert adjoint_space_matches_skew_span(inv, r)
-    assert calls == [r]
+    assert _certificate_ranks(calls) == [set(forms._skew_adjoint_rows(r))]
+    assert skew_adjoint_space(r) == skew_space(inv).skew_basis
     assert not any(adjoint_space_matches_skew_span(inv, case) for case in _one_entry_changes(r))
 
 
 def test_a_system_below_the_target_rank_is_decided_exactly(monkeypatch):
     """The zero form: every g - sigma(g) solves its system, and so does every f, so
     the rank mod p stays 0 below n - dim S and the exact route says no."""
-    calls = _counting_exact_space(monkeypatch)
     inv = Involution.canonical(build_group("symmetric:3"))
     r = realize_adjoint_form(inv, seed=0)
-    zero = replace(r, form=replace(r.form, gram=[[0 * x for x in row] for row in r.form.gram]))
+    calls = _counting_exact_ranks(monkeypatch)
+    zero = replace(r, form=replace(r.form, int_gram=[[0] * len(row) for row in r.form.int_gram]))
     assert not zero.form.nonsingular
     assert not adjoint_space_matches_skew_span(inv, zero)
-    assert calls == [zero]
+    assert calls == [zero.form.int_gram, set(forms._skew_adjoint_rows(zero))]
+    assert skew_adjoint_space(zero) != skew_space(inv).skew_basis
 
 
 def test_the_fixed_prime_needs_no_fallback_on_the_verify_forms(monkeypatch):
     """On every form that skewlie verify checks, the rank mod p settles the skew span
-    and nonsingularity: the exact solver never runs, and the exact rank only on a
-    draw that is singular over Q."""
-    calls = _counting_exact_space(monkeypatch)
-    ranks = []
-
-    def recording_rank(m):
-        ranks.append((rank(m), len(m)))
-        return ranks[-1][0]
-
-    monkeypatch.setattr(forms, "rank", recording_rank)
+    and nonsingularity: the certificate takes no exact rank, and nonsingular only on
+    a draw that is singular over Q."""
+    calls = _counting_exact_ranks(monkeypatch)
     cases = [inv for _, inv in _form_cases(FORMS_ORDER_LIMIT)]
     assert len(cases) == 161
     for inv in cases:
         assert all(form_report(inv, seed=0)["checks"].values())
-    assert calls == []
-    assert all(k < n for k, n in ranks)
+    assert _certificate_ranks(calls) == []
+    assert all(rank(gram) < len(gram) for gram in calls)
 
 
 def test_nonsingular_falls_back_to_the_exact_rank():
     """Singular over Q is False; singular mod the prime but not over Q is True."""
-    assert not forms.BilinearForm(gram=mat([[1, 2], [2, 4]]), symmetry="symmetric").nonsingular
+    assert not forms.BilinearForm(int_gram=[[1, 2], [2, 4]], symmetry="symmetric").nonsingular
     assert not rank_mod_p_reaches([[MODULUS, 0], [0, 1]], 2)
-    assert forms.BilinearForm(gram=mat([[MODULUS, 0], [0, 1]]), symmetry="symmetric").nonsingular
+    assert forms.BilinearForm(int_gram=[[MODULUS, 0], [0, 1]], symmetry="symmetric").nonsingular
 
 
 def test_nonsingular_agrees_with_the_exact_rank_on_every_draw(monkeypatch):

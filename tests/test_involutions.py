@@ -5,10 +5,11 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import involution_axioms_hold, mat
+from oracle import involution_axioms_hold, rank
 
 from skewlie import (
     AlgebraElement,
+    ComputationError,
     Involution,
     SpecError,
     bracket,
@@ -16,10 +17,9 @@ from skewlie import (
     sign_characters,
     skew_space,
 )
-from skewlie.catalog import (builtin_involutions, conjugated_canonical_involution,
-                             s3_conjugated_fixture)
+from skewlie.catalog import (algebra_unit_inverse, builtin_involutions,
+                             conjugated_canonical_involution, s3_conjugated_fixture)
 from skewlie.groups import generators
-from skewlie.linalg import rank, rref_rows
 
 
 def basis(g, i, scale=1):
@@ -93,7 +93,7 @@ def test_oriented_on_cyclic4_is_valid():
     report = skew_space(inv)
     assert report.skew_dim == 1
     assert report.fixed_minus == 0
-    assert report.skew_basis == rref_rows(mat([[0, 1, 0, 1]]))
+    assert report.skew_basis == [[0, 1, 0, 1]]
 
 
 def test_broken_map_rejected(c3):
@@ -273,6 +273,35 @@ def test_linear_involution_json_round_trip(c3):
         assert rebuilt.to_json() == obj
         assert rebuilt.matrix == inv.matrix
         assert lcm(*(x.denominator for row in inv.matrix for x in row)) == d
+
+
+def test_unit_inverse_with_rational_coefficients(s3):
+    """(1 + c t)(1 - c t) = 1 - c^2 for a transposition t, so 1 + (2/3) t has the
+    inverse (9/5)(1 - (2/3) t); and 1/2 + (1/3) g + (5/7) h on C3, and D4, have
+    two-sided inverses."""
+    t = next(g for g in range(1, s3.order) if s3.mult[g][g] == 0)
+    u = basis(s3, 0) + basis(s3, t, Fraction(2, 3))
+    expected = basis(s3, 0, Fraction(9, 5)) - basis(s3, t, Fraction(6, 5))
+    assert algebra_unit_inverse(u) == expected
+    for spec in ("cyclic:3", "dihedral:4"):
+        g = build_group(spec)
+        u = basis(g, 0, Fraction(1, 2)) + basis(g, 1, Fraction(1, 3)) + basis(g, 2, Fraction(5, 7))
+        x = algebra_unit_inverse(u)
+        assert u * x == x * u == AlgebraElement.one(g), spec
+        assert any(c.denominator > 1 for c in x.coeffs), spec
+
+
+def test_unit_inverse_rejects_zero_divisors_and_zero():
+    """1 + r for r of order 6 in D6 divides 1 - r^6 = 0, as 1 + g does on C2, and
+    1 - e for the trivial idempotent e has a kernel of dimension 1."""
+    d6 = build_group("dihedral:6")
+    r = next(g for g in range(d6.order) if d6.element_order(g) == 6)
+    c2 = build_group("cyclic:2")
+    e = AlgebraElement(d6, [Fraction(1, d6.order)] * d6.order)
+    for u in (basis(d6, 0) + basis(d6, r), basis(c2, 0) + basis(c2, 1),
+              AlgebraElement.one(d6) - e, AlgebraElement.zero(d6)):
+        with pytest.raises(ComputationError, match="not a unit"):
+            algebra_unit_inverse(u)
 
 
 SMALL_GROUPS = [build_group(spec) for spec in (

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from oracle import (
     in_integer_row_span,
     mat,
     nullspace_rows,
+    over_pivots,
     rank_by_minors,
     row_space_equal,
     transpose,
@@ -19,28 +22,9 @@ from skewlie.linalg import (
     _echelon,
     hnf,
     null_space,
-    rank,
     rank_mod_p_reaches,
-    rref,
-    rref_rows,
-    solve,
+    row_basis,
 )
-
-fractions_st = st.fractions(
-    min_value=-20, max_value=20, max_denominator=6
-)
-
-
-def small_matrices(max_rows=5, max_cols=5):
-    return st.integers(1, max_rows).flatmap(
-        lambda r: st.integers(1, max_cols).flatmap(
-            lambda c: st.lists(
-                st.lists(fractions_st, min_size=c, max_size=c),
-                min_size=r,
-                max_size=r,
-            )
-        )
-    )
 
 
 def int_matrices(max_rows=6, max_cols=5):
@@ -55,28 +39,35 @@ def over_l(space):
     return [[Fraction(x, den) for x in row] for row in basis]
 
 
+def _is_canonical(rows) -> bool:
+    """Every row primitive, with a positive pivot, the pivots increasing."""
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    return (pivots == sorted(set(pivots)) and all(row[c] > 0 for c, row in zip(pivots, rows))
+            and all(reduce(gcd, row, 0) == 1 for row in rows))
+
+
 def test_rref_identity():
-    m = identity(3)
-    out, rnk, pivots = rref(m)
-    assert out == m
-    assert rnk == 3
-    assert pivots == [0, 1, 2]
+    """The RREF of the identity is itself, as row_basis and as the pivots of _echelon."""
+    ones = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert row_basis(ones) == ones and mat(ones) == identity(3)
+    assert sorted(_echelon(ones)) == [0, 1, 2]
 
 
 def test_rref_dependent_rows():
-    out, rnk, pivots = rref(mat([[1, 2], [2, 4]]))
-    assert out == mat([[1, 2], [0, 0]])
-    assert rnk == 1
-    assert pivots == [0]
+    """A dependent row adds nothing; each RREF row (1, 3/2) is kept as (2, 3), and a
+    negative pivot is flipped."""
+    assert row_basis([[1, 2], [2, 4]]) == [[1, 2]]
+    assert row_basis([[-2, -3], [4, 6]]) == [[2, 3]]
+    assert row_basis([[0, -3, 6], [0, 0, 0]]) == [[0, 1, -2]]
+    assert row_basis([[0, 0]]) == [] and row_basis([]) == []
 
 
 def test_rank_matches_minor_oracle_on_random_matrices():
     rng = random.Random(7)
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 7)
-        m = mat([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-                 for _ in range(rows)])
-        assert rank(m) == rank_by_minors(m)
+        m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        assert len(_echelon(m)) == len(row_basis(m)) == rank_by_minors(m)
 
 
 def test_rank_mod_p_reaches_matches_the_minor_oracle():
@@ -114,21 +105,37 @@ def test_rank_mod_p_reaches_reads_rows_only_until_the_target():
 @settings(max_examples=60, deadline=None)
 @given(int_matrices())
 def test_rank_plus_nullity(m):
-    assert rank(mat(m)) + len(null_space(m, len(m[0]))[1]) == len(m[0])
+    assert len(_echelon(m)) + len(null_space(m, len(m[0]))[1]) == len(m[0])
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices())
+@given(int_matrices())
 def test_rref_idempotent(m):
-    out, _, _ = rref(mat(m))
-    again, _, _ = rref(out)
-    assert again == out
+    """The canonical basis of a row space is the canonical basis of its own span."""
+    out = row_basis(m)
+    assert row_basis(out) == out
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices())
+@given(int_matrices())
 def test_rref_agrees_with_division_oracle(m):
-    assert rref_rows(mat(m)) == division_rref(m)
+    """row_basis is the division RREF, each row scaled to a primitive integer row."""
+    out = row_basis(m)
+    assert over_pivots(out) == division_rref(m)
+    assert _is_canonical(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices(), st.randoms(use_true_random=False))
+def test_row_basis_reads_any_order_and_repeats_alike(m, rng):
+    """Shuffled and duplicated streams of the same rows, some negated or scaled, give
+    the same canonical basis, with every pivot positive."""
+    scaled = [(rng.choice((-2, -1, 1, 3)), rng.choice(m)) for _ in range(rng.randint(0, 6))]
+    stream = m + [[k * x for x in row] for k, row in scaled]
+    rng.shuffle(stream)
+    out = row_basis(iter(stream))
+    assert out == row_basis(m)
+    assert _is_canonical(out)
 
 
 def test_kernel_of_identity_is_empty():
@@ -175,11 +182,13 @@ def test_echelon_reads_any_order_and_repeats_alike(m, rng):
 
 
 def test_solve_consistent_and_inconsistent():
-    a = mat([[1, 2], [3, 4]])
-    x = solve(a, [Fraction(5), Fraction(11)])
-    assert x == [Fraction(1), Fraction(2)]
-    bad = solve(mat([[1, 1], [1, 1]]), [Fraction(0), Fraction(1)])
-    assert bad is None
+    """a x = b is solved by the kernel of [a | -b]: a vector with last entry t != 0 gives
+    x = v[:n] / t; on an inconsistent system the last entry is 0 on the whole kernel."""
+    den, basis = null_space([[1, 2, -5], [3, 4, -11]], 3)
+    assert len(basis) == 1 and basis[0][2] == den
+    assert [Fraction(x, den) for x in basis[0][:2]] == [1, 2]
+    _, basis = null_space([[1, 1, 0], [1, 1, -1]], 3)
+    assert basis and not any(v[2] for v in basis)
 
 
 def test_hnf_identity_and_diagonal():

@@ -35,7 +35,6 @@ from skewlie.catalog import (
 from skewlie import wedderburn
 from skewlie.errors import ComputationError
 from skewlie.groups import direct_product, group_from_permutations
-from skewlie.linalg import rank
 from skewlie.wedderburn import CentralIdempotent, check_dixon_prime, idempotent_axioms_hold
 
 from oracle import (
@@ -45,6 +44,7 @@ from oracle import (
     fraction_columns,
     galois_orbits_by_twists,
     idempotent_axioms_by_convolution,
+    rank,
     skew_dim_by_rank,
     structure_constants_by_products,
     table_by_kernels,
