@@ -443,7 +443,7 @@ def oracle_cases():
 
 def test_skew_dims_match_rank_oracle(oracle_cases):
     """The trace formula against the rank of {e(g - sigma(g))}, swapped components included,
-    and skew_space's integer rank against the same oracle at e = 1 and its RREF basis."""
+    and skew_space's integer rank against the same oracle at e = 1 and its canonical basis."""
     swapped = 0
     for g, t, invs in oracle_cases:
         one = [1] + [0] * (g.order - 1)
