@@ -152,13 +152,7 @@ def cmd_group_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    selector = args.catalog
-    summary = run_verification(
-        selector=selector,
-        seed=args.seed,
-        max_order=args.max_order,
-        include_fixtures=selector is None,
-    )
+    summary = run_verification(selector=args.catalog, seed=args.seed, max_order=args.max_order)
     if not summary.lines:
         sys.stderr.write("empty selection\n")
         return EXIT_INPUT

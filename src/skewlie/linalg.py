@@ -5,7 +5,8 @@ integer rows one at a time, reduces them by cross-multiplication and keeps the R
 rows up to scale.  A subspace of Q^n has one representation, its canonical integer
 basis: ``row_basis`` returns the primitive integer multiples of its RREF rows, and
 ``null_space`` the canonical kernel basis over one common denominator.  The rank of
-integer rows is ``len(_echelon(rows))``.
+integer rows is ``len(_echelon(rows))``.  Every elimination mod a prime, the rank
+certificate ``rank_mod_p_reaches`` and the table's Krylov split, runs ``reduce_mod_p``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,23 @@ def _echelon(rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
     return pivots
 
 
+def reduce_mod_p(row: list[int], pivots: list[tuple[int, list[int]]], p: int, width: int) -> bool:
+    """Reduce ``row`` in place against ``pivots``, each (column, row with 1 there), in
+    order, and mod the prime p once at the end; a shorter pivot leaves the rest of the row
+    as it is.  If the first ``width`` entries are not all 0, scale the row to 1 at the
+    first nonzero one, append it to ``pivots`` and return True."""
+    for c, prow in pivots:
+        if f := row[c] % p:
+            row[:len(prow)] = [a - f * b for a, b in zip(row, prow)]
+    row[:] = [x % p for x in row]
+    c = next((c for c in range(width) if row[c]), None)
+    if c is not None:
+        scale = pow(row[c], -1, p)
+        row[:] = [x * scale % p for x in row]
+        pivots.append((c, row))
+    return c is not None
+
+
 def rank_mod_p_reaches(rows: Iterable[Sequence[int]], target: int) -> bool:
     """Whether the integer rows reach rank ``target`` mod MODULUS, read one at a time
     until they do.
@@ -60,21 +78,11 @@ def rank_mod_p_reaches(rows: Iterable[Sequence[int]], target: int) -> bool:
     """
     if target <= 0:
         return True
-    p = MODULUS
-    pivots: list[tuple[int, list[int]]] = []  # (column, row with 1 there and 0 at earlier pivots)
+    pivots: list[tuple[int, list[int]]] = []
     for row in rows:
         v = list(row)
-        for c, prow in pivots:
-            f = v[c] % p
-            if f:
-                v = [a - f * b for a, b in zip(v, prow)]  # reduced once, below
-        v = [x % p for x in v]
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is not None:
-            scale = pow(v[c], -1, p)
-            pivots.append((c, [x * scale % p for x in v]))
-            if len(pivots) == target:
-                return True
+        if reduce_mod_p(v, pivots, MODULUS, len(v)) and len(pivots) == target:
+            return True
     return False
 
 

@@ -35,7 +35,7 @@ from .errors import ComputationError, SpecError
 from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent, generators
 from .indicators import IndicatorReport, indicator_report
 from .involutions import AlgebraElement, Involution, skew_space
-from .linalg import _echelon, rank_mod_p_reaches
+from .linalg import _echelon, rank_mod_p_reaches, reduce_mod_p
 
 DEFAULT_PRIME_BOUND = 10**8
 
@@ -86,24 +86,15 @@ def _combine(x: Sequence, rows: Sequence, size: int) -> list:
 # the Dixon prime and the eigenbasis mod p (internal to the table construction)
 # ---------------------------------------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
+    return next((d for d in chain([2], range(3, isqrt(n) + 1, 2)) if n % d == 0), n)
 
 
 def _dixon_threshold(group: Group) -> tuple[int, int]:
     """The exponent e and the bound 2*ceil(sqrt(|G|))*|G| a Dixon prime must exceed."""
     n = group.order
-    root = isqrt(n)
-    if root * root < n:
-        root += 1
-    return exponent(group), 2 * root * n
+    return exponent(group), 2 * (isqrt(n - 1) + 1) * n  # ceil(sqrt(n)) = isqrt(n - 1) + 1
 
 
 def find_dixon_prime(group: Group) -> int:
@@ -115,7 +106,7 @@ def find_dixon_prime(group: Group) -> int:
         if p > DEFAULT_PRIME_BOUND:
             raise SpecError(f"no prime p = 1 (mod {e}) with p > {threshold} "
                             f"below the bound {DEFAULT_PRIME_BOUND}")
-        if p > threshold and _is_prime(p):
+        if p > threshold and _least_factor(p) == p:
             return p
 
 
@@ -123,7 +114,7 @@ def check_dixon_prime(group: Group, p: int) -> int:
     e, threshold = _dixon_threshold(group)
     if p > DEFAULT_PRIME_BOUND:
         raise SpecError(f"{p} exceeds the Dixon prime bound {DEFAULT_PRIME_BOUND}")
-    if not _is_prime(p):
+    if p < 2 or _least_factor(p) != p:
         raise SpecError(f"{p} is not prime")
     if p % e != (1 % e):
         raise SpecError(f"{p} is not 1 mod the group exponent {e}")
@@ -133,45 +124,28 @@ def check_dixon_prime(group: Group, p: int) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    for g in range(2, p):
+    factors, m = set(), p - 1
+    while m > 1:
+        factors.add(q := _least_factor(m))
+        m //= q
+    for g in range(1, p):  # 1 only for p = 2, with no factor q
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise ComputationError(f"no primitive root mod {p}")
 
 
 def _minimal_polynomial(v: list[int], m: tuple, p: int) -> tuple[list[list[int]], list[int]]:
-    """The Krylov vectors v, mv, ..., m^(d-1) v and the monic minimal polynomial
-    of v under m (low degree first), by one incremental elimination.  Row j of
-    m is given by its nonzero (k, m[j][k])."""
+    """The Krylov vectors v, mv, ..., m^(d-1) v and the monic minimal polynomial of v
+    under m (low degree first); row j of m is given by its nonzero (k, m[j][k]).  The
+    rows (m^k v | e_k) are reduced with pivots among the first s = len(v) entries; the
+    first whose left part reduces to 0 holds mu, with mu_k = 1, in its tail."""
     krylov: list[list[int]] = []
-    echelon = []  # (pivot, row with a 1 at the pivot, the row as a combination of krylov)
+    pivots: list[tuple[int, list[int]]] = []
     w = v
     while True:
-        r, comb = w, [0] * len(krylov) + [1]
-        for piv, row, c in echelon:
-            f = r[piv]
-            if f:
-                r = [(x - f * y) % p for x, y in zip(r, row)]
-                for t, b in enumerate(c):
-                    comb[t] = (comb[t] - f * b) % p
-        piv = next((k for k, x in enumerate(r) if x), None)
-        if piv is None:
-            return krylov, comb
-        f = pow(r[piv], p - 2, p)
-        echelon.append((piv, [x * f % p for x in r], [x * f % p for x in comb]))
+        aug = w + [0] * len(krylov) + [1]
+        if not reduce_mod_p(aug, pivots, p, len(v)):
+            return krylov, aug[len(v):]
         krylov.append(w)
         w = [sum(a * w[k] for k, a in row) % p for row in m]
 

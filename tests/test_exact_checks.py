@@ -9,7 +9,8 @@ constraint systems of the forms are built and reduced in integers, on the gram
 and sigma scaled once to integers, and so are the rank certificate of the skew
 span, the axiom checks of an involution and the trace formula of a component.
 The linear algebra module is integers only: an exact subspace has one
-representation, its canonical integer basis.  No module of the package or of the
+representation, its canonical integer basis, and every elimination mod a prime
+reduces its rows through one routine.  No module of the package or of the
 tests imports a name it never reads.
 """
 
@@ -51,7 +52,7 @@ CONSTRAINT_BUILDERS = {
     "forms": ("_functional_space", "_draw_gram", "_equals_combination",
               "_skew_adjoint_blocks", "_skew_adjoint_rows", "skew_adjoint_space",
               "adjoint_space_matches_skew_span", "check_adjoint_identity"),
-    "linalg": ("_echelon", "row_basis", "null_space", "rank_mod_p_reaches"),
+    "linalg": ("_echelon", "row_basis", "null_space", "rank_mod_p_reaches", "reduce_mod_p"),
     "involutions": ("eigen_rows", "__post_init__", "_sparse_sum"),
     "wedderburn": ("_center_rows", "component_skew_dim"),
 }
@@ -70,6 +71,22 @@ def test_form_constraints_are_built_in_integers():
         for name, fn in builders.items():
             names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
             assert not names & {"Fraction", "ZERO"}, name
+
+
+def _calls(module: str, function: str) -> set[str]:
+    """The names that one top-level function of a module calls."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {node.func.id for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_every_elimination_mod_p_reduces_through_one_routine():
+    """The rank certificate and the Krylov split of the table both reduce their rows
+    through linalg.reduce_mod_p, so no second row-reduction loop mod p comes back."""
+    assert "reduce_mod_p" in _calls("linalg", "rank_mod_p_reaches")
+    assert "reduce_mod_p" in _calls("wedderburn", "_minimal_polynomial")
 
 
 def test_linalg_imports_nothing_from_fractions():

@@ -23,6 +23,7 @@ from skewlie.linalg import (
     hnf,
     null_space,
     rank_mod_p_reaches,
+    reduce_mod_p,
     row_basis,
 )
 
@@ -86,6 +87,21 @@ def test_rank_mod_p_reaches_matches_the_minor_oracle():
         for target in range(min(rows, cols) + 2):
             assert rank_mod_p_reaches(m, target) == (k >= target)
     assert short
+
+
+def test_reduce_mod_p_keeps_the_tail_past_a_shorter_pivot():
+    """Rows longer than a pivot keep their tail, reduced mod p once; a pivot is sought
+    among the first ``width`` entries only."""
+    p = 11
+    pivots = []
+    assert reduce_mod_p(first := [2, 4, 1], pivots, p, 2)
+    assert pivots == [(0, [1, 2, 6])] and first == [1, 2, 6]  # 2^-1 = 6 mod 11
+    row = [3, 6, 0, 16]  # 3 * (1, 2) on the left; the tail is (0 - 3 * 6, 16) = (4, 5)
+    assert not reduce_mod_p(row, pivots, p, 2)
+    assert row == [0, 0, 4, 5] and len(pivots) == 1
+    row = [-8, 27, -1, 7, 1]  # minus 3 * (1, 2, 6): (0, 10, 3, 7, 1) mod 11, over 10
+    assert reduce_mod_p(row, pivots, p, 2)
+    assert pivots[1] == (1, row) and row == [0, 1, 8, 4, 10]
 
 
 def test_rank_mod_p_reaches_reads_rows_only_until_the_target():

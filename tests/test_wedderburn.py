@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,8 @@ from skewlie.wedderburn import CentralIdempotent, check_dixon_prime, idempotent_
 
 from oracle import (
     Cyclotomic,
+    _rref_mod,
+    _smallest_primitive_root,
     center_kinds_by_every_class,
     cyclotomic_values,
     fraction_columns,
@@ -108,6 +111,26 @@ def test_dixon_prime_override_is_capped_before_any_primality_test():
     assert check_dixon_prime(c3, 99999931) == 99999931  # the largest usable prime
     with pytest.raises(SpecError, match="exceeds the Dixon prime bound"):
         check_dixon_prime(c3, 100000039)  # prime and 1 mod 3
+
+
+def test_dixon_prime_override_names_the_first_failing_condition():
+    """The bound, then primality (below 2 too), then 1 mod e, then the threshold."""
+    c3 = build_group("cyclic:3")
+    for p, message in [(-5, "is not prime"), (0, "is not prime"), (1, "is not prime"),
+                       (99999930, "is not prime"), (10000143, "is not prime"),
+                       (5, "not 1 mod the group exponent 3"), (7, "is not larger than")]:
+        with pytest.raises(SpecError, match=message):
+            check_dixon_prime(c3, p)
+    assert check_dixon_prime(c3, 10000141) == 10000141
+
+
+def test_least_factor_and_primitive_root_match_trial_oracles():
+    from skewlie.wedderburn import _least_factor, _primitive_root
+
+    for n in range(2, 3000):
+        assert _least_factor(n) == next(d for d in range(2, n + 1) if n % d == 0), n
+    for p in (q for q in range(2, 800) if _least_factor(q) == q):
+        assert _primitive_root(p) == _smallest_primitive_root(p), p
 
 
 def test_prime_override_validation(q8):
@@ -785,6 +808,48 @@ def test_split_candidates_that_miss_repeat_or_sit_on_a_jordan_block():
     for likely in ([3], [3, 3], [3, 4]):
         with pytest.raises(ComputationError, match="not split semisimple mod p"):
             _split([1, 0], jordan, p, likely)
+
+
+def _dense_krylov(v, m, p):
+    """v, mv, ..., m^s v mod p for a dense m, s = len(v)."""
+    out = [[x % p for x in v]]
+    for _ in range(len(v)):
+        out.append([sum(a * x for a, x in zip(row, out[-1])) % p for row in m])
+    return out
+
+
+def _minimal_polynomial_cases():
+    rng = random.Random(31)
+    cases = [
+        (11, [[2, 0, 0], [0, 5, 0], [0, 0, 7]], [0, 0, 0], [1]),  # the zero vector: mu = 1
+        (11, [[2, 0, 0], [0, 5, 0], [0, 0, 7]], [0, 4, 0], [6, 1]),  # an eigenvector: x - 5
+        (11, [[3, 0], [1, 3]], [1, 0], [9, 5, 1]),  # a Jordan block: (x - 3)^2
+        (101, [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [1, 0, 0], [100, 0, 0, 1]),  # x^3 - 1
+    ]
+    for p in (11, 101, 10000141):
+        for s in (1, 2, 4, 7):
+            m = [[rng.randrange(p) if rng.random() < 0.35 else 0 for _ in range(s)]
+                 for _ in range(s)]
+            cases.append((p, m, [rng.randrange(p) if rng.random() < 0.6 else 0
+                                 for _ in range(s)], None))
+    return cases
+
+
+@pytest.mark.parametrize("p, m, v, expected", _minimal_polynomial_cases())
+def test_minimal_polynomial_matches_the_rref_oracle(p, m, v, expected):
+    """mu is monic, mu(m) v = 0 mod p, and deg mu is the rank mod p of the Krylov
+    space by the oracle's RREF, so no polynomial of lower degree annihilates v."""
+    from skewlie.wedderburn import _minimal_polynomial
+
+    krylov, mu = _minimal_polynomial(v, _sparse(m), p)
+    powers = _dense_krylov(v, m, p)
+    deg = len(mu) - 1
+    assert mu[-1] == 1 and all(0 <= c < p for c in mu)
+    assert [[x % p for x in w] for w in krylov] == powers[:deg]
+    assert all(sum(c * w[j] for c, w in zip(mu, powers)) % p == 0 for j in range(len(v)))
+    assert deg == len(_rref_mod(powers, p)[1])
+    if expected is not None:
+        assert mu == expected
 
 
 def test_lifting_guards():
