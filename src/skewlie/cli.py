@@ -44,11 +44,13 @@ def _env_int(name: str, default: int) -> int:
 
 def _load_json(spec: str):
     """Inline JSON, or the contents of an existing .json path, parsed; any other spec as given."""
-    if spec.lstrip().startswith("{"):
-        return json.loads(spec)
-    if spec.endswith(".json") and Path(spec).exists():
-        return json.loads(Path(spec).read_text())
-    return spec
+    inline = spec.lstrip().startswith("{")
+    if not (inline or spec.endswith(".json") and Path(spec).exists()):
+        return spec
+    try:
+        return json.loads(spec if inline else Path(spec).read_text())
+    except RecursionError:
+        raise SpecError("JSON input is nested too deeply") from None
 
 
 def _resolve_group(spec: str, max_order: int):

@@ -14,28 +14,27 @@ lifted to sums of roots of unity, by an inverse DFT over the powers of one
 representative per rational class and the twist by k on its other classes g^k,
 and the other rows of the orbit are read through the power maps, each matched
 to its own eigenvector mod p.  The Galois orbits so found give the rational
-central primitive idempotents, and each simple component of QG is
-classified against an involution as orthogonal, symplectic, or unitary from
-the dimension of its skew part.
+central primitive idempotents.  One trace of sigma over G classifies each simple
+component of QG: its kind on its center, its type from its skew dimension.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .cyclotomic import reduce_root_vector, twist_root_vector
 from .errors import ComputationError, SpecError
 from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent, generators
 from .indicators import IndicatorReport, indicator_report
 from .involutions import AlgebraElement, Involution, skew_space
-from .linalg import _echelon, rank_mod_p_reaches, reduce_mod_p
+from .linalg import reduce_mod_p
 
 DEFAULT_PRIME_BOUND = 10**8
 
@@ -142,12 +141,13 @@ def _minimal_polynomial(v: list[int], m: tuple, p: int) -> tuple[list[list[int]]
     krylov: list[list[int]] = []
     pivots: list[tuple[int, list[int]]] = []
     w = v
-    while True:
+    for _ in range(len(v) + 1):  # at most s Krylov vectors are independent
         aug = w + [0] * len(krylov) + [1]
         if not reduce_mod_p(aug, pivots, p, len(v)):
             return krylov, aug[len(v):]
         krylov.append(w)
         w = [sum(a * w[k] for k, a in row) % p for row in m]
+    raise ComputationError(f"more than {len(v)} Krylov vectors are independent mod p")
 
 
 def _split(v: list[int], m: tuple, p: int, likely: Sequence[int] = ()) -> list[list[int]]:
@@ -338,22 +338,16 @@ class CharacterTable:
                 "orthogonality": table_orthogonality(self)}
 
     @cached_property
-    def center_rows(self) -> tuple[tuple[list[int], ...], ...]:
-        """Per component, rows z_C = E K_C in class order that span its center e Z(QG),
-        read until their rank mod p reaches [Z:Q].  Once the idempotent axioms hold,
-        Z(QG) is the direct sum of the e Z(QG): their dimensions sum to s, as do the
-        [Z:Q], so these lower bounds prove every dimension.  If the axioms fail, or a
-        rank mod p falls short, the exact rank of all s rows decides."""
-        axioms = self.checks["idempotent_axioms"]
-        out = []
-        for orbit, idem in zip(self.orbits, self.idempotents):
-            rows = _center_rows(self.group, idem.coords, read := [])
-            if not (axioms and rank_mod_p_reaches(rows, orbit.field_degree)):
-                deque(rows, 0)  # read the rest
-                if len(_echelon(read)) != orbit.field_degree:
-                    raise ComputationError("center basis has the wrong dimension")
-            out.append(tuple(read))
-        return tuple(out)
+    def center_dims(self) -> tuple[int, ...]:
+        """dim_Q e Z(QG) per component, checked to be [Z:Q]: tr(L_e | Z(QG)), once E^2 = |G| E."""
+        n = self.group.order
+        identity = [((g, 1),) for g in range(n)]
+        traces = [_trace(self.group, ci.coords, identity, True) for ci in self.idempotents]
+        if any(t != n * o.field_degree for t, o in zip(traces, self.orbits)):
+            raise ComputationError("center basis has the wrong dimension")
+        if not self.checks["idempotent_axioms"]:
+            raise ComputationError("the idempotent axioms fail, so no trace on a center is read")
+        return tuple(t // n for t in traces)
 
     def to_json(self) -> dict:
         """Each value as its power-basis coordinates, one list of strings per
@@ -551,13 +545,6 @@ def rational_idempotents(table: CharacterTable) -> list[CentralIdempotent]:
     return idems
 
 
-def _center_rows(group: Group, coords: Sequence[int], read: list) -> Iterator[list[int]]:
-    """z_C = E K_C in class coordinates for each class C in order, kept in ``read``."""
-    for c in range(len(coords)):
-        read.append(_combine(coords, class_matrix(group, c), len(coords)))
-        yield read[-1]
-
-
 def idempotent_axioms_hold(idems: Sequence[CentralIdempotent]) -> bool:
     """sum e_i = 1 and e_i e_j = delta_ij e_i.
 
@@ -612,6 +599,16 @@ class ComponentReport:
         return {"id": fields.pop("component_id"), **fields}
 
 
+def _trace(group: Group, f: Sequence[int], columns: Sequence, at_reps: bool) -> int:
+    """sum_g sum_{(h, m) in columns[g]} m f[class(x h^-1)], x = g or, ``at_reps``, the
+    representative of its class.  For f = |G| e, e central, and d sigma in ``columns``
+    with sigma(e) = e, this is d |G| tr(sigma L_e) on QG, or on Z(QG) ``at_reps``."""
+    cd = conjugacy_classes(group)
+    left = map(cd.class_reps.__getitem__, cd.class_of) if at_reps else range(group.order)
+    mult, ginv, class_of = group.mult, group.inv, cd.class_of
+    return sum(m * f[class_of[mult[x][ginv[h]]]] for x, col in zip(left, columns) for h, m in col)
+
+
 def component_skew_dim(idem: CentralIdempotent, inv: Involution) -> int:
     """dim_Q (fQG)^- = (|G| f[1] - tr(sigma L_f))/2 for f = e, or e + sigma(e) if sigma moves e.
 
@@ -621,14 +618,11 @@ def component_skew_dim(idem: CentralIdempotent, inv: Involution) -> int:
     """
     group = idem.group
     n = group.order
-    cd = conjugacy_classes(group)
     e = idem.coords
-    sigma_e = tuple(_combine(e, inv.class_sum_images, len(cd)))
+    sigma_e = tuple(_combine(e, inv.class_sum_images, len(e)))
     f = e if sigma_e == e else [a + b for a, b in zip(e, sigma_e)]
-    mult, ginv, class_of = group.mult, group.inv, cd.class_of
     d, cols = inv.scaled_columns
-    trace = sum(m * f[class_of[mult[g][ginv[h]]]]  # d |G| tr(sigma L_f)
-                for g, col in enumerate(cols) for h, m in col)
+    trace = _trace(group, f, cols, False)  # d |G| tr(sigma L_f)
     twice, rem = divmod(d * n * f[0] - trace, d * n)
     if twice < 0 or rem or twice % 2:
         raise ComputationError(f"trace formula gives the skew dimension {(twice + rem / d / n) / 2}")
@@ -652,13 +646,14 @@ def sigma_action_on_components(idems: Sequence[CentralIdempotent], inv: Involuti
 
 
 def classify_components(table: CharacterTable, inv: Involution) -> list[ComponentReport]:
-    """Theorem-level classification of every component; pairs reported once."""
+    """Classify every component, pairs once.  On the center of a sigma-fixed component,
+    a field of degree [Z:Q], sigma has order 1 (first kind, trace [Z:Q]) or 2 (trace 0)."""
     orbits = table.orbits
     idems = table.idempotents
     perm = sigma_action_on_components(idems, inv)
-    centers = table.center_rows
-    s = len(table.classes)
-    sigma_sums = inv.class_sum_images
+    dims = table.center_dims
+    n = table.group.order
+    d, cols = inv.scaled_columns
     reports = []
     for i, orbit in enumerate(orbits):
         j = perm[i]
@@ -675,7 +670,7 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
                 raise ComputationError(f"component {i}: pair skew dimension {skew} != n^2*[Z:Q] "
                                        f"= {ndeg * ndeg * cdeg}")
             kind, typ = PAIR, UNITARY
-        elif all(_combine(z, sigma_sums, s) == z for z in centers[i]):
+        elif (trace := _trace(table.group, idems[i].coords, cols, True)) == d * n * dims[i]:
             dz, rem = divmod(skew, cdeg)
             if rem == 0 and dz == ndeg * (ndeg - 1) // 2:
                 typ = ORTHOGONAL
@@ -685,11 +680,13 @@ def classify_components(table: CharacterTable, inv: Involution) -> list[Componen
                 raise ComputationError(f"component {i}: first-kind skew dimension {skew} fits "
                                        f"no formula (n={ndeg}, center degree {cdeg})")
             kind = FIRST
-        else:
+        elif trace == 0:
             if 2 * skew != ndeg * ndeg * cdeg:
                 raise ComputationError(
                     f"component {i}: second-kind skew dimension {skew} != n^2*[Z:Q]/2")
             kind, typ = SECOND, UNITARY
+        else:
+            raise ComputationError(f"component {i}: trace of sigma on the center is not [Z:Q] or 0")
         reports.append(ComponentReport(
             component_id=i, dim_q=orbit.dim_q, center_degree=cdeg, degree_n=ndeg,
             kind=kind, type=typ, skew_dim_q=skew, paired_with=None if j == i else j,

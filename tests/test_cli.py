@@ -181,6 +181,7 @@ def test_malformed_involution_json_exits_one(capsys):
         ('{"kind": "linear", "matrix": [[Infinity, 0], [0, 1]]}', "rationals"),
         ('{"kind": "linear", "matrix": 5}', "|G| x |G|"),
         ('{"kind": "oriented", "alpha": [1.0, -1.0]}', "+1 or -1"),
+        ('{"kind": "linear", "matrix": ' + "[" * 10**5 + "]" * 10**5 + "}", "nested too deeply"),
     ]
     for spec, message in cases:
         code, out, err = run_cli(capsys, "decompose", "--group", "cyclic:2",
@@ -196,6 +197,7 @@ def test_malformed_group_json_exits_one(capsys):
         ('{"permutation_generators": 5, "degree": 2}', "list of lists of integers"),
         ('{"mult_table": 5}', "list of lists of integers"),
         ('{"mult_table": [[0.0]]}', "list of lists of integers"),
+        ('{"mult_table": ' + "[" * 10**5 + "]" * 10**5 + "}", "nested too deeply"),
     ]
     for spec, message in cases:
         code, out, err = run_cli(capsys, "group-info", "--group", spec)

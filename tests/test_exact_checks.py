@@ -54,15 +54,15 @@ CONSTRAINT_BUILDERS = {
               "adjoint_space_matches_skew_span", "check_adjoint_identity"),
     "linalg": ("_echelon", "row_basis", "null_space", "rank_mod_p_reaches", "reduce_mod_p"),
     "involutions": ("eigen_rows", "__post_init__", "_sparse_sum"),
-    "wedderburn": ("_center_rows", "component_skew_dim"),
+    "wedderburn": ("_trace", "component_skew_dim"),
 }
 
 
 def test_form_constraints_are_built_in_integers():
     """The constraint builders of the forms, the gram draw, the row comparisons, the
     skew-span certificate, the rank mod p, the rows g -+ sigma(g), the involution
-    axioms on d*sigma, the trace formula of component_skew_dim and the center rows
-    call no Fraction( and read no ZERO."""
+    axioms on d*sigma and the one trace of a component, on QG or on its center, call no
+    Fraction( and read no ZERO."""
     for module, wanted in CONSTRAINT_BUILDERS.items():
         tree = ast.parse((SRC / f"{module}.py").read_text())
         builders = {node.name: node for node in ast.walk(tree)
@@ -87,6 +87,17 @@ def test_every_elimination_mod_p_reduces_through_one_routine():
     through linalg.reduce_mod_p, so no second row-reduction loop mod p comes back."""
     assert "reduce_mod_p" in _calls("linalg", "rank_mod_p_reaches")
     assert "reduce_mod_p" in _calls("wedderburn", "_minimal_polynomial")
+
+
+def test_wedderburn_takes_only_the_row_reduction_mod_p_from_linalg():
+    """The center of a component is read by a trace, so no rank certificate or exact
+    rank comes back into the table or the classification."""
+    tree = ast.parse((SRC / "wedderburn.py").read_text())
+    names = [((getattr(node, "module", None) or "").split(".")[-1], alias.name)
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    assert [name for module, name in names if module == "linalg"] == ["reduce_mod_p"]
+    assert not any(name.split(".")[-1] == "linalg" for _, name in names)
 
 
 def test_linalg_imports_nothing_from_fractions():

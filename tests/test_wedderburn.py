@@ -47,7 +47,6 @@ from oracle import (
     fraction_columns,
     galois_orbits_by_twists,
     idempotent_axioms_by_convolution,
-    rank,
     skew_dim_by_rank,
     structure_constants_by_products,
     table_by_kernels,
@@ -623,20 +622,44 @@ def test_classification_checks_raise_on_mismatch(monkeypatch, q8, c3, canonical)
         classify_components(t, canonical(q8))
 
 
+def test_kind_trace_off_both_values_raises(monkeypatch, q8, canonical):
+    """The trace of sigma on a fixed center must be [Z:Q] or 0; one more than the true
+    trace is neither, on component 0, the trivial character."""
+    t = character_table(q8)
+    assert t.center_dims  # the identity traces, read before the patch
+    trace = wedderburn._trace
+    monkeypatch.setattr(wedderburn, "_trace", lambda group, f, columns, at_reps:
+                        trace(group, f, columns, at_reps) + at_reps)
+    with pytest.raises(ComputationError, match="component 0: trace of sigma on the center"):
+        classify_components(t, canonical(q8))
+
+
+def test_traces_on_the_center_need_the_idempotent_axioms(q8):
+    """With e_0 in place of e_1 every trace of the identity is |G| [Z:Q], but the e_i no
+    longer sum to 1, so the traces are not taken as the dimensions of the centers."""
+    t = character_table(q8)
+    idems = t.idempotents
+    vars(t)["idempotents"] = (idems[0], idems[0], *idems[2:])
+    assert not t.checks["idempotent_axioms"]
+    with pytest.raises(ComputationError, match="the idempotent axioms fail"):
+        t.center_dims
+
+
 def _assert_centers_match_oracle(g, t, constants, invs):
-    """The center rows read by the count span a space of the rank of all s rows, which
-    is [Z:Q], and every component gets the oracle's kind under each involution."""
+    """The dimension of each center by the trace of the identity is the rank of all s
+    rows E K_C, which is [Z:Q], and every component gets the oracle's kind under each
+    involution."""
     expected = center_kinds_by_every_class(g.mult, conjugacy_classes(g).classes, constants,
                                            [ci.coords for ci in t.idempotents],
                                            [fraction_columns(inv) for inv in invs])
     for i, orbit in enumerate(t.orbits):
-        assert rank(t.center_rows[i]) == expected[i][0] == orbit.field_degree, (g.name, i)
+        assert t.center_dims[i] == expected[i][0] == orbit.field_degree, (g.name, i)
     for k, inv in enumerate(invs):
         for c in classify_components(t, inv):
             assert c.kind == expected[c.component_id][1][k], (g.name, inv.to_json(), c)
 
 
-def test_center_rows_match_every_class_oracle():
+def test_center_kinds_match_every_class_oracle():
     """On the catalog and ORACLE_WIDE, under every built-in involution."""
     for g in catalog_groups() + [build_group(spec) for spec in ORACLE_WIDE]:
         constants = structure_constants_by_products(g.mult, conjugacy_classes(g).classes)
@@ -644,22 +667,26 @@ def test_center_rows_match_every_class_oracle():
                                      [inv for _, inv in builtin_involutions(g)])
 
 
-def test_center_rows_built_once_per_table(monkeypatch):
-    """Across every built-in involution of dicyclic:3, the rows z_C of each component's
-    center are made once, on the first classification."""
-    made = []
-    center_rows = wedderburn._center_rows
-
-    def counted(group, coords, read):
-        made.append(coords)
-        return center_rows(group, coords, read)
-
-    monkeypatch.setattr(wedderburn, "_center_rows", counted)
+def test_center_dims_traced_once_per_table(monkeypatch):
+    """Across every built-in involution of dicyclic:3, the trace of the identity on each
+    component's center is taken once, on the first classification."""
     g = build_group("dicyclic:3")
     t = character_table(g)
-    for _, inv in builtin_involutions(g):
+    identity = [((x, 1),) for x in range(g.order)]
+    traced = []
+    trace = wedderburn._trace
+
+    def counted(group, f, columns, at_reps):
+        if list(columns) == identity:
+            traced.append(f)
+        return trace(group, f, columns, at_reps)
+
+    monkeypatch.setattr(wedderburn, "_trace", counted)
+    invs = [inv for _, inv in builtin_involutions(g)]
+    assert len(invs) > 1
+    for inv in invs:
         assert len(decomposition_report(g, inv, table=t).components) > 1
-    assert made == [ci.coords for ci in t.idempotents]
+    assert traced == [ci.coords for ci in t.idempotents]
 
 
 def test_sigma_on_class_sums_built_once_per_involution(monkeypatch):
@@ -850,6 +877,26 @@ def test_minimal_polynomial_matches_the_rref_oracle(p, m, v, expected):
     assert deg == len(_rref_mod(powers, p)[1])
     if expected is not None:
         assert mu == expected
+
+
+def test_minimal_polynomial_stops_after_s_krylov_vectors(monkeypatch):
+    """A reduction that keeps a row whose first s entries are 0 as a pivot, here one that
+    seeks pivots past ``width``, finds a new pivot in the tail of every augmented row;
+    the search then raises after s + 1 rows instead of running forever."""
+    from skewlie.wedderburn import _minimal_polynomial
+
+    reduce_mod_p = wedderburn.reduce_mod_p
+    calls = []
+
+    def past_width(row, pivots, p, width):
+        calls.append(width)
+        assert len(calls) <= 50, "the Krylov search does not stop"
+        return reduce_mod_p(row, pivots, p, len(row))
+
+    monkeypatch.setattr(wedderburn, "reduce_mod_p", past_width)
+    with pytest.raises(ComputationError, match="more than 3 Krylov vectors"):
+        _minimal_polynomial([1, 1, 1], _sparse([[2, 0, 0], [0, 5, 0], [0, 0, 7]]), 11)
+    assert len(calls) == 4
 
 
 def test_lifting_guards():
