@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -126,11 +125,9 @@ def cmd_chartab(args) -> int:
     else:
         header = "class sizes: " + " ".join(str(s) for s in table.classes.sizes())
         rows = [header]
-        cell = {mv: f"{value_text(table.conductor, mv):>10s}"
-                for mv in set(chain.from_iterable(table.root_mults))}
-        for i, row in enumerate(table.root_mults):
-            cells = " ".join(map(cell.__getitem__, row))
-            rows.append(f"chi_{i} (deg {table.degrees[i]}): {cells}")
+        cells = table.rendered_rows(lambda mv: f"{value_text(table.conductor, mv):>10s}")
+        for i, row in enumerate(cells):
+            rows.append(f"chi_{i} (deg {table.degrees[i]}): {' '.join(row)}")
         _emit(["\n".join(rows) + "\n"], args.out)
     return EXIT_OK
 

@@ -7,15 +7,22 @@ basis: ``row_basis`` returns the primitive integer multiples of its RREF rows, a
 ``null_space`` the canonical kernel basis over one common denominator.  The rank of
 integer rows is ``len(_echelon(rows))``.  Every elimination mod a prime, the rank
 certificate ``rank_mod_p_reaches`` and the table's Krylov split, runs ``reduce_mod_p``.
+``pack`` puts a row into one int, a slot per entry, so a combination of rows is a few
+big-int multiply-adds (Kronecker substitution); ``unpack_mod`` reads it back mod p.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import reduce
+from itertools import compress, repeat
 from math import gcd, lcm
+from operator import add, mod, mul, sub
 from typing import Iterable, Sequence
 
 MODULUS = 2**61 - 1  # a Mersenne prime
+_WORDS = 1 if sys.byteorder == "little" else -1  # slot 0 first, in native byte order
 
 
 def _cancel(row: list[int], prow: list[int], c: int) -> list[int]:
@@ -58,14 +65,35 @@ def reduce_mod_p(row: list[int], pivots: list[tuple[int, list[int]]], p: int, wi
     first nonzero one, append it to ``pivots`` and return True."""
     for c, prow in pivots:
         if f := row[c] % p:
-            row[:len(prow)] = [a - f * b for a, b in zip(row, prow)]
-    row[:] = [x % p for x in row]
-    c = next((c for c in range(width) if row[c]), None)
+            row[:len(prow)] = map(sub, row, map(mul, prow, repeat(f)))
+    row[:] = map(mod, row, repeat(p))
+    c = next(compress(range(width), row), None)
     if c is not None:
-        scale = pow(row[c], -1, p)
-        row[:] = [x * scale % p for x in row]
+        row[:] = map(mod, map(mul, row, repeat(pow(row[c], -1, p))), repeat(p))
         pivots.append((c, row))
     return c is not None
+
+
+def slot_words(bound: int) -> int:
+    """The number of 64-bit words a slot needs to hold every int in [0, bound]."""
+    return max(1, -(-bound.bit_length() // 64))
+
+
+def pack(row: Sequence[int], words: int) -> int:
+    """The int with row[j], each in [0, 2^64), in slot j of ``words`` 64-bit words."""
+    slots = array("Q", bytes(8 * words * len(row)))
+    slots[::words] = array("Q", row)
+    return int.from_bytes(slots[::_WORDS], sys.byteorder)
+
+
+def unpack_mod(x: int, size: int, words: int, p: int) -> list[int]:
+    """The ``size`` slots of ``words`` 64-bit words of x >= 0, each mod p: the inverse of
+    ``pack`` for a sum of packed rows whose every slot stays below 2^(64 words)."""
+    slots = array("Q", x.to_bytes(8 * words * size, sys.byteorder))[::_WORDS]
+    acc = slots[::words]
+    for i in range(1, words):
+        acc = map(add, acc, map(mul, slots[i::words], repeat(pow(2, 64 * i, p))))
+    return list(map(mod, acc, repeat(p)))
 
 
 def rank_mod_p_reaches(rows: Iterable[Sequence[int]], target: int) -> bool:

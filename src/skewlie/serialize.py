@@ -4,7 +4,9 @@ one writer of indent-2 JSON text, in pieces or joined."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import add
 from typing import Iterator, Sequence
 
 
@@ -23,7 +25,8 @@ def chunks(obj) -> Iterator[str]:
     str keys, lists, tuples, str, int, bool and None; anything else is a TypeError.
 
     A list of strings is rendered in one join and kept by (id, depth) until the
-    text is done, so a list that the object holds many times is formatted once.
+    text is done, so a list that the object holds many times is formatted once.  A
+    dict or list whose items all render so, or are scalars, is one piece.
     """
     memo: dict = {}
     text = _whole(obj, 0, memo)
@@ -74,19 +77,25 @@ def _key(k) -> str:
 
 
 def _pieces(o, depth: int, memo: dict) -> Iterator[str]:
-    """The text of a nonempty dict, list or tuple that _whole does not render."""
+    """The text of a nonempty dict, list or tuple that _whole does not render: in one
+    join if every item renders whole, else item by item."""
     inner = "\n" + "  " * (depth + 1)
     if isinstance(o, dict):
-        sep, close, items, keyed = "{" + inner, "}", o.items(), True
+        opener, close, heads, items = "{", "}", map(_key, o), o.values()
     else:
-        sep, close, items, keyed = "[" + inner, "]", enumerate(o), False
-    for k, x in items:
-        head = sep + _key(k) if keyed else sep
-        text = _whole(x, depth + 1, memo)
+        opener, close, heads, items = "[", "]", repeat(""), o
+    texts = list(map(memo.get, zip(map(id, items), repeat(depth + 1))))  # lists rendered before
+    if None in texts:
+        texts = [_whole(x, depth + 1, memo) if t is None else t for t, x in zip(texts, items)]
+    if None not in texts:
+        yield opener + inner + ("," + inner).join(map(add, heads, texts)) + inner[:-2] + close
+        return
+    sep = opener + inner
+    for head, x, text in zip(heads, items, texts):
         if text is None:
-            yield head
+            yield sep + head
             yield from _pieces(x, depth + 1, memo)
         else:
-            yield head + text
+            yield sep + head + text
         sep = "," + inner
     yield inner[:-2] + close

@@ -4,17 +4,17 @@ The character table comes from the modular method of Dixon and Schneider: the
 class matrices, built from the class representatives as the split needs them,
 commute, and their common eigenvectors over F_p are the central characters.
 One cyclic vector per piece of the eigenbasis splits it: the Krylov vectors of
-the piece's vector under a class matrix give its minimal polynomial, and each
-root its projection on one eigenspace.  The classes of a generating set split
-first, then the rest largest first, and the roots are tried first among the
-eigenvalues |K| zeta_o^t of the linear characters.  Degrees and class values
-are recovered mod p.  The twist of chi by a unit k is chi read through the
-power map of k, mod p as well as exactly: so one character per Galois orbit is
-lifted to sums of roots of unity, by an inverse DFT over the powers of one
-representative per rational class and the twist by k on its other classes g^k,
+the piece's vector under a class matrix, one map per layer of its gathered rows,
+give its minimal polynomial, and each root a packed combination of them, its
+projection on one eigenspace.  Generators split first, then the rest largest
+first, the roots tried first among the eigenvalues |K| zeta_o^t of the linear
+characters.  Degrees and values are recovered mod p.  The twist of chi by a unit
+k is chi read through the power map of k, mod p as well as exactly: so one
+character per Galois orbit is lifted to sums of roots of unity, a linear one as
+one row of discrete logs, any other by an inverse DFT on each rational class,
 and the other rows of the orbit are read through the power maps, each matched
-to its own eigenvector mod p.  The Galois orbits so found give the rational
-central primitive idempotents.  One trace of sigma over G classifies each simple
+to its own eigenvector mod p.  The Galois orbits give the rational central
+primitive idempotents.  One trace of sigma over G classifies each simple
 component of QG: its kind on its center, its type from its skew dimension.
 """
 
@@ -24,17 +24,17 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from math import gcd, isqrt
-from operator import mul
-from typing import Sequence
+from operator import add, mod, mul
+from typing import Callable, Sequence
 
 from .cyclotomic import reduce_root_vector, twist_root_vector
 from .errors import ComputationError, SpecError
 from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent, generators
 from .indicators import IndicatorReport, indicator_report
 from .involutions import AlgebraElement, Involution, skew_space
-from .linalg import reduce_mod_p
+from .linalg import pack, reduce_mod_p, slot_words, unpack_mod
 
 DEFAULT_PRIME_BOUND = 10**8
 
@@ -133,28 +133,46 @@ def _primitive_root(p: int) -> int:
     raise ComputationError(f"no primitive root mod {p}")
 
 
-def _minimal_polynomial(v: list[int], m: tuple, p: int) -> tuple[list[list[int]], list[int]]:
-    """The Krylov vectors v, mv, ..., m^(d-1) v and the monic minimal polynomial of v
-    under m (low degree first); row j of m is given by its nonzero (k, m[j][k]).  The
-    rows (m^k v | e_k) are reduced with pivots among the first s = len(v) entries; the
+def _gather(m: tuple) -> Callable[[list[int], int], list[int]]:
+    """The product w -> m w mod p, for m given by its rows of nonzero (k, a): with the rows
+    sorted by decreasing length, layer t is (idx_t, coef_t), the t-th pair of each row that
+    has one, and m w = sum_t coef_t * w[idx_t] is one map pass per layer, put back in order."""
+    order = sorted(range(len(m)), key=lambda j: -len(m[j]))
+    rows = [m[j] or ((0, 0),) for j in order]  # an empty row sums to 0 all the same
+    (idx0, coef0), *layers = [tuple(zip(*(row[t] for row in rows if len(row) > t)))
+                              for t in range(len(rows[0]))]
+    back = sorted(range(len(m)), key=order.__getitem__)
+
+    def product(w: list[int], p: int) -> list[int]:
+        acc = list(map(mul, coef0, map(w.__getitem__, idx0)))
+        for idx, coef in layers:
+            acc[:len(idx)] = map(add, acc, map(mul, coef, map(w.__getitem__, idx)))
+        return list(map(mod, map(acc.__getitem__, back), repeat(p)))
+    return product
+
+
+def _minimal_polynomial(v: list[int], m: Callable, p: int) -> tuple[list[list[int]], list[int]]:
+    """The Krylov vectors v, mv, ..., m^(d-1) v mod p and the monic minimal polynomial
+    of v under m (low degree first), m its product ``_gather`` gives.  The rows
+    (m^k v | e_k) are reduced with pivots among the first s = len(v) entries; the
     first whose left part reduces to 0 holds mu, with mu_k = 1, in its tail."""
     krylov: list[list[int]] = []
     pivots: list[tuple[int, list[int]]] = []
-    w = v
+    w = list(map(mod, v, repeat(p)))
     for _ in range(len(v) + 1):  # at most s Krylov vectors are independent
         aug = w + [0] * len(krylov) + [1]
         if not reduce_mod_p(aug, pivots, p, len(v)):
             return krylov, aug[len(v):]
         krylov.append(w)
-        w = [sum(a * w[k] for k, a in row) % p for row in m]
+        w = m(w, p)
     raise ComputationError(f"more than {len(v)} Krylov vectors are independent mod p")
 
 
-def _split(v: list[int], m: tuple, p: int, likely: Sequence[int] = ()) -> list[list[int]]:
-    """Split the piece of v by m: one child w = (mu/(x - lam))(m) v per root lam
-    of the minimal polynomial mu of v, a nonzero multiple of the projection of v
-    on the lam-eigenspace of m, in increasing lam.  Each lam is tried in
-    ``likely`` first, then in the rest of F_p, and confirmed by mu(lam) = 0."""
+def _split(v: list[int], m: Callable, p: int, likely: Sequence[int] = ()) -> list[list[int]]:
+    """Split the piece of v by m, the product from ``_gather``: one child w = (mu/(x - lam))(m) v
+    per root lam of the minimal polynomial mu of v, in increasing lam, a nonzero multiple of
+    the projection of v on the lam-eigenspace of m.  Each lam is tried in ``likely`` first,
+    then in the rest of F_p, and confirmed by mu(lam) = 0."""
     krylov, mu = _minimal_polynomial(v, m, p)
     deg = len(krylov)
     if deg == 1:
@@ -172,14 +190,15 @@ def _split(v: list[int], m: tuple, p: int, likely: Sequence[int] = ()) -> list[l
     else:
         raise ComputationError("class matrix is not split semisimple mod p")
     roots.sort()
-    columns = list(zip(*krylov))
+    words = slot_words(deg * (p - 1) ** 2)
+    packed = [pack(w, words) for w in krylov]
     children = []
     for lam in roots:
         q, acc = [0] * deg, 0
         for k in range(deg, 0, -1):  # synthetic division: q = mu / (x - lam)
             acc = (acc * lam + mu[k]) % p
             q[k - 1] = acc
-        children.append([sum(map(mul, q, col)) % p for col in columns])
+        children.append(unpack_mod(sum(map(mul, q, packed)), len(v), words, p))
     return children
 
 
@@ -194,7 +213,7 @@ def _central_characters(group: Group, p: int, z: int) -> list[list[int]]:
     Z(QG) if G is abelian), then the rest largest first, with the eigenvalues
     |K_i| zeta_o^t, o = o(g_i), of the linear characters as the likely roots,
     zeta_o a power of the root of unity z of order exponent(G) mod p; only the
-    matrices used are built.
+    matrices used are built, and each is gathered once for its products.
     """
     cd = conjugacy_classes(group)
     sizes = cd.sizes()
@@ -207,7 +226,7 @@ def _central_characters(group: Group, p: int, z: int) -> list[list[int]]:
     for i in chain(first, rest):
         if len(pieces) >= s:
             break
-        m, o = class_matrix(group, i), order[i]
+        m, o = _gather(class_matrix(group, i)), order[i]
         likely = [sizes[i] * pow(z, e // o * t, p) % p for t in range(o)]
         pieces = [w for v in pieces for w in _split(v, m, p, likely)]
     if len(pieces) != s:
@@ -239,24 +258,11 @@ def _rational_classes(group: Group) -> tuple[tuple[tuple[int, ...], tuple], ...]
     return tuple(out)
 
 
-def _lift(xs: list[int], d: int, e: int, p: int, dft: dict, dlog: dict) -> list[int]:
+def _lift(xs: list[int], d: int, e: int, p: int, dft: dict) -> list[int]:
     """Root multiplicities of chi(g), as a length-e vector, from x[l] = chi(g^l)
-    mod p for l < o = o(g).
-
-    In degree 1, x(g^l) = x(g)^l for every l and x(g)^o = 1, and x(g) = z^t is
-    read off by discrete log; this is exactly the one-hot case of the inverse
-    DFT, which lifts every other degree: the multiplicity of each o-th root of
-    unity must be at most d, and they must sum to d.
-    """
+    mod p for l < o = o(g), by the inverse DFT over the o-th roots of unity:
+    the multiplicity of each must be at most d, and they must sum to d."""
     mv = [0] * e
-    if d == 1:
-        xg, acc = xs[1 % len(xs)], 1
-        for x in xs + [1]:  # the last entry is x(g^o) = x(1)
-            if x != acc:
-                raise ComputationError("linear character is not multiplicative on a cyclic subgroup")
-            acc = acc * xg % p
-        mv[dlog[xg]] = 1
-        return mv
     o_inv, matrix = dft[len(xs)]
     step = e // len(xs)
     total = 0
@@ -269,6 +275,38 @@ def _lift(xs: list[int], d: int, e: int, p: int, dft: dict, dlog: dict) -> list[
     if total != d:
         raise ComputationError("root multiplicities do not sum to the degree")
     return mv
+
+
+def _linear_row(x_mod: Sequence[int], e: int, dlog: dict, checks: tuple, ones: dict) -> tuple:
+    """The row of a linear character x, zeta_e^T[c] on class c for T = log_z x mod p, each
+    the one-hot vector ``ones[T[c]]``, once T[a] = k T[b] mod e for the (a, b, k) of
+    ``checks``, one pass over all of them."""
+    try:
+        logs = list(map(dlog.__getitem__, x_mod))
+    except KeyError:
+        raise ComputationError("a linear character value is no e-th root of unity mod p") from None
+    a, b, k = checks
+    if (list(map(logs.__getitem__, a))
+            != list(map(mod, map(mul, k, map(logs.__getitem__, b)), repeat(e)))):
+        raise ComputationError("linear character is not multiplicative on a cyclic subgroup")
+    for t in set(logs).difference(ones):
+        ones[t] = (0,) * t + (1,) + (0,) * (e - 1 - t)
+    return tuple(map(ones.__getitem__, logs))
+
+
+@_per_group
+def _linear_checks(group: Group) -> tuple[tuple[int, ...], ...]:
+    """(a, b, k) as three tuples, with x(a) = x(b)^k for every linear character x: a = the
+    class of g^k for the representative g of each rational class and every unit k mod o(g),
+    and a = the class of y^k for every class y and every prime k | exponent(G).  These are
+    x(y^l) = x(y)^l for every y and l: l is a unit times primes dividing o(y)."""
+    e = exponent(group)
+    triples = [(powers[k % len(powers)], powers[1 % len(powers)], k)
+               for powers, _ in _rational_classes(group)
+               for k in range(1, len(powers) + 1) if gcd(k, len(powers)) == 1]
+    triples += [(a, b, k) for k in range(2, e + 1) if e % k == 0 and _least_factor(k) == k
+                for b, a in enumerate(_power_map(group, k))]
+    return tuple(zip(*triples))
 
 
 def _power_map(group: Group, k: int) -> tuple[int, ...]:
@@ -349,11 +387,17 @@ class CharacterTable:
             raise ComputationError("the idempotent axioms fail, so no trace on a center is read")
         return tuple(t // n for t in traces)
 
+    def rendered_rows(self, render) -> list[list]:
+        """The rows with every cell as ``render(value)``, called once per distinct value:
+        the build keeps one tuple object per value, so values are told apart by identity."""
+        values = list(chain.from_iterable(self.root_mults))
+        text = {i: render(mv) for i, mv in dict(zip(map(id, values), values)).items()}
+        cells = map(text.__getitem__, map(id, values))
+        return [list(islice(cells, len(row))) for row in self.root_mults]
+
     def to_json(self) -> dict:
         """Each value as its power-basis coordinates, one list of strings per
         distinct value that every cell holding it shares."""
-        text = {mv: list(map(str, reduce_root_vector(self.conductor, mv)))
-                for mv in set(chain.from_iterable(self.root_mults))}
         return {
             "group": self.group.name,
             "order": self.group.order,
@@ -361,7 +405,8 @@ class CharacterTable:
             "class_sizes": list(self.classes.sizes()),
             "class_representatives": list(self.classes.class_reps),
             "degrees": list(self.degrees),
-            "characters": [list(map(text.__getitem__, row)) for row in self.root_mults],
+            "characters": self.rendered_rows(
+                lambda mv: list(map(str, reduce_root_vector(self.conductor, mv)))),
         }
 
 
@@ -378,7 +423,8 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
     dlog = {pow(z, t, p): t for t in range(e)}
     dft = {}  # order o -> (1/o mod p, rows m of zeta_o^(-m l) over l); degree > 1 only
 
-    interned: dict = {}  # one tuple object per distinct value
+    interned: dict = {}  # one tuple object per distinct value of degree > 1
+    ones: dict = {}  # t -> the one tuple object of the value zeta_e^t
     twists: dict = {}  # chi^k mod p -> (row of chi^k, orbit of chi), for each row lifted so far
     rows = []
     for v in vectors:
@@ -386,27 +432,30 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
         if v[0] % p == 0:
             raise ComputationError("eigenvector vanishes on the identity class")
         u0_inv = pow(v[0], p - 2, p)
-        w = [x * u0_inv * y % p for x, y in zip(v, size_inv)]  # u_j / |K_j| for u = v / v[0]
-        t = sum(map(mul, w, map(v.__getitem__, cd.class_inverse))) * u0_inv % p
+        w = list(map(mul, v, size_inv))  # v[0] u_j / |K_j| for u = v / v[0]
+        t = sum(map(mul, w, map(v.__getitem__, cd.class_inverse))) * u0_inv * u0_inv % p
         d_sq = n * pow(t, p - 2, p) % p
         d = isqrt(d_sq)
         if d * d != d_sq or d == 0 or n % d != 0:
             raise ComputationError("character degree recovery failed")
-        x_mod = tuple([d * x % p for x in w])
+        x_mod = tuple(map(mod, map(mul, w, repeat(d * u0_inv)), repeat(p)))
         row, orbit = twists.pop(x_mod, (None, len(rows)))
         if row is None:  # the first character of its Galois orbit: lift it
-            mults: list = [None] * s
-            for powers, twins in _rational_classes(group):
-                o = len(powers)
-                if d > 1 and o not in dft:
-                    zo = pow(z, e // o, p)
-                    dft[o] = (pow(o, p - 2, p),
-                              [[pow(zo, -m * l % o, p) for l in range(o)] for m in range(o)])
-                mv = _lift([x_mod[c] for c in powers], d, e, p, dft, dlog)
-                for twin, k in twins:
-                    tv = twist_root_vector(mv, k, e)
-                    mults[twin] = interned.setdefault(tv, tv)
-            row = tuple(mults)
+            if d == 1:
+                row = _linear_row(x_mod, e, dlog, _linear_checks(group), ones)
+            else:
+                mults: list = [None] * s
+                for powers, twins in _rational_classes(group):
+                    o = len(powers)
+                    if o not in dft:
+                        zo = pow(z, e // o, p)
+                        dft[o] = (pow(o, p - 2, p),
+                                  [[pow(zo, -m * l % o, p) for l in range(o)] for m in range(o)])
+                    mv = _lift([x_mod[c] for c in powers], d, e, p, dft)
+                    for twin, k in twins:
+                        tv = twist_root_vector(mv, k, e)
+                        mults[twin] = interned.setdefault(tv, tv)
+                row = tuple(mults)
             for pm in _unit_power_maps(group):  # chi^k is chi read through the power map of k
                 key = tuple(map(x_mod.__getitem__, pm))
                 if key != x_mod and key not in twists:

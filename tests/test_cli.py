@@ -115,6 +115,17 @@ def test_chartab_streams_the_dumps_text(capsys, tmp_path):
     assert path.read_text() == expected
 
 
+def test_chartab_at_a_large_dixon_prime_matches_the_default(capsys):
+    """Every eigenvalue of C60 is that of a linear character, so no split scans F_p,
+    and the Krylov vectors and packed children run with residues near 10^8; the JSON
+    and the text table are those of the default prime."""
+    for fmt in ("json", "text"):
+        default = run_cli(capsys, "chartab", "--group", "cyclic:60", "--format", fmt)
+        large = run_cli(capsys, "chartab", "--group", "cyclic:60", "--format", fmt,
+                        "--dixon-prime", "99999721")
+        assert large == default and default[0] == EXIT_OK
+
+
 def test_group_info(capsys):
     code, out, _ = run_cli(capsys, "group-info", "--group", "dicyclic:2")
     assert code == EXIT_OK

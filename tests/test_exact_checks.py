@@ -84,19 +84,23 @@ def _calls(module: str, function: str) -> set[str]:
 
 def test_every_elimination_mod_p_reduces_through_one_routine():
     """The rank certificate and the Krylov split of the table both reduce their rows
-    through linalg.reduce_mod_p, so no second row-reduction loop mod p comes back."""
+    through linalg.reduce_mod_p, so no second row-reduction loop mod p comes back; the
+    children of a split are packed combinations, not one sum per column."""
     assert "reduce_mod_p" in _calls("linalg", "rank_mod_p_reaches")
     assert "reduce_mod_p" in _calls("wedderburn", "_minimal_polynomial")
+    assert {"pack", "unpack_mod", "slot_words"} <= _calls("wedderburn", "_split")
 
 
 def test_wedderburn_takes_only_the_row_reduction_mod_p_from_linalg():
     """The center of a component is read by a trace, so no rank certificate or exact
-    rank comes back into the table or the classification."""
+    rank comes back into the table or the classification; the table takes the row
+    reduction mod p and the packed rows of its Krylov split."""
     tree = ast.parse((SRC / "wedderburn.py").read_text())
     names = [((getattr(node, "module", None) or "").split(".")[-1], alias.name)
              for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names]
-    assert [name for module, name in names if module == "linalg"] == ["reduce_mod_p"]
+    assert [name for module, name in names if module == "linalg"] == [
+        "pack", "reduce_mod_p", "slot_words", "unpack_mod"]
     assert not any(name.split(".")[-1] == "linalg" for _, name in names)
 
 

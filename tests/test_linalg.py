@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +23,12 @@ from skewlie.linalg import (
     _echelon,
     hnf,
     null_space,
+    pack,
     rank_mod_p_reaches,
     reduce_mod_p,
     row_basis,
+    slot_words,
+    unpack_mod,
 )
 
 
@@ -235,3 +239,30 @@ def test_hnf_preserves_integer_row_span(rows):
 
 def test_transpose_shape():
     assert transpose([[1, 2, 3]]) == [[1], [2], [3]]
+
+
+def _list_combination(coeffs, rows, p):
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(len(rows[0]))]
+
+
+@pytest.mark.parametrize("p, deg, size", [(11, 3, 5), (65537, 40, 9), (99999989, 7, 6),
+                                          (99999989, 1900, 3)])
+def test_packed_combination_matches_the_list_combination(p, deg, size):
+    """sum_k q[k] rows[k] mod p through one packed int per row, with slots sized for
+    deg (p - 1)^2: every entry p - 1, then random entries.  At p near 10^8 and deg
+    1900, deg (p - 1)^2 exceeds 2^64, so one 64-bit word per slot would overflow."""
+    rng = random.Random(p + deg)
+    words = slot_words(deg * (p - 1) ** 2)
+    assert words == (2 if deg * (p - 1) ** 2 >= 2**64 else 1)
+    for fill in ("top", "random"):
+        rows = [[p - 1 if fill == "top" else rng.randrange(p) for _ in range(size)]
+                for _ in range(deg)]
+        coeffs = [p - 1 if fill == "top" else rng.randrange(p) for _ in range(deg)]
+        packed = [pack(row, words) for row in rows]
+        total = sum(c * x for c, x in zip(coeffs, packed))
+        assert unpack_mod(total, size, words, p) == _list_combination(coeffs, rows, p)
+    assert unpack_mod(pack([0, 5, p - 1], words), 3, words, p) == [0, 5, p - 1]
+
+
+def test_slot_words_cover_the_bound():
+    assert [slot_words(b) for b in (0, 1, 2**64 - 1, 2**64, 2**128 - 1, 2**128)] == [1, 1, 1, 2, 2, 3]

@@ -772,6 +772,11 @@ def _sparse(matrix):
     return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in matrix)
 
 
+def _gathered(matrix):
+    """The product by a dense matrix, as _split and _minimal_polynomial read it."""
+    return wedderburn._gather(_sparse(matrix))
+
+
 @pytest.mark.parametrize("spec, matrices, message", [
     # a Jordan block: e_0 is no eigenvector, and (x - 3)^2 has one root
     ("cyclic:2", [[[3, 0], [1, 3]]], "not split semisimple mod p"),
@@ -825,16 +830,134 @@ def test_split_candidates_that_miss_repeat_or_sit_on_a_jordan_block():
     from skewlie.wedderburn import _split
 
     p = 11
-    m = _sparse([[2, 0, 0], [0, 5, 0], [0, 0, 7]])  # roots 2, 5, 7
+    m = _gathered([[2, 0, 0], [0, 5, 0], [0, 0, 7]])  # roots 2, 5, 7
     v = [1, 1, 1]
     expected = _split(v, m, p)
     assert len(expected) == 3
     for likely in ([2], [7], [7, 7, 7], [3, 4, 9], [9, 7, 9, 2, 5, 2], [7, 5, 2], list(range(p))[::-1]):
         assert _split(v, m, p, likely) == expected, likely
-    jordan = _sparse([[3, 0], [1, 3]])  # (x - 3)^2 on e_0
+    jordan = _gathered([[3, 0], [1, 3]])  # (x - 3)^2 on e_0
     for likely in ([3], [3, 3], [3, 4]):
         with pytest.raises(ComputationError, match="not split semisimple mod p"):
             _split([1, 0], jordan, p, likely)
+
+
+def _row_product(m, w, p):
+    """m w mod p straight from the rows of m, each its nonzero (k, a)."""
+    return [sum(a * w[k] for k, a in row) % p for row in m]
+
+
+def _random_sparse(rng, s):
+    """Rows of different lengths, empty ones included, with coefficients up to 40."""
+    return tuple(tuple((k, rng.randrange(1, 41))
+                       for k in sorted(rng.sample(range(s), rng.randrange(s + 1))))
+                 for _ in range(s))
+
+
+def test_gathered_product_matches_the_row_definition():
+    """The layered product against the rows: random sparse matrices, and every
+    class matrix of two groups whose longest rows are much longer than the rest."""
+    rng = random.Random(7)
+    for p in (11, 101, 99999989):
+        for s in (1, 2, 5, 9, 16):
+            m = _random_sparse(rng, s)
+            w = [rng.randrange(p) for _ in range(s)]
+            assert wedderburn._gather(m)(w, p) == _row_product(m, w, p), m
+    for spec in ("product:alternating:5,dicyclic:4", "dihedral:30"):
+        g = build_group(spec)
+        p = find_dixon_prime(g)
+        s = len(conjugacy_classes(g))
+        for i in range(s):
+            m = wedderburn.class_matrix(g, i)
+            w = [rng.randrange(p) for _ in range(s)]
+            assert wedderburn._gather(m)(w, p) == _row_product(m, w, p), (spec, i)
+
+
+def test_split_children_match_the_list_combination():
+    """Each child of a split, a packed combination of the Krylov vectors, against the
+    same combination summed column by column, up to the prime 2^61 - 1, where a slot
+    must hold deg (p - 1)^2 >= 2^122 and one 64-bit word would overflow."""
+    rng = random.Random(13)
+    for p in (11, 101, 99999989, 2**61 - 1):
+        for s in (2, 4, 7):
+            roots = rng.sample(range(p), s)
+            m = [[roots[j] if j == k else 0 for k in range(s)] for j in range(s)]
+            v = [rng.randrange(1, p) for _ in range(s)]
+            krylov, mu = wedderburn._minimal_polynomial(v, _gathered(m), p)
+            expected = []
+            for lam in sorted(roots):
+                q = [0] * len(krylov)
+                acc = 0
+                for k in range(len(krylov), 0, -1):
+                    acc = (acc * lam + mu[k]) % p
+                    q[k - 1] = acc
+                expected.append([sum(c * w[j] for c, w in zip(q, krylov)) % p for j in range(s)])
+            assert wedderburn._split(v, _gathered(m), p, roots) == expected
+
+
+def test_linear_row_reads_discrete_logs():
+    """A linear row is one one-hot value per class, shared across rows through
+    ``ones``; a value with no discrete log, or one class moved to another root of
+    unity, fails with a ComputationError."""
+    g = build_group("cyclic:12")
+    t = character_table(g)
+    p, e = t.prime, t.conductor
+    z = pow(wedderburn._primitive_root(p), (p - 1) // e, p)
+    dlog = {pow(z, k, p): k for k in range(e)}
+    checks = wedderburn._linear_checks(g)
+    ones: dict = {}
+    rows = []
+    for row in t.root_mults:
+        x_mod = [pow(z, mv.index(1), p) for mv in row]
+        rows.append(wedderburn._linear_row(x_mod, e, dlog, checks, ones))
+        assert rows[-1] == row
+    assert len({id(mv) for row in rows for mv in row}) == len(ones) == e
+    faithful = next(row for row in t.root_mults if row[1][1] == 1)  # chi(g) = zeta_12
+    x_mod = [pow(z, mv.index(1), p) for mv in faithful]
+    for c, value in [(5, pow(z, 6, p)), (0, z), (11, 1)]:
+        changed = x_mod[:c] + [value] + x_mod[c + 1:]
+        with pytest.raises(ComputationError, match="not multiplicative"):
+            wedderburn._linear_row(changed, e, dlog, checks, {})
+    no_root = next(x for x in range(2, p) if x not in dlog)
+    with pytest.raises(ComputationError, match="no e-th root of unity"):
+        wedderburn._linear_row(x_mod[:3] + [no_root] + x_mod[4:], e, dlog, checks, {})
+
+
+def test_linear_rows_check_every_unit_on_each_representative():
+    """On Q8 every class is rational: g^3 is conjugate to g.  The class function 1 on 1,
+    -1 on -1 and i on the rest passes x(y^2) = x(y)^2 on every class and x(g^k) = x(g)^k
+    for one unit k per class, but not x(g^3) = x(g)^3."""
+    g = build_group("dicyclic:2")
+    cd = conjugacy_classes(g)
+    p, e = find_dixon_prime(g), 4
+    z = pow(wedderburn._primitive_root(p), (p - 1) // e, p)
+    dlog = {pow(z, k, p): k for k in range(e)}
+    checks = wedderburn._linear_checks(g)
+    square = {x: g.mult[x][x] for x in range(g.order)}
+    x_mod = [1 if r == 0 else p - 1 if square[r] == 0 else z for r in cd.class_reps]
+    with pytest.raises(ComputationError, match="not multiplicative"):
+        wedderburn._linear_row(x_mod, e, dlog, checks, {})
+    one_unit = tuple(zip(*[t for t in zip(*checks) if t[2] != 3]))  # drops g^3 = g only
+    assert len(one_unit[0]) < len(checks[0])
+    assert wedderburn._linear_row(x_mod, e, dlog, one_unit, {})
+
+
+def test_linear_rows_check_the_prime_power_maps(monkeypatch):
+    """On C4 the class function 1, i, 1, -i passes x(g^k) = x(g)^k for the units k = 1, 3
+    and has degree 1 by the degree formula, but x(g^2) = 1 != x(g)^2: only the power
+    map of the prime 2 tells it from a character, and the build must reject it there."""
+    true_split = wedderburn._central_characters
+
+    def faked(group, p, z):
+        vectors = true_split(group, p, z)
+        v = next(v for v in vectors if v[2] * pow(v[0], -1, p) % p == p - 1
+                 and v[1] * pow(v[0], -1, p) % p != p - 1)  # a faithful character
+        v[2] = v[0]
+        return vectors
+
+    monkeypatch.setattr(wedderburn, "_central_characters", faked)
+    with pytest.raises(ComputationError, match="not multiplicative on a cyclic subgroup"):
+        character_table(build_group("cyclic:4"))
 
 
 def _dense_krylov(v, m, p):
@@ -868,7 +991,7 @@ def test_minimal_polynomial_matches_the_rref_oracle(p, m, v, expected):
     space by the oracle's RREF, so no polynomial of lower degree annihilates v."""
     from skewlie.wedderburn import _minimal_polynomial
 
-    krylov, mu = _minimal_polynomial(v, _sparse(m), p)
+    krylov, mu = _minimal_polynomial(v, _gathered(m), p)
     powers = _dense_krylov(v, m, p)
     deg = len(mu) - 1
     assert mu[-1] == 1 and all(0 <= c < p for c in mu)
@@ -895,29 +1018,22 @@ def test_minimal_polynomial_stops_after_s_krylov_vectors(monkeypatch):
 
     monkeypatch.setattr(wedderburn, "reduce_mod_p", past_width)
     with pytest.raises(ComputationError, match="more than 3 Krylov vectors"):
-        _minimal_polynomial([1, 1, 1], _sparse([[2, 0, 0], [0, 5, 0], [0, 0, 7]]), 11)
+        _minimal_polynomial([1, 1, 1], _gathered([[2, 0, 0], [0, 5, 0], [0, 0, 7]]), 11)
     assert len(calls) == 4
 
 
 def test_lifting_guards():
-    """The lift of one class from chi mod p on the powers of its representative."""
+    """The DFT lift of one class from chi mod p on the powers of its representative."""
     from skewlie.wedderburn import _lift
 
     p = 13
     dft = {2: (pow(2, p - 2, p), [[1, 1], [1, p - 1]])}  # order 2: zeta_2 = -1
-    dlog = {1: 0, p - 1: 1}
-    assert _lift([2, 0], 2, 2, p, dft, dlog) == [1, 1]
-    assert _lift([1, p - 1], 1, 2, p, dft, dlog) == [0, 1]
+    assert _lift([2, 0], 2, 2, p, dft) == [1, 1]
+    assert _lift([1, p - 1], 1, 2, p, dft) == [0, 1]
     with pytest.raises(ComputationError, match="exceeds the degree"):
-        _lift([2, 4], 2, 2, p, dft, dlog)  # 3 copies of 1 in a degree-2 value
+        _lift([2, 4], 2, 2, p, dft)  # 3 copies of 1 in a degree-2 value
     with pytest.raises(ComputationError, match="do not sum to the degree"):
-        _lift([1, 1], 2, 2, p, dft, dlog)
-    dlog4 = {1: 0, 5: 1, p - 1: 2, 8: 3}  # 5 has order 4 mod 13
-    assert _lift([1, 5, p - 1, 8], 1, 4, p, {}, dlog4) == [0, 1, 0, 0]
-    with pytest.raises(ComputationError, match="not multiplicative"):
-        _lift([1, 5, 1, 5], 1, 4, p, {}, dlog4)  # x(g^2) != x(g)^2
-    with pytest.raises(ComputationError, match="not multiplicative"):
-        _lift([1, 5], 1, 4, p, {}, dlog4)  # g has order 2, but 5^2 != 1
+        _lift([1, 1], 2, 2, p, dft)
 
 
 @pytest.mark.parametrize("spec, change, message", [
@@ -946,18 +1062,23 @@ def test_table_guards(monkeypatch, spec, change, message):
         character_table(build_group(spec))
 
 
-@pytest.mark.parametrize("spec, lifts", [("cyclic:60", 144), ("dihedral:30", 100),
-                                         ("abelian:2,4,8", 784)])
-def test_one_lift_per_galois_orbit(monkeypatch, spec, lifts):
-    """The build lifts one character per Galois orbit, once on each rational
-    class, and reads the other rows of the orbit through the power maps; the
-    orbits it records are those of the exact rows."""
-    calls = []
-    true_lift = wedderburn._lift
-    monkeypatch.setattr(wedderburn, "_lift", lambda *a: calls.append(a) or true_lift(*a))
+@pytest.mark.parametrize("spec, linear, dft", [
+    pytest.param(*case, id=case[0]) for case in [
+        ("cyclic:60", 12, 0), ("dihedral:30", 4, 60), ("abelian:2,4,8", 28, 0),
+        ("product:cyclic:5,dicyclic:4", 8, 48)]])
+def test_one_lift_per_galois_orbit(monkeypatch, spec, linear, dft):
+    """The build lifts one character per Galois orbit: a linear one as one row, any
+    other by one DFT on each rational class; it reads the other rows of the orbit
+    through the power maps.  The orbits it records are those of the exact rows."""
+    rows, lifts = [], []
+    true_row, true_lift = wedderburn._linear_row, wedderburn._lift
+    monkeypatch.setattr(wedderburn, "_linear_row", lambda *a: rows.append(a) or true_row(*a))
+    monkeypatch.setattr(wedderburn, "_lift", lambda *a: lifts.append(a) or true_lift(*a))
     g = build_group(spec)
     t = character_table(g)
-    assert len(calls) == len(t.orbits) * len(wedderburn._rational_classes(g)) == lifts
+    degrees = [o.degree for o in t.orbits]
+    assert len(rows) == degrees.count(1) == linear
+    assert len(lifts) == (len(degrees) - linear) * len(wedderburn._rational_classes(g)) == dft
     assert [o.members for o in t.orbits] == galois_orbits_by_twists(t)
 
 
