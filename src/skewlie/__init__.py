@@ -40,7 +40,6 @@ from .involutions import (
     AlgebraElement,
     Involution,
     SkewSpaceReport,
-    bracket,
     skew_space,
 )
 from .linalg import hnf
@@ -82,7 +81,6 @@ __all__ = [
     "SkewlieError",
     "SpecError",
     "adjoint_space_matches_skew_span",
-    "bracket",
     "build_group",
     "canonical_regular_form",
     "character_table",

@@ -110,11 +110,10 @@ def conjugated_canonical_involution(group: Group, unit: AlgebraElement) -> Invol
     Requires sigma(u) = u (canonical sigma), which makes sigma_u an involution;
     the resulting matrix is generally not induced by any group map.
     """
-    canonical = Involution.canonical(group)
-    if canonical.apply(unit) != unit:
+    n = group.order
+    if any(unit.coeffs[g] != unit.coeffs[group.inv[g]] for g in range(n)):
         raise ComputationError("conjugating unit must be fixed by the canonical involution")
     uinv = algebra_unit_inverse(unit)
-    n = group.order
     cols = []
     for g in range(n):
         image = uinv * AlgebraElement.basis(group, group.inv[g]) * unit
@@ -130,8 +129,9 @@ def s3_conjugated_fixture() -> tuple[Group, Involution]:
         g for g in range(1, group.order)
         if group.mult[g][g] == 0
     )
-    unit = AlgebraElement.basis(group, 0) + AlgebraElement.basis(group, transposition, 2)
-    return group, conjugated_canonical_involution(group, unit)
+    coeffs = [0] * group.order
+    coeffs[0], coeffs[transposition] = 1, 2
+    return group, conjugated_canonical_involution(group, AlgebraElement(group, coeffs))
 
 
 def linear_fixtures() -> list[tuple[str, Group, Involution]]:

@@ -277,6 +277,8 @@ def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     if isinstance(spec, Group):
         return spec
     if isinstance(spec, dict):
+        if not isinstance(spec.get("name", ""), str):
+            raise SpecError("group JSON 'name' must be a string")
         if "mult_table" in spec:
             table = _int_rows(spec["mult_table"], "mult_table")
             if "order" in spec and spec["order"] != len(table):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -35,10 +34,11 @@ def _indicators(table: "CharacterTable", rows: Iterable[tuple]) -> Iterator[int]
         red = reduce_root_vector(e, acc)
         if any(red[1:]):
             raise ComputationError("indicator sum is not rational (table bug)")
-        value = Fraction(red[0], table.group.order)
-        if value.denominator != 1 or value not in (-1, 0, 1):
-            raise ComputationError(f"indicator {value} outside {{-1,0,1}} (table bug)")
-        yield int(value)
+        value, rem = divmod(red[0], table.group.order)
+        if rem or value not in (-1, 0, 1):
+            raise ComputationError(
+                f"indicator {red[0]}/{table.group.order} outside {{-1,0,1}} (table bug)")
+        yield value
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ CANONICAL = "canonical"
 ORIENTED = "oriented"
 ANTI_AUTOMORPHISM = "anti_automorphism"
 LINEAR = "linear"
+# The one field each kind of JSON spec carries besides "kind"; each kind names its constructor.
+SPEC_FIELDS = {CANONICAL: None, ORIENTED: "alpha", ANTI_AUTOMORPHISM: "map", LINEAR: "matrix"}
 
 
 class AlgebraElement:
@@ -46,44 +48,15 @@ class AlgebraElement:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, group: Group) -> "AlgebraElement":
-        return cls(group, [ZERO] * group.order)
-
-    @classmethod
-    def basis(cls, group: Group, g: int, scale=1) -> "AlgebraElement":
-        coeffs = [ZERO] * group.order
-        coeffs[g] = Fraction(scale)
-        return cls(group, coeffs)
-
-    @classmethod
-    def one(cls, group: Group) -> "AlgebraElement":
-        return cls.basis(group, 0)
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.group is not other.group:
-            raise SpecError("group mismatch between algebra elements")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.group, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.group, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, [-a for a in self.coeffs])
-
-    def scale(self, q) -> "AlgebraElement":
-        q = Fraction(q)
-        return AlgebraElement(self.group, [q * a for a in self.coeffs])
+    def basis(cls, group: Group, g: int) -> "AlgebraElement":
+        return cls(group, [int(h == g) for h in range(group.order)])
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Convolution product in QG."""
-        self._check(other)
-        n = self.group.order
+        if self.group is not other.group:
+            raise SpecError("group mismatch between algebra elements")
+        out = [ZERO] * self.group.order
         mult = self.group.mult
-        out = [ZERO] * n
         for g, a in enumerate(self.coeffs):
             if a:
                 row = mult[g]
@@ -99,21 +72,6 @@ class AlgebraElement:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __repr__(self) -> str:
-        terms = [f"{c}*[{g}]" for g, c in enumerate(self.coeffs) if c]
-        return "AlgebraElement(" + (" + ".join(terms) or "0") + ")"
-
-
-def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Lie bracket a*b - b*a."""
-    return a * b - b * a
-
 
 @dataclass(frozen=True, eq=False)
 class Involution:
@@ -123,7 +81,7 @@ class Involution:
     sigma: ``columns[g]`` is d*sigma(g) as a tuple of (index, int) pairs, sorted
     by index with no zero coefficient.  Group-induced involutions are the case
     d = 1 with one entry, +1 or -1, per column; ``kind`` is only the JSON label.
-    ``matrix`` is sigma in Fractions; ``class_sum_images`` (sigma on the center)
+    ``matrix`` is sigma in Fractions; ``class_sum_images`` (d*sigma on the center)
     and ``skew_dim`` are computed on first use.  A ``SkewSpaceReport`` is not
     kept here: it points back at the involution, and the cycle would keep both
     alive until the collector's next full pass.
@@ -198,21 +156,17 @@ class Involution:
         if not isinstance(obj, dict):
             raise SpecError("involution spec must be a JSON object")
         kind = obj.get("kind")
-
-        def field(name: str):
-            if name not in obj:
-                raise SpecError(f"{kind} involution spec has no {name!r} field")
-            return obj[name]
-
+        if not isinstance(kind, str) or kind not in SPEC_FIELDS:
+            raise SpecError(f"unknown involution kind {kind!r}")
+        name = SPEC_FIELDS[kind]
+        for key in obj:
+            if key not in ("kind", name):
+                raise SpecError(f"{kind} involution spec has unknown key {key!r}")
         if kind == CANONICAL:
             return cls.canonical(group)
-        if kind == ORIENTED:
-            return cls.oriented(group, field("alpha"))
-        if kind == ANTI_AUTOMORPHISM:
-            return cls.anti_automorphism(group, field("map"))
-        if kind == LINEAR:
-            return cls.linear(group, field("matrix"))
-        raise SpecError(f"unknown involution kind {kind!r}")
+        if name not in obj:
+            raise SpecError(f"{kind} involution spec has no {name!r} field")
+        return getattr(cls, kind)(group, obj[name])
 
     def to_json(self) -> dict:
         if self.kind == CANONICAL:
@@ -238,12 +192,12 @@ class Involution:
         return m
 
     @cached_property
-    def class_sum_images(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
-        """Row j: sigma(K_j) for the class sum K_j, central again, as its nonzero
-        (k, coefficient on the representative of class k)."""
+    def class_sum_images(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row j: d*sigma(K_j) for the class sum K_j, central again, as its nonzero
+        (k, integer coefficient on the representative of class k)."""
         cd = conjugacy_classes(self.group)
         rep_class = {r: k for k, r in enumerate(cd.class_reps)}
-        d, cols = self.scaled_columns
+        cols = self.scaled_columns[1]
         out = []
         for cls in cd.classes:
             row = [0] * len(cd)
@@ -251,7 +205,7 @@ class Involution:
                 for h, c in cols[g]:
                     if h in rep_class:
                         row[rep_class[h]] += c
-            out.append(tuple((k, v if d == 1 else Fraction(v, d)) for k, v in enumerate(row) if v))
+            out.append(tuple((k, v) for k, v in enumerate(row) if v))
         return tuple(out)
 
     @cached_property
@@ -262,17 +216,6 @@ class Involution:
     def validate(self) -> "Involution":
         """The axioms were checked at construction; kept for callers that chain it."""
         return self
-
-    def apply(self, x: AlgebraElement) -> AlgebraElement:
-        if x.group is not self.group:
-            raise SpecError("group mismatch between involution and element")
-        out = [ZERO] * self.group.order
-        d, cols = self.scaled_columns
-        for g, a in enumerate(x.coeffs):
-            if a:
-                for h, c in cols[g]:
-                    out[h] += c * a
-        return AlgebraElement(self.group, [v / d for v in out])
 
 
 def _sparse_sum(terms) -> tuple:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
 from math import gcd, isqrt
@@ -33,7 +32,7 @@ from .cyclotomic import reduce_root_vector, twist_root_vector
 from .errors import ComputationError, SpecError
 from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent, generators
 from .indicators import IndicatorReport, indicator_report
-from .involutions import AlgebraElement, Involution, skew_space
+from .involutions import Involution, skew_space
 from .linalg import pack, reduce_mod_p, slot_words, unpack_mod
 
 DEFAULT_PRIME_BOUND = 10**8
@@ -568,13 +567,6 @@ class CentralIdempotent:
                 or any(type(c) is not int for c in self.coords)):
             raise SpecError("idempotent coords need one int per conjugacy class")
 
-    @cached_property
-    def element(self) -> AlgebraElement:
-        """e = E/|G| over the group basis."""
-        n = self.group.order
-        return AlgebraElement(self.group, [Fraction(self.coords[k], n)
-                                           for k in conjugacy_classes(self.group).class_of])
-
 
 def rational_idempotents(table: CharacterTable) -> list[CentralIdempotent]:
     """E = |G| e = d sum_chi chi(K_j^-1) on class j, over each Galois orbit of degree d."""
@@ -663,29 +655,31 @@ def component_skew_dim(idem: CentralIdempotent, inv: Involution) -> int:
 
     f is central and sigma-fixed, so sigma commutes with the projection L_f onto
     fQG, and tr(sigma L_f) = sum_g sum_{(h, m) in sigma(g)} m f[g h^-1].  For a
-    swapped pair (fQG)^- is isomorphic to eQG: the trace must vanish.
+    swapped pair (fQG)^- is isomorphic to eQG: the trace must vanish.  All in integers:
+    d|G| f is d E, or d E + d sigma(E), and its trace is d^2 |G| tr(sigma L_f).
     """
     group = idem.group
     n = group.order
-    e = idem.coords
-    sigma_e = tuple(_combine(e, inv.class_sum_images, len(e)))
-    f = e if sigma_e == e else [a + b for a, b in zip(e, sigma_e)]
     d, cols = inv.scaled_columns
-    trace = _trace(group, f, cols, False)  # d |G| tr(sigma L_f)
-    twice, rem = divmod(d * n * f[0] - trace, d * n)
+    de = [d * x for x in idem.coords]
+    sigma_e = _combine(idem.coords, inv.class_sum_images, len(de))  # d sigma(E)
+    f = de if sigma_e == de else [a + b for a, b in zip(de, sigma_e)]
+    twice, rem = divmod(d * n * f[0] - _trace(group, f, cols, False), d * d * n)
     if twice < 0 or rem or twice % 2:
-        raise ComputationError(f"trace formula gives the skew dimension {(twice + rem / d / n) / 2}")
+        raise ComputationError(
+            f"trace formula gives the skew dimension {(twice + rem / (d * d * n)) / 2}")
     return twice // 2
 
 
 def sigma_action_on_components(idems: Sequence[CentralIdempotent], inv: Involution) -> tuple[int, ...]:
     """The permutation sigma(e_i) = e_perm[i]; always an involution.
 
-    Each E_i = |G| e_i is mapped in integer class coordinates, through sigma on
-    the class sums, and looked up among the E_j.
+    Each E_i = |G| e_i is mapped in integer class coordinates, through d*sigma on
+    the class sums, and looked up among the d E_j.
     """
     sums = inv.class_sum_images
-    index = {ci.coords: i for i, ci in enumerate(idems)}
+    d = inv.scaled_columns[0]
+    index = {tuple(d * x for x in ci.coords): i for i, ci in enumerate(idems)}
     perm = tuple(index.get(tuple(_combine(ci.coords, sums, len(sums)))) for ci in idems)
     if None in perm:
         raise ComputationError("involution image of a central idempotent matches no idempotent")

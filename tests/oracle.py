@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 from math import gcd, isqrt
 
-from skewlie import SpecError
+from skewlie import SpecError, conjugacy_classes
 from skewlie.cyclotomic import euler_phi, power_basis_table, reduce_root_vector
 
 
@@ -484,6 +484,33 @@ def convolve(mult, a, b):
                 if y:
                     out[row[h]] += x * y
     return out
+
+
+def apply(inv, x):
+    """sigma(x) for x a coefficient sequence, through the dense ``inv.matrix``."""
+    out = [Fraction(0)] * len(x)
+    for g, col in enumerate(fraction_columns(inv)):
+        if x[g]:
+            for h, c in col:
+                out[h] += c * x[g]
+    return out
+
+
+def bracket(mult, a, b):
+    """The Lie bracket ab - ba of two coefficient sequences, by two convolutions."""
+    return [x - y for x, y in zip(convolve(mult, a, b), convolve(mult, b, a))]
+
+
+def bracket_closed(mult, rows) -> bool:
+    """Whether the rational span of the rows holds the bracket of every pair of them."""
+    r = rank(rows)
+    return all(rank(rows + [bracket(mult, x, y)]) == r for x, y in combinations(rows, 2))
+
+
+def idempotent_coeffs(idem):
+    """e = E/|G| over the group basis, from the class vector E = ``idem.coords``."""
+    n = idem.group.order
+    return [Fraction(idem.coords[k], n) for k in conjugacy_classes(idem.group).class_of]
 
 
 def idempotent_axioms_by_convolution(mult, idempotents) -> bool:

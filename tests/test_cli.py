@@ -193,6 +193,11 @@ def test_malformed_involution_json_exits_one(capsys):
         ('{"kind": "linear", "matrix": 5}', "|G| x |G|"),
         ('{"kind": "oriented", "alpha": [1.0, -1.0]}', "+1 or -1"),
         ('{"kind": "linear", "matrix": ' + "[" * 10**5 + "]" * 10**5 + "}", "nested too deeply"),
+        ('{"kind": ["canonical"]}', "unknown involution kind ['canonical']"),
+        ('{"kind": "canonical", "alpha": [1, 1]}', "canonical involution spec has unknown key 'alpha'"),
+        ('{"kind": "oriented", "alpha": [1, 1], "map": [0, 1]}', "unknown key 'map'"),
+        ('{"kind": "anti_automorphism", "map": [0, 1], "note": ""}', "unknown key 'note'"),
+        ('{"kind": "linear", "matrix": [[1, 0], [0, 1]], "d": 1}', "unknown key 'd'"),
     ]
     for spec, message in cases:
         code, out, err = run_cli(capsys, "decompose", "--group", "cyclic:2",
@@ -209,6 +214,9 @@ def test_malformed_group_json_exits_one(capsys):
         ('{"mult_table": 5}', "list of lists of integers"),
         ('{"mult_table": [[0.0]]}', "list of lists of integers"),
         ('{"mult_table": ' + "[" * 10**5 + "]" * 10**5 + "}", "nested too deeply"),
+        ('{"mult_table": [[0, 1], [1, 0]], "name": 5}', "'name' must be a string"),
+        ('{"permutation_generators": [[1, 0]], "degree": 2, "name": [1]}', "'name' must be a string"),
+        ('{"mult_table": [[0]], "name": null}', "'name' must be a string"),
     ]
     for spec, message in cases:
         code, out, err = run_cli(capsys, "group-info", "--group", spec)

@@ -105,11 +105,13 @@ def test_wedderburn_takes_only_the_row_reduction_mod_p_from_linalg():
 
 
 def test_linalg_imports_nothing_from_fractions():
-    tree = ast.parse((SRC / "linalg.py").read_text())
-    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names}
-    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert modules and "fractions" not in modules
+    """Nor do the table, the classification and the indicators: all integer arithmetic."""
+    for name in ("linalg.py", "wedderburn.py", "indicators.py"):
+        tree = ast.parse((SRC / name).read_text())
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert modules and "fractions" not in modules, name
 
 
 def _unread_imports(path: Path) -> list[str]:

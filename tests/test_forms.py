@@ -9,6 +9,8 @@ import pytest
 from oracle import (
     adjoint_identity_by_fractions,
     adjoint_identity_by_triples,
+    apply,
+    convolve,
     fraction_columns,
     functional_space_by_fractions,
     identity,
@@ -20,7 +22,6 @@ from oracle import (
     skew_adjoint_space_by_fractions,
 )
 from skewlie import (
-    AlgebraElement,
     Involution,
     SpecError,
     adjoint_space_matches_skew_span,
@@ -131,11 +132,12 @@ def test_realize_returns_valid_witness(q8, canonical):
     assert r.form.symmetry in ("symmetric", "skew")
     assert check_adjoint_identity(r)
     # h(x, y) = functional(sigma(x) y) reproduces the gram matrix
+    units = [[int(h == g) for h in range(q8.order)] for g in range(q8.order)]
     for g in range(q8.order):
-        sg = inv.apply(AlgebraElement.basis(q8, g))
+        sg = apply(inv, units[g])
         for h in range(q8.order):
-            prod = sg * AlgebraElement.basis(q8, h)
-            value = sum(l * c for l, c in zip(r.functional, prod.coeffs))
+            prod = convolve(q8.mult, sg, units[h])
+            value = sum(l * c for l, c in zip(r.functional, prod))
             assert value == r.form.gram[g][h]
 
 

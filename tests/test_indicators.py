@@ -1,4 +1,7 @@
+import pytest
+
 from skewlie import (
+    ComputationError,
     build_group,
     character_table,
     complex_dimension_identity,
@@ -6,6 +9,7 @@ from skewlie import (
     indicator_report,
     involution_count_identity,
 )
+from skewlie import indicators
 from skewlie.catalog import catalog_groups
 
 from oracle import Cyclotomic, conjugates_by_twist, cyclotomic_values
@@ -22,6 +26,15 @@ def indicator_by_elementwise_sum(table, index):
         sq = group.mult[g][g]
         acc = acc + row[cd.class_of[sq]]
     return acc.rational_value() / group.order
+
+
+@pytest.mark.parametrize("total", [4, 16, -16, 12])
+def test_indicator_sum_must_be_minus_one_zero_or_one_times_the_order(monkeypatch, q8_table, total):
+    """The sum of chi(g^2) over Q8 must be -8, 0 or 8: 4 and 12 leave a remainder
+    mod 8, and 16 and -16 give the indicators 2 and -2."""
+    monkeypatch.setattr(indicators, "reduce_root_vector", lambda e, acc: [total] + [0] * (e - 1))
+    with pytest.raises(ComputationError, match=f"indicator {total}/8 outside"):
+        fs_indicator(q8_table, 0)
 
 
 def test_trivial_character_indicator(s3_table):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlie import (
-    AlgebraElement,
     Involution,
     SpecError,
     build_group,
@@ -32,6 +31,7 @@ from skewlie.catalog import (
     catalog_groups,
     klein_swap_involution,
     linear_fixtures,
+    s3_conjugated_fixture,
 )
 from skewlie import wedderburn
 from skewlie.errors import ComputationError
@@ -42,11 +42,14 @@ from oracle import (
     Cyclotomic,
     _rref_mod,
     _smallest_primitive_root,
+    apply,
     center_kinds_by_every_class,
+    convolve,
     cyclotomic_values,
     fraction_columns,
     galois_orbits_by_twists,
     idempotent_axioms_by_convolution,
+    idempotent_coeffs,
     skew_dim_by_rank,
     structure_constants_by_products,
     table_by_kernels,
@@ -56,10 +59,7 @@ ORACLE_LIMIT = 24
 
 
 def class_sum(group, cls):
-    coeffs = [Fraction(0)] * group.order
-    for g in cls:
-        coeffs[g] = Fraction(1)
-    return AlgebraElement(group, coeffs)
+    return [int(g in cls) for g in range(group.order)]
 
 
 def test_structure_constants_trivial():
@@ -79,10 +79,11 @@ def test_structure_constants_against_class_sum_oracle(s3, q8):
         constants = class_structure_constants(g)
         for i, ci in enumerate(cd.classes):
             for j, cj in enumerate(cd.classes):
-                product = class_sum(g, ci) * class_sum(g, cj)
-                expected = AlgebraElement.zero(g)
+                product = convolve(g.mult, class_sum(g, ci), class_sum(g, cj))
+                expected = [0] * g.order
                 for k, ck in enumerate(cd.classes):
-                    expected = expected + class_sum(g, ck).scale(constants[i][j][k])
+                    for x in ck:
+                        expected[x] += constants[i][j][k]
                 assert product == expected
 
 
@@ -283,14 +284,14 @@ def test_galois_action_twists_no_values(monkeypatch, spec):
 
 def test_c3_idempotents(c3, c3_table):
     idems = rational_idempotents(c3_table)
-    avg = AlgebraElement(c3, [Fraction(1, 3)] * 3)
-    elements = [ci.element for ci in idems]
+    avg = [Fraction(1, 3)] * 3
+    elements = [idempotent_coeffs(ci) for ci in idems]
     assert avg in elements
     other = next(e for e in elements if e != avg)
-    assert other == AlgebraElement.one(c3) - avg
+    assert other == [Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)]
     assert idempotent_axioms_hold(idems)
-    for ci in idems:
-        assert ci.element * ci.element == ci.element
+    for e in elements:
+        assert convolve(c3.mult, e, e) == e
 
 
 def test_q8_idempotent_dimensions(q8_table):
@@ -305,7 +306,7 @@ def test_trivial_group_idempotent():
     t = character_table(g)
     idems = rational_idempotents(t)
     assert len(idems) == 1
-    assert idems[0].element == AlgebraElement.one(g)
+    assert idempotent_coeffs(idems[0]) == [1]
 
 
 def test_component_skew_dims_q8(q8, q8_table, canonical):
@@ -366,7 +367,7 @@ def test_pair_swap_fixture_klein():
 def test_sigma_action_rejects_foreign_idempotents(q8, q8_table):
     """An image that matches no E_j raises.  Elements off the integer class
     coordinates have no class vector; the oracle rejects them in QG."""
-    coeffs = [list(ci.element.coeffs) for ci in q8_table.idempotents]
+    coeffs = [idempotent_coeffs(ci) for ci in q8_table.idempotents]
     noncentral = [row[:] for row in coeffs]
     noncentral[-1][max(conjugacy_classes(q8).classes, key=len)[-1]] += 1  # inside a class
     fractional = [row[:] for row in coeffs]
@@ -475,22 +476,17 @@ def test_skew_dims_match_rank_oracle(oracle_cases):
             assert (ssr.skew_dim == skew_dim_by_rank(g.mult, columns, one)
                     == len(ssr.skew_basis)), (g.name, inv.to_json())
             for ci in t.idempotents:
-                expected = skew_dim_by_rank(g.mult, columns, ci.element.coeffs)
+                e = idempotent_coeffs(ci)
+                expected = skew_dim_by_rank(g.mult, columns, e)
                 assert component_skew_dim(ci, inv) == expected, (g.name, inv.to_json())
-                swapped += inv.apply(ci.element) != ci.element
+                swapped += apply(inv, e) != e
     assert swapped > 0
 
 
-@pytest.mark.parametrize("kind", ["canonical", "oriented"])
-def test_decomposition_builds_no_fraction_for_group_induced_sigma(monkeypatch, kind):
-    """Once the table is built and checked, the report is integer arithmetic only."""
-    g = build_group("dicyclic:6")
+def _fractions_built(monkeypatch, g, inv) -> int:
+    """How many Fractions decomposition_report builds once the table is built and checked."""
     t = character_table(g)
     assert all(t.checks.values())
-    if kind == "canonical":
-        inv = Involution.canonical(g)
-    else:
-        inv = Involution.oriented(g, next(a for a in sign_characters(g) if -1 in a))
     built = []
     new = Fraction.__new__
 
@@ -501,7 +497,25 @@ def test_decomposition_builds_no_fraction_for_group_induced_sigma(monkeypatch, k
     monkeypatch.setattr(Fraction, "__new__", counting)
     decomposition_report(g, inv, table=t)
     monkeypatch.undo()
-    assert len(built) == 0
+    return len(built)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "oriented"])
+def test_decomposition_builds_no_fraction_for_group_induced_sigma(monkeypatch, kind):
+    """Once the table is built and checked, the report is integer arithmetic only."""
+    g = build_group("dicyclic:6")
+    if kind == "canonical":
+        inv = Involution.canonical(g)
+    else:
+        inv = Involution.oriented(g, next(a for a in sign_characters(g) if -1 in a))
+    assert _fractions_built(monkeypatch, g, inv) == 0
+
+
+def test_decomposition_builds_no_fraction_for_linear_sigma(monkeypatch):
+    """Nor for a linear sigma with d = 3: sigma on the center is read as d*sigma."""
+    g, inv = s3_conjugated_fixture()
+    assert inv.scaled_columns[0] == 3
+    assert _fractions_built(monkeypatch, g, inv) == 0
 
 
 RANDOM_ORDER_CAP = 60
@@ -536,7 +550,7 @@ def test_random_groups_against_oracles(g):
     t = character_table(g)
     assert (t.degrees, t.root_mults) == table_by_kernels(g, cd, constants, t.conductor, t.prime)
     assert [o.members for o in t.orbits] == galois_orbits_by_twists(t), g.name
-    assert idempotent_axioms_by_convolution(g.mult, [ci.element.coeffs for ci in t.idempotents])
+    assert idempotent_axioms_by_convolution(g.mult, [idempotent_coeffs(ci) for ci in t.idempotents])
     one = [1] + [0] * (g.order - 1)
     oriented = [Involution.oriented(g, alpha) for alpha in sign_characters(g)]
     for inv in oriented:
@@ -570,11 +584,11 @@ def test_idempotent_axioms_match_convolution_oracle(oracle_cases):
     for g, t, _ in oracle_cases:
         idems = list(t.idempotents)
         assert idempotent_axioms_hold(idems), g.name
-        coeffs = [list(ci.element.coeffs) for ci in idems]
+        coeffs = [idempotent_coeffs(ci) for ci in idems]
         assert idempotent_axioms_by_convolution(g.mult, coeffs)
         for name, mutant in _axiom_mutants(idems).items():
             assert not idempotent_axioms_hold(mutant), (g.name, name)
-            expanded = [ci.element.coeffs for ci in mutant]
+            expanded = [idempotent_coeffs(ci) for ci in mutant]
             assert not idempotent_axioms_by_convolution(g.mult, expanded), (g.name, name)
         # off the class vectors, so for the oracle only: one coefficient inside the largest class
         coeffs[-1][max(conjugacy_classes(g).classes, key=len)[-1]] += 1
@@ -582,11 +596,11 @@ def test_idempotent_axioms_match_convolution_oracle(oracle_cases):
 
 
 def test_central_idempotent_is_one_int_per_class(q8, q8_table):
-    """The class vector E = |G| e expands to e, and nothing else is a class vector."""
-    n, class_of = q8.order, conjugacy_classes(q8).class_of
+    """The class vector E = |G| e, read on every element of its class and divided by
+    |G|, is an idempotent of QG; and nothing else is a class vector."""
     for ci in q8_table.idempotents:
-        assert ci.element.coeffs == tuple(Fraction(ci.coords[k], n) for k in class_of)
-        assert ci.element is ci.element
+        e = idempotent_coeffs(ci)
+        assert len(e) == q8.order and convolve(q8.mult, e, e) == e
     coords = q8_table.idempotents[-1].coords
     for bad in (coords[:-1], coords + (0,), (Fraction(1, 2),) + coords[1:]):
         with pytest.raises(SpecError, match="one int per conjugacy class"):
