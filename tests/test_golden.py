@@ -5,7 +5,8 @@ Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
 built-in involution, ``decompose`` and ``form`` for the linear fixtures,
 ``verify`` for each of those catalog groups alone and for the fixtures alone,
 ``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes), for
-every other catalog group of order > 12 and for LARGE_CHARTAB,
+every other catalog group of order > 12 and for LARGE_CHARTAB, ``decompose``
+for the groups of LARGE_CHARTAB under every built-in involution,
 ``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS, ``form``
 for every catalog group of order <= FORM_MAX_ORDER under every built-in
 involution and for the fixtures at each seed of FORM_SEEDS, and ``form`` under
@@ -86,8 +87,15 @@ def digests() -> dict[str, str]:
     # no catalog group has order <= 0, so only the linear fixtures run
     out["verify fixtures"] = _sha(run_verification(max_order=0).to_json())
     above = [g.name for g in catalog_groups() if g.order > MAX_ORDER and g.name not in WIDE_CHARTAB]
-    for spec in WIDE_CHARTAB + above + list(LARGE_CHARTAB):
+    for spec in WIDE_CHARTAB + above:
         out[f"chartab {spec}"] = _sha(character_table(build_group(spec)).to_json())
+    for spec in LARGE_CHARTAB:
+        group = build_group(spec)
+        table = character_table(group)
+        out[f"chartab {spec}"] = _sha(table.to_json())
+        for label, inv in builtin_involutions(group):
+            report = decomposition_report(group, inv, table=table)
+            out[f"decompose {spec} {label}"] = _sha(report.to_json())
     for spec in SIGN_CHARACTER_GROUPS:
         out[f"sign_characters {spec}"] = _sha(sign_characters(build_group(spec)))
     form_cases = [(f"{group.name} {label}", inv)
