@@ -8,7 +8,7 @@ from math import lcm
 
 from .errors import ComputationError
 from .groups import Group, abelian_group, build_group, sign_characters, symmetric_group
-from .involutions import AlgebraElement, Involution
+from .involutions import LINEAR, AlgebraElement, Involution
 from .linalg import null_space
 
 CATALOG_SPECS: tuple[str, ...] = tuple(
@@ -61,7 +61,7 @@ def klein_swap_involution() -> tuple[Group, Involution]:
 def klein_swap_linear_involution() -> tuple[Group, Involution]:
     """The same component swap packaged as a general linear involution matrix."""
     group, ga = klein_swap_involution()
-    return group, Involution.linear(group, ga.matrix)
+    return group, Involution(group, LINEAR, ga.scaled_columns)
 
 
 def c3c3_swap_involution() -> tuple[Group, Involution]:

@@ -49,7 +49,8 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
+# a table near e = 2000 holds about 36 MB, and a character table reads only its own e
+@lru_cache(maxsize=8)
 def power_basis_table(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """x^k mod Phi_e for k in 0..e-1, each as its nonzero (i, coefficient)
     pairs in the power basis; past phi(e) most rows have few terms."""

@@ -21,9 +21,9 @@ from typing import Iterator
 
 from .errors import ComputationError, SpecError
 from .groups import generators
-from .involutions import ZERO, Involution, QMatrix, eigen_rows
+from .involutions import ZERO, Involution, eigen_rows
 from .linalg import _echelon, hnf, null_space, rank_mod_p_reaches, row_basis
-from .serialize import frac_row, frac_str
+from .serialize import frac_str
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
@@ -36,8 +36,7 @@ ONE = Fraction(1)
 @dataclass(frozen=True, init=False)
 class BilinearForm:
     """A form on the group basis of QG with gram scale * int_gram: int_gram of content 1,
-    with the rank, symmetry and null spaces of the form, and one positive rational scale.
-    The rational ``gram`` is built only when read."""
+    with the rank, symmetry and null spaces of the form, and one positive rational scale."""
 
     int_gram: list[list[int]]
     scale: Fraction
@@ -48,10 +47,6 @@ class BilinearForm:
         if content > 1:
             int_gram = [[x // content for x in row] for row in int_gram]
         vars(self).update(int_gram=int_gram, scale=scale * content, symmetry=symmetry)
-
-    @cached_property
-    def gram(self) -> QMatrix:
-        return [[x * self.scale for x in row] for row in self.int_gram]
 
     @cached_property
     def nonsingular(self) -> bool:
@@ -255,6 +250,6 @@ def form_report(inv: Involution, seed: int = 0) -> dict:
         "involution": inv.to_json(),
         "symmetry": r.form.symmetry,
         "gram": [list(map(text.__getitem__, row)) for row in gram],
-        "functional": frac_row(r.functional),
+        "functional": list(map(frac_str, r.functional)),
         "checks": checks,
     }

@@ -124,35 +124,30 @@ def cyclic_group(n: int, name: str | None = None, max_order: int = DEFAULT_MAX_O
                         max_order)
 
 
+def _inverting_extension(name: str, m: int, z: int, max_order: int) -> Group:
+    """C_m = <a> extended by b with b a b^-1 = a^-1 and b^2 = a^z: a^i b^j at i + m*j."""
+
+    def row(x: int) -> list[int]:  # a^i b a^k b^l = a^(i - k + z*l) b^(1 + l)
+        i, j = x % m, x // m
+        if j == 0:
+            return [(i + k) % m + m * l for l in (0, 1) for k in range(m)]
+        return [(i - k + z * l) % m + m * (1 - l) for l in (0, 1) for k in range(m)]
+
+    return _built_group(name, 2 * m, row, max_order)
+
+
 def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Dihedral group of order 2n: rotations r^i at i, reflections r^i s at n+i."""
     if n < 1:
         raise SpecError("dihedral parameter must be positive")
-
-    def row(x: int) -> list[int]:  # r^i s^j r^k s^l = r^(i +- k) s^(j + l)
-        i, j = x % n, x // n
-        return [(i - k if j else i + k) % n + n * (j ^ l) for l in (0, 1) for k in range(n)]
-
-    return _built_group(f"dihedral:{n}", 2 * n, row, max_order)
+    return _inverting_extension(f"dihedral:{n}", n, 0, max_order)
 
 
 def dicyclic_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
-    """Dicyclic group of order 4n (n=2 is the quaternion group Q8).
-
-    Elements a^i b^j with a of order 2n, b^2 = a^n, b a b^-1 = a^-1;
-    index i + 2n*j.
-    """
+    """Dicyclic group of order 4n (n=2 is Q8): a of order 2n and b^2 = a^n."""
     if n < 1:
         raise SpecError("dicyclic parameter must be positive")
-    m = 2 * n
-
-    def row(x: int) -> list[int]:
-        i, j = x % m, x // m
-        if j == 0:
-            return [(i + k) % m + m * l for l in (0, 1) for k in range(m)]
-        return [(i - k + n * l) % m + m * (1 - l) for l in (0, 1) for k in range(m)]
-
-    return _built_group(f"dicyclic:{n}", 2 * m, row, max_order)
+    return _inverting_extension(f"dicyclic:{n}", 2 * n, n, max_order)
 
 
 def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -272,6 +267,12 @@ def _int_rows(value, field: str) -> list:
     return value
 
 
+_ONE_INTEGER_FAMILIES = {
+    "cyclic": cyclic_group, "dihedral": dihedral_group, "dicyclic": dicyclic_group,
+    "symmetric": symmetric_group, "alternating": alternating_group,
+}
+
+
 def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Resolve a group spec: builtin string, JSON dict, or Group passthrough."""
     if isinstance(spec, Group):
@@ -298,16 +299,8 @@ def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
         raise SpecError(f"unsupported group spec {spec!r}")
     family, _, arg = spec.partition(":")
     try:
-        if family == "cyclic":
-            return cyclic_group(int(arg), max_order=max_order)
-        if family == "dihedral":
-            return dihedral_group(int(arg), max_order=max_order)
-        if family == "dicyclic":
-            return dicyclic_group(int(arg), max_order=max_order)
-        if family == "symmetric":
-            return symmetric_group(int(arg), max_order=max_order)
-        if family == "alternating":
-            return alternating_group(int(arg), max_order=max_order)
+        if family in _ONE_INTEGER_FAMILIES:
+            return _ONE_INTEGER_FAMILIES[family](int(arg), max_order=max_order)
         if family == "abelian":
             return abelian_group([int(t) for t in arg.split(",")], max_order=max_order)
         if family == "product":

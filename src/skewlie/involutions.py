@@ -21,8 +21,6 @@ from .groups import Group, conjugacy_classes, generators
 from .linalg import _echelon, row_basis
 from .serialize import frac_str
 
-QMatrix = list[list[Fraction]]
-
 ZERO = Fraction(0)
 
 CANONICAL = "canonical"
@@ -81,10 +79,10 @@ class Involution:
     sigma: ``columns[g]`` is d*sigma(g) as a tuple of (index, int) pairs, sorted
     by index with no zero coefficient.  Group-induced involutions are the case
     d = 1 with one entry, +1 or -1, per column; ``kind`` is only the JSON label.
-    ``matrix`` is sigma in Fractions; ``class_sum_images`` (d*sigma on the center)
-    and ``skew_dim`` are computed on first use.  A ``SkewSpaceReport`` is not
-    kept here: it points back at the involution, and the cycle would keep both
-    alive until the collector's next full pass.
+    ``class_sum_images`` (d*sigma on the center) and ``skew_dim`` are computed on
+    first use.  A ``SkewSpaceReport`` is not kept here: it points back at the
+    involution, and the cycle would keep both alive until the collector's next
+    full pass.
     """
 
     group: Group
@@ -175,21 +173,12 @@ class Involution:
             return {"kind": ORIENTED, "alpha": [col[0][1] for col in self.scaled_columns[1]]}
         if self.kind == ANTI_AUTOMORPHISM:
             return {"kind": ANTI_AUTOMORPHISM, "map": [col[0][0] for col in self.scaled_columns[1]]}
-        return {
-            "kind": LINEAR,
-            "matrix": [[frac_str(x) for x in row] for row in self.matrix],
-        }
-
-    @property
-    def matrix(self) -> QMatrix:
-        """Dense matrix with column g holding the coefficients of sigma(g)."""
-        n = self.group.order
-        m = [[ZERO] * n for _ in range(n)]
         d, cols = self.scaled_columns
+        matrix = [["0"] * len(cols) for _ in cols]  # column g holds sigma(g)
         for g, col in enumerate(cols):
             for h, c in col:
-                m[h][g] = Fraction(c, d)
-        return m
+                matrix[h][g] = frac_str(Fraction(c, d))
+        return {"kind": LINEAR, "matrix": matrix}
 
     @cached_property
     def class_sum_images(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -7,17 +7,13 @@ from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 def frac_str(x) -> str:
     """"p/q", or "p" for an integer; an exact int or Fraction prints as itself
     (a bool is not exact here: True prints as 1)."""
     return str(x if type(x) in (int, Fraction) else Fraction(x))
-
-
-def frac_row(row: Sequence) -> list[str]:
-    return [frac_str(x) for x in row]
 
 
 def chunks(obj) -> Iterator[str]:

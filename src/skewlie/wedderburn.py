@@ -501,7 +501,7 @@ def table_orthogonality(table: CharacterTable) -> bool:
     if len(table.root_mults) != s or any(len(row) != s for row in table.root_mults):
         return False
     # each value as its nonzero root multiplicities (t, m): m copies of zeta_e^t
-    terms = [[[(t, m) for t, m in enumerate(mv) if m] for mv in row] for row in table.root_mults]
+    terms = table.rendered_rows(lambda mv: [(t, m) for t, m in enumerate(mv) if m])
 
     def equals(i: int, j: int) -> bool:
         """Whether sum_k |K_k| chi_i(K_k) chi_j(K_k^-1) is |G| for i = j and 0 otherwise."""

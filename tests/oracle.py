@@ -66,10 +66,26 @@ def mat(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def dense_matrix(inv):
+    """sigma as a dense rational matrix, column g holding the coefficients of
+    sigma(g): each integer entry of ``inv.scaled_columns`` over its d."""
+    d, cols = inv.scaled_columns
+    m = [[Fraction(0)] * len(cols) for _ in cols]
+    for g, col in enumerate(cols):
+        for h, c in col:
+            m[h][g] = Fraction(c, d)
+    return m
+
+
+def rational_gram(form):
+    """The gram of a ``BilinearForm`` in Fractions: its scale times its integer gram."""
+    return [[x * form.scale for x in row] for row in form.int_gram]
+
+
 def fraction_columns(inv):
     """sigma(g) for every g as sorted (index, Fraction) pairs without zeros, read off
-    the dense ``inv.matrix``, not off the integer columns the package stores."""
-    m = inv.matrix
+    the columns of ``dense_matrix(inv)``."""
+    m = dense_matrix(inv)
     return [tuple((h, row[g]) for h, row in enumerate(m) if row[g]) for g in range(len(m))]
 
 
@@ -487,7 +503,7 @@ def convolve(mult, a, b):
 
 
 def apply(inv, x):
-    """sigma(x) for x a coefficient sequence, through the dense ``inv.matrix``."""
+    """sigma(x) for x a coefficient sequence, through ``dense_matrix(inv)``."""
     out = [Fraction(0)] * len(x)
     for g, col in enumerate(fraction_columns(inv)):
         if x[g]:

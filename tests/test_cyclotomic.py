@@ -12,6 +12,7 @@ from skewlie.catalog import catalog_groups
 from skewlie.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
+    power_basis_table,
     reduce_root_vector,
     twist_root_vector,
     value_text,
@@ -153,3 +154,17 @@ def test_root_vector_twist_matches_the_field_automorphism(chartab_values):
             if gcd(k, e) == 1:
                 twisted = reduce_root_vector(e, twist_root_vector(mv, k, e))
                 assert twisted == list(z.galois(k).coeffs), (e, mv, k)
+
+
+def test_power_basis_table_cache_is_bounded():
+    """The tables live as long as the process, and one at a conductor near 2000
+    holds tens of MB: the cache keeps a fixed few however many conductors are read,
+    and a table built again after it left the cache is the same table."""
+    bound = power_basis_table.cache_info().maxsize
+    assert bound is not None and bound <= 16
+    first = power_basis_table(60)
+    for e in range(1, 200):
+        power_basis_table(e)
+        assert power_basis_table.cache_info().currsize <= bound
+    assert power_basis_table(60) == first
+    assert reduce_root_vector(60, [1] * 60) == [0] * euler_phi(60)

@@ -17,6 +17,7 @@ from oracle import (
     mat,
     over_pivots,
     rank,
+    rational_gram,
     realize_by_fractions,
     row_space_equal,
     skew_adjoint_space_by_fractions,
@@ -52,7 +53,7 @@ from skewlie.verify import FORMS_ORDER_LIMIT
 
 def test_canonical_gram_is_identity(q8, canonical):
     r = canonical_regular_form(canonical(q8))
-    assert r.form.gram == identity(q8.order)
+    assert rational_gram(r.form) == identity(q8.order)
     assert r.form.symmetry == "symmetric"
     assert r.functional[0] == 1 and not any(r.functional[1:])
 
@@ -62,14 +63,15 @@ def test_oriented_c4_gram_is_signed_diagonal():
     inv = Involution.oriented(g, [1, -1, 1, -1]).validate()
     r = canonical_regular_form(inv)
     expected = mat([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
-    assert r.form.gram == expected
+    assert rational_gram(r.form) == expected
     assert r.form.symmetry == "symmetric"
 
 
 def test_adjoint_identity_all_triples_q8(q8, canonical):
     r = canonical_regular_form(canonical(q8))
     assert check_adjoint_identity(r)
-    assert adjoint_identity_by_triples(q8.mult, fraction_columns(r.involution), r.form.gram)
+    assert adjoint_identity_by_triples(q8.mult, fraction_columns(r.involution),
+                                       rational_gram(r.form))
 
 
 def _one_entry_changes(r):
@@ -92,7 +94,7 @@ def test_adjoint_identity_matches_all_triples_oracle():
         r = realize_adjoint_form(inv, seed=0)
         for case in (r, *_one_entry_changes(r)):
             expected = adjoint_identity_by_triples(group.mult, fraction_columns(inv),
-                                                   case.form.gram)
+                                                   rational_gram(case.form))
             assert check_adjoint_identity(case) == expected, label
 
 
@@ -106,7 +108,7 @@ def test_adjoint_identity_is_checked_on_every_generator():
     r = realize_adjoint_form(Involution.oriented(g, alpha), seed=0)
     mixed = replace(r, involution=Involution.canonical(g))
     assert not adjoint_identity_by_triples(g.mult, fraction_columns(mixed.involution),
-                                           mixed.form.gram)
+                                           rational_gram(mixed.form))
     assert not check_adjoint_identity(mixed)
 
 
@@ -128,7 +130,8 @@ def test_canonical_form_requires_group_induced(s3):
 def test_realize_returns_valid_witness(q8, canonical):
     inv = canonical(q8)
     r = realize_adjoint_form(inv, seed=0)
-    assert rank(r.form.gram) == q8.order
+    gram = rational_gram(r.form)
+    assert rank(gram) == q8.order
     assert r.form.symmetry in ("symmetric", "skew")
     assert check_adjoint_identity(r)
     # h(x, y) = functional(sigma(x) y) reproduces the gram matrix
@@ -138,16 +141,16 @@ def test_realize_returns_valid_witness(q8, canonical):
         for h in range(q8.order):
             prod = convolve(q8.mult, sg, units[h])
             value = sum(l * c for l, c in zip(r.functional, prod))
-            assert value == r.form.gram[g][h]
+            assert value == gram[g][h]
 
 
 def test_realize_is_deterministic(s3, canonical):
     inv = canonical(s3)
     a = realize_adjoint_form(inv, seed=5)
     b = realize_adjoint_form(inv, seed=5)
-    assert a.form.gram == b.form.gram
+    assert rational_gram(a.form) == rational_gram(b.form)
     c = realize_adjoint_form(inv, seed=6)
-    assert c.form.gram != a.form.gram  # different draw, still valid
+    assert rational_gram(c.form) != rational_gram(a.form)  # different draw, still valid
 
 
 def test_skew_adjoint_space_s3(s3, canonical):
@@ -281,7 +284,7 @@ def test_integer_route_matches_the_rational_oracle():
         for seed in (0, 1, 2):
             r = realize_adjoint_form(inv, seed=seed)
             gram, lam = realize_by_fractions(mult, columns, seed, forms.DEFAULT_ATTEMPTS)
-            assert r.form.gram == gram and list(r.functional) == lam, (label, seed)
+            assert rational_gram(r.form) == gram and list(r.functional) == lam, (label, seed)
             # one positive scalar for the whole gram, to content 1
             flat = [x for row in r.form.int_gram for x in row]
             scale = next(x / g for x, g in zip(flat, chain(*gram)) if g)
@@ -298,8 +301,9 @@ def test_s3_fixture_scales_sigma_and_the_gram():
     _, inv = s3_conjugated_fixture()
     assert inv.scaled_columns[0] == 3
     r = realize_adjoint_form(inv, seed=0)
-    assert {x.denominator for row in r.form.gram for x in row} == {1, 3}
-    assert r.form.int_gram == [[3 * x for x in row] for row in r.form.gram]
+    gram = rational_gram(r.form)
+    assert {x.denominator for row in gram for x in row} == {1, 3}
+    assert r.form.int_gram == [[3 * x for x in row] for row in gram]
 
 
 def test_every_one_entry_change_fails_the_skew_span_check():
@@ -398,8 +402,8 @@ def test_a_rank_short_mod_p_falls_back_to_the_exact_space(monkeypatch):
     calls = _counting_exact_ranks(monkeypatch)
     inv = Involution.canonical(build_group("symmetric:3"))
     r = realize_adjoint_form(inv, seed=0)
-    assert r.form.gram == realize_by_fractions(inv.group.mult, fraction_columns(inv), 0,
-                                               forms.DEFAULT_ATTEMPTS)[0]
+    assert rational_gram(r.form) == realize_by_fractions(inv.group.mult, fraction_columns(inv),
+                                                         0, forms.DEFAULT_ATTEMPTS)[0]
     assert r.form.nonsingular
     assert calls == [r.form.int_gram]
     assert adjoint_space_matches_skew_span(inv, r)
@@ -455,4 +459,4 @@ def test_nonsingular_agrees_with_the_exact_rank_on_every_draw(monkeypatch):
             realize_adjoint_form(inv, seed=seed)
     assert len(drawn) > 3 * len(list(_form_cases()))
     for form in drawn:
-        assert form.nonsingular == (rank(form.gram) == len(form.gram))
+        assert form.nonsingular == (rank(rational_gram(form)) == len(form.int_gram))
