@@ -1,7 +1,7 @@
 """Finite groups as indexed multiplication tables, identity at index 0.
 
-Built-in families (cyclic, dihedral, dicyclic, symmetric, alternating, abelian
-by invariant factors, direct products) resolve through string specs like
+Built-in families (cyclic, dihedral, dicyclic, metacyclic, symmetric, alternating,
+abelian by invariant factors, direct products) resolve through string specs like
 "dicyclic:2" or "product:cyclic:2,dicyclic:2"; arbitrary groups come in as
 multiplication tables or permutation generator lists closed by breadth-first
 multiplication.
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
+from itertools import chain, compress
 from math import lcm, prod
+from operator import itemgetter, ne
 from typing import Callable, Sequence
 
 from .errors import SpecError
@@ -93,65 +95,76 @@ def _check_table(name: str, mult: list[list[int]]) -> Group:
         if mult[h][g] != 0:
             raise SpecError(f"{name}: element {g} has no two-sided inverse")
         inv[g] = h
-    group = Group(name, tuple(tuple(row) for row in mult), tuple(inv))
+    group = Group(name, tuple(map(tuple, mult)), tuple(inv))
     # Light's test: the a with (xa)y = x(ay) for all x, y are closed under
     # products and include the identity, so they are all of G once they include
     # S.  While the members of S pass, each closure is a subgroup that the next
     # member doubles, so a non-associative table fails within log2 n + 1 members.
     rows = group.mult
-    for a in generators(group):
-        ra = rows[a]
-        for x, rx in enumerate(rows):
-            if rows[rx[a]] != tuple(map(rx.__getitem__, ra)):
-                y = next(y for y in range(n) if rows[rx[a]][y] != rx[ra[y]])
-                raise SpecError(f"{name}: non-associative table at ({x},{a},{y})")
+    for a in generators(group):  # none for n = 1, so itemgetter(*ra) gives tuples
+        ra = rows[a]  # row xa is compared with row x read at ra, one x at a time
+        for x in compress(range(n), map(ne, map(rows.__getitem__, map(itemgetter(a), rows)),
+                                        map(itemgetter(*ra), rows))):
+            y = next(y for y in range(n) if rows[rows[x][a]][y] != rows[x][ra[y]])
+            raise SpecError(f"{name}: non-associative table at ({x},{a},{y})")
     return group
 
 
-def _built_group(name: str, order: int, row, max_order: int) -> Group:
-    """Check the order against the cap, then build the table from row(x) and check it;
-    equal entries share one int object, and one outside 0..order-1 is left as it is."""
+def _built_group(name: str, order: int, rows: Callable[[], list], max_order: int) -> Group:
+    """Check the order against the cap, then build the table by rows() and check it."""
     if order > max_order:
         raise SpecError(f"{name}: order {order} exceeds the configured cap {max_order}")
-    ints = {i: i for i in range(order)}
-    return _check_table(name, [tuple(map(ints.get, r, r)) for r in map(row, range(order))])
+    return _check_table(name, rows())
+
+
+def _metacyclic_rows(m: int, k: int, r: int, z: int) -> list[tuple[int, ...]]:
+    """a^i b^j a^t b^l = a^(i + t r^j) b^(j + l), with b^k = a^z: in row a^i b^j the block
+    of b^(j + l) is coset j + l mod k of the doubled cosets c, read from a^i, or from
+    a^(i + z) past b^k, in steps of r^j: a slice for r^j = 1 or -1, else one gather."""
+    cosets = [tuple(range(m * j, m * j + m)) * 2 for j in range(k)]
+    rows = []
+    for j in range(k):
+        rj = pow(r, j, m)
+        if rj == 1 % m:
+            block = lambda c, i: c[i:i + m]
+        elif rj == m - 1:
+            block = lambda c, i: c[i + m:i:-1]
+        else:
+            gather = itemgetter(*(t * rj % m for t in range(m)))
+            block = lambda c, i: gather(c[i:i + m])
+        rows += [tuple(chain.from_iterable([block(c, i) for c in cosets[j:]]
+                                           + [block(c, (i + z) % m) for c in cosets[:j]]))
+                 for i in range(m)]
+    return rows
+
+
+def metacyclic_group(m: int, k: int, r: int, z: int, name: str | None = None,
+                     max_order: int = DEFAULT_MAX_ORDER) -> Group:
+    """<a, b | a^m = 1, b^k = a^z, b a b^-1 = a^r>, of order mk, a^i b^j at i + m*j."""
+    if m < 1 or k < 1 or pow(r, k, m) != 1 % m or z * (r - 1) % m:
+        raise SpecError("metacyclic:m,k,r,z needs m, k >= 1, r^k = 1 and z(r - 1) = 0 mod m")
+    return _built_group(name or f"metacyclic:{m},{k},{r},{z}", m * k,
+                        lambda: _metacyclic_rows(m, k, r, z), max_order)
 
 
 def cyclic_group(n: int, name: str | None = None, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     if n < 1:
         raise SpecError("cyclic group order must be positive")
-    return _built_group(name or f"cyclic:{n}", n, lambda i: list(range(i, n)) + list(range(i)),
-                        max_order)
-
-
-def _inverting_extension(name: str, m: int, z: int, max_order: int) -> Group:
-    """C_m = <a> extended by b with b a b^-1 = a^-1 and b^2 = a^z: a^i b^j at i + m*j."""
-
-    def row(x: int) -> list[int]:  # a^i b a^k b^l = a^(i - k + z*l) b^(1 + l)
-        i, j = x % m, x // m
-        if j == 0:
-            return [(i + k) % m + m * l for l in (0, 1) for k in range(m)]
-        return [(i - k + z * l) % m + m * (1 - l) for l in (0, 1) for k in range(m)]
-
-    return _built_group(name, 2 * m, row, max_order)
+    return metacyclic_group(n, 1, 1, 0, name or f"cyclic:{n}", max_order)
 
 
 def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Dihedral group of order 2n: rotations r^i at i, reflections r^i s at n+i."""
     if n < 1:
         raise SpecError("dihedral parameter must be positive")
-    return _inverting_extension(f"dihedral:{n}", n, 0, max_order)
+    return metacyclic_group(n, 2, n - 1, 0, f"dihedral:{n}", max_order)
 
 
 def dicyclic_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Dicyclic group of order 4n (n=2 is Q8): a of order 2n and b^2 = a^n."""
     if n < 1:
         raise SpecError("dicyclic parameter must be positive")
-    return _inverting_extension(f"dicyclic:{n}", 2 * n, n, max_order)
-
-
-def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[i] for i in q)
+    return metacyclic_group(2 * n, 2, 2 * n - 1, n, f"dicyclic:{n}", max_order)
 
 
 def group_from_permutations(
@@ -160,7 +173,8 @@ def group_from_permutations(
     name: str | None = None,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> Group:
-    """Close permutation generators by breadth-first multiplication."""
+    """Close permutation generators by breadth-first multiplication.  Column b of the
+    table, b = b's for a generator s, is column b' read through right multiplication by s."""
     gens = []
     for g in generators:
         if sorted(g) != list(range(degree)):
@@ -169,55 +183,56 @@ def group_from_permutations(
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for gen in gens:
-            new = _perm_compose(cur, gen)
+    parent = [None]  # b -> (b', s) with elems[b] = elems[b'] * gens[s]
+    right: list[list[int]] = [[] for _ in gens]  # right[s][x]: the index of elems[x] * gens[s]
+    for x, cur in enumerate(elems):
+        for s, gen in enumerate(gens):
+            new = tuple(map(cur.__getitem__, gen))
             if new not in index:
                 if len(elems) >= max_order:
                     raise SpecError(f"permutation closure exceeds the cap {max_order}")
                 index[new] = len(elems)
                 elems.append(new)
-                queue.append(new)
-    n = len(elems)
-    return _built_group(name or f"perm-group:deg{degree}:order{n}", n,
-                        lambda a: [index[_perm_compose(elems[a], g)] for g in elems], max_order)
+                parent.append((x, s))
+            right[s].append(index[new])
+    cols = [tuple(index.values())]  # within the cap, which the closure enforces
+    for b, s in parent[1:]:
+        cols.append(tuple(map(right[s].__getitem__, cols[b])))
+    rows = list(zip(*cols))
+    del cols
+    return _check_table(name or f"perm-group:deg{degree}:order{len(rows)}", rows)
 
 
 def symmetric_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     if not 1 <= n <= 5:
         raise SpecError("symmetric builtin supports 1 <= n <= 5")
-    if n == 1:
-        return cyclic_group(1, name="symmetric:1")
-    gens = [[1, 0] + list(range(2, n)), list(range(1, n)) + [0]]
+    gens = [[1, 0] + list(range(2, n)), list(range(1, n)) + [0]][:n - 1]  # none for n = 1
     return group_from_permutations(gens, n, name=f"symmetric:{n}", max_order=max_order)
 
 
 def alternating_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     if not 3 <= n <= 5:
         raise SpecError("alternating builtin supports 3 <= n <= 5")
-    three_cycle = [1, 2, 0] + list(range(3, n))
-    if n == 3:
-        gens = [three_cycle]
-    elif n == 4:
-        gens = [three_cycle, [0, 2, 3, 1]]
-    else:
-        gens = [three_cycle, [1, 2, 3, 4, 0]]
+    gens = [[1, 2, 0] + list(range(3, n))] + {3: [], 4: [[0, 2, 3, 1]], 5: [[1, 2, 3, 4, 0]]}[n]
     return group_from_permutations(gens, n, name=f"alternating:{n}", max_order=max_order)
 
 
-def _product_row(factors: list[tuple[int, Callable[[int], Sequence[int]]]]):
-    """Row function of the product of (order, row function) factors, in the indices of the
-    iterated direct product: mixed radix, the last factor fastest."""
-    strides = [prod(m for m, _ in factors[i + 1:]) for i in range(len(factors))]
-
-    def row(x: int) -> list[int]:
-        out = [0]
-        for (m, factor_row), stride in zip(factors, strides):
-            out = [u * m + v for u in out for v in factor_row(x // stride % m)]
-        return out
-    return row
+def _product_rows(tables: Sequence[Sequence[Sequence[int]]]) -> list[tuple[int, ...]]:
+    """Rows of the direct product of the tables, in the indices of the iterated direct
+    product: mixed radix, the last factor fastest.  Row (x, y) of A x B joins, for each
+    u of A's row x, the block of B's row y offset by u |B|."""
+    idx = tuple(range(prod(map(len, tables))))
+    factors = [t for t in tables if len(t) > 1]  # an order-1 factor changes no index
+    rows = factors[0] if factors else [(0,)]  # as they are: below, entries only index blocks
+    for table in factors[1:]:
+        m = len(table)
+        product: list = [None] * (len(rows) * m)
+        for y, row in enumerate(table):
+            gather = itemgetter(*row)
+            blocks = [gather(idx[u:u + m]) for u in range(0, len(product), m)]
+            product[y::m] = [tuple(chain.from_iterable(map(blocks.__getitem__, x))) for x in rows]
+        rows = product
+    return rows
 
 
 def direct_product(*factors: Group, name: str | None = None,
@@ -225,7 +240,7 @@ def direct_product(*factors: Group, name: str | None = None,
     """Direct product of the factors, identity at 0: one table, checked once."""
     return _built_group(name or "product:" + ",".join(f.name for f in factors),
                         prod(f.order for f in factors),
-                        _product_row([(f.order, f.mult.__getitem__) for f in factors]), max_order)
+                        lambda: _product_rows([f.mult for f in factors]), max_order)
 
 
 def abelian_group(invariants: list[int], max_order: int = DEFAULT_MAX_ORDER) -> Group:
@@ -234,14 +249,17 @@ def abelian_group(invariants: list[int], max_order: int = DEFAULT_MAX_ORDER) -> 
         raise SpecError("abelian spec needs at least one invariant factor")
     if min(invariants) < 1:
         raise SpecError("cyclic group order must be positive")
-    cyclic = [(m, lambda d, m=m: [(d + j) % m for j in range(m)]) for m in invariants]
     return _built_group("abelian:" + ",".join(map(str, invariants)), prod(invariants),
-                        _product_row(cyclic), max_order)
+                        lambda: _product_rows([_metacyclic_rows(m, 1, 1, 0) for m in invariants]),
+                        max_order)
 
 
 def group_from_table(mult_table: list[list[int]], name: str = "table-group",
                      max_order: int = DEFAULT_MAX_ORDER) -> Group:
-    return _built_group(name, len(mult_table), lambda x: list(mult_table[x]), max_order)
+    """Equal entries are made one int object; one outside 0..order-1 is left as it is."""
+    ints = {i: i for i in range(len(mult_table))}
+    return _built_group(name, len(mult_table),
+                        lambda: [tuple(map(ints.get, r, r)) for r in mult_table], max_order)
 
 
 def _split_product_args(text: str) -> list[str]:
@@ -301,6 +319,9 @@ def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     try:
         if family in _ONE_INTEGER_FAMILIES:
             return _ONE_INTEGER_FAMILIES[family](int(arg), max_order=max_order)
+        if family == "metacyclic":
+            m, k, r, z = map(int, arg.split(","))
+            return metacyclic_group(m, k, r, z, max_order=max_order)
         if family == "abelian":
             return abelian_group([int(t) for t in arg.split(",")], max_order=max_order)
         if family == "product":

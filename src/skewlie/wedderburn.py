@@ -34,6 +34,7 @@ from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponen
 from .indicators import IndicatorReport, indicator_report
 from .involutions import Involution, skew_space
 from .linalg import pack, reduce_mod_p, slot_words, unpack_mod
+from .serialize import frac_str
 
 DEFAULT_PRIME_BOUND = 10**8
 
@@ -447,9 +448,9 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
                 for powers, twins in _rational_classes(group):
                     o = len(powers)
                     if o not in dft:
-                        zo = pow(z, e // o, p)
+                        zo = [pow(z, e // o * t, p) for t in range(o)]  # zeta_o^t
                         dft[o] = (pow(o, p - 2, p),
-                                  [[pow(zo, -m * l % o, p) for l in range(o)] for m in range(o)])
+                                  [[zo[-m * l % o] for l in range(o)] for m in range(o)])
                     mv = _lift([x_mod[c] for c in powers], d, e, p, dft)
                     for twin, k in twins:
                         tv = twist_root_vector(mv, k, e)
@@ -664,10 +665,11 @@ def component_skew_dim(idem: CentralIdempotent, inv: Involution) -> int:
     de = [d * x for x in idem.coords]
     sigma_e = _combine(idem.coords, inv.class_sum_images, len(de))  # d sigma(E)
     f = de if sigma_e == de else [a + b for a, b in zip(de, sigma_e)]
-    twice, rem = divmod(d * n * f[0] - _trace(group, f, cols, False), d * d * n)
+    num = d * n * f[0] - _trace(group, f, cols, False)
+    twice, rem = divmod(num, d * d * n)
     if twice < 0 or rem or twice % 2:
         raise ComputationError(
-            f"trace formula gives the skew dimension {(twice + rem / (d * d * n)) / 2}")
+            f"trace formula gives the skew dimension {frac_str(f'{num}/{2 * d * d * n}')}")
     return twice // 2
 
 

@@ -9,10 +9,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from skewlie import SpecError, conjugacy_classes
 from skewlie.cyclotomic import euler_phi, power_basis_table, reduce_root_vector
+from skewlie.groups import _split_product_args
 
 
 def permutation_sign(perm) -> int:
@@ -800,3 +801,90 @@ def conjugates_by_twist(table):
     e = table.conductor
     index = {row: i for i, row in enumerate(table.root_mults)}
     return [index[_twisted_row(row, e - 1, e)] for row in table.root_mults]
+
+
+# ---------------------------------------------------------------------------
+# the per-entry table builders, one Python step per entry: groups.py builds the
+# same tables from slices and gathers of whole rows and columns
+# ---------------------------------------------------------------------------
+
+def cyclic_table(n):
+    """C_n: row i is i, i+1, ..., n-1, 0, ..., i-1."""
+    return [list(range(i, n)) + list(range(i)) for i in range(n)]
+
+
+def inverting_extension_table(m, z):
+    """C_m = <a> extended by b with b a b^-1 = a^-1 and b^2 = a^z, a^i b^j at i + m*j:
+    dihedral:n is (n, 0) and dicyclic:n is (2n, n)."""
+
+    def row(x):  # a^i b a^k b^l = a^(i - k + z*l) b^(1 + l)
+        i, j = x % m, x // m
+        if j == 0:
+            return [(i + k) % m + m * l for l in (0, 1) for k in range(m)]
+        return [(i - k + z * l) % m + m * (1 - l) for l in (0, 1) for k in range(m)]
+
+    return [row(x) for x in range(2 * m)]
+
+
+def metacyclic_table(m, k, r, z):
+    """a^i b^j a^t b^l = a^(i + t r^j) b^(j + l), with b^k replaced by a^z."""
+    return [[(i + t * pow(r, j, m) + z * (j + l >= k)) % m + m * ((j + l) % k)
+             for l in range(k) for t in range(m)]
+            for j in range(k) for i in range(m)]
+
+
+def product_table(*tables):
+    """The direct product in the indices of the iterated product: mixed radix, the
+    last factor fastest, one entry at a time."""
+    sizes = [len(t) for t in tables]
+    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+
+    def row(x):
+        out = [0]
+        for table, m, stride in zip(tables, sizes, strides):
+            out = [u * m + v for u in out for v in table[x // stride % m]]
+        return out
+
+    return [row(x) for x in range(prod(sizes))]
+
+
+def permutation_table(generators, degree):
+    """Breadth-first closure, x * g for each element x in turn and each generator g,
+    then every product composed and looked up."""
+    gens = [tuple(g) for g in generators]
+    ident = tuple(range(degree))
+    elems, index, queue = [ident], {ident: 0}, [ident]
+    while queue:
+        cur = queue.pop(0)
+        for gen in gens:
+            new = tuple(cur[i] for i in gen)
+            if new not in index:
+                index[new] = len(elems)
+                elems.append(new)
+                queue.append(new)
+    return [[index[tuple(a[i] for i in b)] for b in elems] for a in elems]
+
+
+def table_by_entries(spec):
+    """The table of a builtin spec string or a permutation-generator dict, by the
+    builders above; symmetric and alternating from the generators groups.py uses."""
+    if isinstance(spec, dict):
+        return permutation_table(spec["permutation_generators"], spec["degree"])
+    family, _, arg = spec.partition(":")
+    if family == "product":
+        return product_table(*map(table_by_entries, _split_product_args(arg)))
+    args = [int(t) for t in arg.split(",")]
+    if family == "abelian":
+        return product_table(*map(cyclic_table, args))
+    if family == "metacyclic":
+        return metacyclic_table(*args)
+    (n,) = args
+    if family == "cyclic":
+        return cyclic_table(n)
+    if family in ("dihedral", "dicyclic"):
+        return inverting_extension_table(*((n, 0) if family == "dihedral" else (2 * n, n)))
+    cycle = list(range(1, n)) + [0]
+    if family == "symmetric":
+        return permutation_table([[1, 0] + list(range(2, n)), cycle] if n > 1 else [], n)
+    three = [1, 2, 0] + list(range(3, n))
+    return permutation_table([three] + {3: [], 4: [[0, 2, 3, 1]], 5: [cycle]}[n], n)

@@ -43,6 +43,15 @@ def test_only_forms_imports_random():
     assert [p.stem for p in modules if _imports_random(p)] == ["forms"]
 
 
+def test_no_true_division_in_the_package():
+    """Every quotient in the package is exact: // on integers, or a fraction that
+    serialize.frac_str prints, so no float reaches an output or an error message."""
+    divisions = [(p.stem, node.lineno) for p in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert divisions == []
+
+
 def test_only_the_table_build_imports_the_root_vector_twist():
     modules = sorted(SRC.glob("*.py"))
     assert [p.stem for p in modules if _imports_name(p, "twist_root_vector")] == ["wedderburn"]

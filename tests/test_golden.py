@@ -5,8 +5,8 @@ Each entry is the sha256 of ``dumps(...)`` of one request: ``chartab``,
 built-in involution, ``decompose`` and ``form`` for the linear fixtures,
 ``verify`` for each of those catalog groups alone and for the fixtures alone,
 ``chartab`` for the wider groups of WIDE_CHARTAB (24 to 64 classes), for
-every other catalog group of order > 12 and for LARGE_CHARTAB, ``decompose``
-for the groups of LARGE_CHARTAB under every built-in involution,
+every other catalog group of order > 12, and ``chartab`` and ``decompose``
+under every built-in involution for the groups of LARGE_CHARTAB and METACYCLIC,
 ``sign_characters`` in order for the groups of SIGN_CHARACTER_GROUPS, ``form``
 for every catalog group of order <= FORM_MAX_ORDER under every built-in
 involution and for the fixtures at each seed of FORM_SEEDS, and ``form`` under
@@ -45,6 +45,9 @@ WIDE_CHARTAB = (
        "product:cyclic:8,alternating:4"]
 )
 LARGE_CHARTAB = ("cyclic:120", "dihedral:128", "product:alternating:5,dicyclic:4")
+# second-kind components of degree 3 and 5, a center of degree 4, and 2-groups
+METACYCLIC = tuple(f"metacyclic:{p}" for p in (
+    "7,3,2,0", "13,3,3,0", "11,5,3,0", "9,3,4,0", "16,2,7,0", "3,8,2,0"))
 # every catalog group, the benchmark's decompose-mid groups outside the
 # catalog, and two groups with many sign characters or many elements
 SIGN_CHARACTER_GROUPS = CATALOG_SPECS + (
@@ -89,7 +92,7 @@ def digests() -> dict[str, str]:
     above = [g.name for g in catalog_groups() if g.order > MAX_ORDER and g.name not in WIDE_CHARTAB]
     for spec in WIDE_CHARTAB + above:
         out[f"chartab {spec}"] = _sha(character_table(build_group(spec)).to_json())
-    for spec in LARGE_CHARTAB:
+    for spec in LARGE_CHARTAB + METACYCLIC:
         group = build_group(spec)
         table = character_table(group)
         out[f"chartab {spec}"] = _sha(table.to_json())

@@ -1,6 +1,8 @@
 import gc
+import random
 import re
-from itertools import islice
+import tracemalloc
+from itertools import chain, islice
 from math import lcm
 
 import pytest
@@ -11,6 +13,7 @@ from oracle import (
     element_orders,
     permutation_closure,
     sign_characters_by_generators,
+    table_by_entries,
 )
 from skewlie import (
     Group,
@@ -371,3 +374,145 @@ def test_light_test_runs_past_a_passing_generator(m):
     with pytest.raises(SpecError, match="non-associative") as info:
         group_from_table(table)
     assert _assert_named_triple_fails(table, str(info.value))[1] != 1
+
+
+ABELIAN_INVARIANTS = ("1", "5", "2,2,2,2,2,2", "3,1,4", "2,4,8", "6,1,2")
+# 2 to 5 factors, order-1 factors among them, one factor a permutation group
+PRODUCTS = (
+    "product:cyclic:2,dihedral:3",
+    "product:alternating:4,cyclic:3",
+    "product:dicyclic:2,abelian:2,3,cyclic:1",
+    "product:cyclic:2,cyclic:3,cyclic:2,dicyclic:1",
+    "product:cyclic:3,cyclic:1,dihedral:2,cyclic:2,cyclic:2",
+)
+BUILT_IN = (
+    [f"cyclic:{n}" for n in range(1, 61)]
+    + [f"dihedral:{n}" for n in range(1, 60)]
+    + [f"dicyclic:{n}" for n in range(1, 40)]
+    + [f"abelian:{a}" for a in ABELIAN_INVARIANTS]
+    + list(PRODUCTS)
+    + [f"symmetric:{n}" for n in range(1, 6)]
+    + [f"alternating:{n}" for n in range(3, 6)]
+)
+
+
+def _random_permutation_specs():
+    rng = random.Random(41)
+    return [{"permutation_generators": [rng.sample(range(d), d) for _ in range(2)], "degree": d}
+            for d in (4, 5, 6)]
+
+
+def _assert_matches_the_entry_builder(spec):
+    group = build_group(spec)
+    table = table_by_entries(spec)
+    assert group.mult == tuple(map(tuple, table)), spec
+    assert group.inv == tuple(row.index(0) for row in table), spec
+    if isinstance(spec, dict):
+        assert group.name == f"perm-group:deg{spec['degree']}:order{len(table)}"
+    else:
+        assert group.name == spec
+    return group
+
+
+def test_builders_match_the_per_entry_builders():
+    """mult, inv and name of every family against the builders that made one entry
+    at a time, on the catalog's families and beyond."""
+    orders = [_assert_matches_the_entry_builder(spec).order
+              for spec in BUILT_IN + _random_permutation_specs()]
+    assert max(orders[-3:]) > 24  # the random groups are not all tiny
+
+
+def test_the_table_at_the_order_cap_matches_the_per_entry_builder():
+    """dihedral:1000, with each of its 2000 values one int object in all 4 million entries."""
+    group = _assert_matches_the_entry_builder("dihedral:1000")
+    assert len(set(map(id, chain.from_iterable(group.mult)))) == group.order
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("cyclic:0", "cyclic group order must be positive"),
+    ("dihedral:0", "dihedral parameter must be positive"),
+    ("dicyclic:-1", "dicyclic parameter must be positive"),
+    ("cyclic:x", "bad group spec 'cyclic:x': invalid literal for int() with base 10: 'x'"),
+    ("dicyclic:2.5", "bad group spec 'dicyclic:2.5': invalid literal for int() with base 10: '2.5'"),
+    ("symmetric:0", "symmetric builtin supports 1 <= n <= 5"),
+    ("alternating:6", "alternating builtin supports 3 <= n <= 5"),
+    ("abelian:", "bad group spec 'abelian:': invalid literal for int() with base 10: ''"),
+    ("abelian:2,0", "cyclic group order must be positive"),
+    ("product:cyclic:2", "product spec needs at least two components"),
+    ("product:cyclic:2,dihedral:0", "dihedral parameter must be positive"),
+    ("frobnicator:3", "unknown group family 'frobnicator'"),
+    ("cyclic:3000", "cyclic:3000: order 3000 exceeds the configured cap 2000"),
+    ("dihedral:1001", "dihedral:1001: order 2002 exceeds the configured cap 2000"),
+    ("dicyclic:501", "dicyclic:501: order 2004 exceeds the configured cap 2000"),
+    ("product:dihedral:1000,cyclic:2",
+     "product:dihedral:1000,cyclic:2: order 4000 exceeds the configured cap 2000"),
+    ("abelian:2,2,2,2,2,2,2,2,2,2,2",
+     "abelian:2,2,2,2,2,2,2,2,2,2,2: order 2048 exceeds the configured cap 2000"),
+    ({"permutation_generators": [[0, 0]], "degree": 2},
+     "generator [0, 0] is not a permutation of 0..1"),
+    ({"permutation_generators": [[1, 2, 3, 4, 5, 6, 7, 8, 0], [1, 0, 2, 3, 4, 5, 6, 7, 8]],
+      "degree": 9}, "permutation closure exceeds the cap 2000"),
+    ({"mult_table": [[0, 1, 2], [1, -1, 0], [2, 0, 1]]},
+     "table-group: row 1 is not a permutation of 0..2"),
+    ({"mult_table": []}, "table-group: empty multiplication table"),
+])
+def test_bad_specs_keep_their_messages(spec, message):
+    with pytest.raises(SpecError) as info:
+        build_group(spec)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec", ["dihedral:500", "product:alternating:5,dicyclic:4"])
+def test_building_a_table_holds_no_second_table(spec):
+    """The peak while building is at most 1.1 times what the finished group keeps: rows
+    are joined from slices and compared lazily, never collected twice."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        group = build_group(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order > 900
+    assert peak - before <= 1.1 * (kept - before), (peak - before, kept - before)
+
+
+METACYCLIC = ("7,3,2,0", "13,3,3,0", "11,5,3,0", "9,3,4,0", "16,2,7,0", "3,8,2,0")
+
+
+@pytest.mark.parametrize("params", METACYCLIC + ("8,2,3,0", "8,2,5,0", "5,4,2,0", "4,2,3,2",
+                                                 "1,6,5,0", "12,4,5,6"))
+def test_metacyclic_tables_follow_the_product_rule(params):
+    """a^i b^j a^t b^l = a^(i + t r^j) b^(j + l), with b^k = a^z, entry by entry."""
+    m, k, _, _ = map(int, params.split(","))
+    assert _assert_matches_the_entry_builder(f"metacyclic:{params}").order == m * k
+
+
+def test_cyclic_dihedral_and_dicyclic_are_metacyclic():
+    for n in range(1, 25):
+        for family, params in (("cyclic", (n, 1, 1, 0)), ("dihedral", (n, 2, n - 1, 0)),
+                               ("dicyclic", (2 * n, 2, 2 * n - 1, n))):
+            meta = build_group("metacyclic:" + ",".join(map(str, params)))
+            assert meta.mult == build_group(f"{family}:{n}").mult, (family, n)
+
+
+@pytest.mark.parametrize("spec", ["metacyclic:7,3,3,0", "metacyclic:8,2,3,1", "metacyclic:0,2,1,0",
+                                  "metacyclic:3,0,1,0", "metacyclic:-3,2,1,0", "metacyclic:6,2,2,0"])
+def test_metacyclic_parameters_must_present_a_group(spec):
+    """r^k = 1 and z(r - 1) = 0 mod m, with m, k >= 1: 3^3 = 6 mod 7, 1*(3 - 1) = 2 mod 8,
+    and 2 is no unit mod 6."""
+    with pytest.raises(SpecError, match=r"^metacyclic:m,k,r,z needs m, k >= 1, r\^k = 1 and "
+                                        r"z\(r - 1\) = 0 mod m$"):
+        build_group(spec)
+
+
+def test_metacyclic_specs_are_read_whole_and_capped():
+    with pytest.raises(SpecError, match="bad group spec 'metacyclic:7,3,2'"):
+        build_group("metacyclic:7,3,2")
+    with pytest.raises(SpecError, match="bad group spec 'metacyclic:7,3,2,0,1'"):
+        build_group("metacyclic:7,3,2,0,1")
+    with pytest.raises(SpecError, match="metacyclic:1000,3,1,0: order 3000 exceeds the configured"):
+        build_group("metacyclic:1000,3,1,0")
+    assert build_group("product:metacyclic:7,3,2,0,cyclic:2").order == 42

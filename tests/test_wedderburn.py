@@ -327,6 +327,19 @@ def test_component_skew_dim_c3(c3, c3_table, canonical):
         assert component_skew_dim(ci, inv) == expected
 
 
+def test_a_skew_dimension_off_the_integers_is_printed_as_a_fraction(monkeypatch, c3, c3_table,
+                                                                   canonical):
+    """With the trace of sigma one too high, the Q(zeta_3) component of C3 reads
+    (2*3*1 - 1) / (2*3) = 5/6, printed exactly, not as 0.8333333333333334."""
+    trace = wedderburn._trace
+    monkeypatch.setattr(wedderburn, "_trace",
+                        lambda group, f, columns, at_reps: trace(group, f, columns, at_reps) + 1)
+    ci = next(ci for o, ci in zip(galois_orbits(c3_table), rational_idempotents(c3_table))
+              if o.field_degree == 2)
+    with pytest.raises(ComputationError, match=r"^trace formula gives the skew dimension 5/6$"):
+        component_skew_dim(ci, canonical(c3))
+
+
 def test_sigma_action_identity_for_canonical(q8, q8_table, canonical):
     idems = rational_idempotents(q8_table)
     perm = sigma_action_on_components(idems, canonical(q8))
@@ -725,7 +738,28 @@ def test_sigma_on_class_sums_built_once_per_involution(monkeypatch):
     assert built == invs
 
 
-ORACLE_WIDE = ("cyclic:24", "abelian:3,3,3", "dicyclic:15", "dihedral:30")
+# with F21 = metacyclic:7,3,2,0 and the semidihedral group of order 32: second-kind
+# components of degree 3 and of degree 2 over a center of degree 4
+ORACLE_WIDE = ("cyclic:24", "abelian:3,3,3", "dicyclic:15", "dihedral:30",
+               "metacyclic:7,3,2,0", "metacyclic:16,2,7,0")
+
+
+def test_f21_components_do_not_depend_on_the_presentation():
+    """The canonical components of metacyclic:7,3,2,0 and of F21 given as x -> x + 1
+    and x -> 2x on 7 points agree as a multiset; among them, M_3(Q(sqrt -7)) of the
+    second kind."""
+    def components(group):
+        report = decomposition_report(group, Involution.canonical(group)).to_json()
+        return sorted(tuple((k, v) for k, v in c.items() if k != "id")
+                      for c in report["components"])
+
+    perms = build_group({"permutation_generators": [[1, 2, 3, 4, 5, 6, 0], [0, 2, 4, 6, 1, 3, 5]],
+                         "degree": 7})
+    meta = build_group("metacyclic:7,3,2,0")
+    assert perms.order == meta.order == 21
+    assert components(perms) == components(meta)
+    assert any(c["degree_n"] == 3 and c["center_degree"] == 2 and c["kind"] == "second"
+               for c in map(dict, components(meta)))
 
 
 def test_table_matches_kernel_oracle():
