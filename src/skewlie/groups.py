@@ -14,7 +14,7 @@ from functools import wraps
 from itertools import chain, compress
 from math import lcm, prod
 from operator import itemgetter, ne
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import SpecError
 
@@ -117,12 +117,11 @@ def _built_group(name: str, order: int, rows: Callable[[], list], max_order: int
     return _check_table(name, rows())
 
 
-def _metacyclic_rows(m: int, k: int, r: int, z: int) -> list[tuple[int, ...]]:
+def _metacyclic_rows(m: int, k: int, r: int, z: int) -> Iterator[tuple[int, ...]]:
     """a^i b^j a^t b^l = a^(i + t r^j) b^(j + l), with b^k = a^z: in row a^i b^j the block
     of b^(j + l) is coset j + l mod k of the doubled cosets c, read from a^i, or from
     a^(i + z) past b^k, in steps of r^j: a slice for r^j = 1 or -1, else one gather."""
     cosets = [tuple(range(m * j, m * j + m)) * 2 for j in range(k)]
-    rows = []
     for j in range(k):
         rj = pow(r, j, m)
         if rj == 1 % m:
@@ -132,10 +131,9 @@ def _metacyclic_rows(m: int, k: int, r: int, z: int) -> list[tuple[int, ...]]:
         else:
             gather = itemgetter(*(t * rj % m for t in range(m)))
             block = lambda c, i: gather(c[i:i + m])
-        rows += [tuple(chain.from_iterable([block(c, i) for c in cosets[j:]]
-                                           + [block(c, (i + z) % m) for c in cosets[:j]]))
-                 for i in range(m)]
-    return rows
+        for i in range(m):
+            yield tuple(chain.from_iterable([block(c, i) for c in cosets[j:]]
+                                            + [block(c, (i + z) % m) for c in cosets[:j]]))
 
 
 def metacyclic_group(m: int, k: int, r: int, z: int, name: str | None = None,
@@ -144,7 +142,7 @@ def metacyclic_group(m: int, k: int, r: int, z: int, name: str | None = None,
     if m < 1 or k < 1 or pow(r, k, m) != 1 % m or z * (r - 1) % m:
         raise SpecError("metacyclic:m,k,r,z needs m, k >= 1, r^k = 1 and z(r - 1) = 0 mod m")
     return _built_group(name or f"metacyclic:{m},{k},{r},{z}", m * k,
-                        lambda: _metacyclic_rows(m, k, r, z), max_order)
+                        lambda: list(_metacyclic_rows(m, k, r, z)), max_order)
 
 
 def cyclic_group(n: int, name: str | None = None, max_order: int = DEFAULT_MAX_ORDER) -> Group:
@@ -250,14 +248,13 @@ def abelian_group(invariants: list[int], max_order: int = DEFAULT_MAX_ORDER) -> 
     if min(invariants) < 1:
         raise SpecError("cyclic group order must be positive")
     return _built_group("abelian:" + ",".join(map(str, invariants)), prod(invariants),
-                        lambda: _product_rows([_metacyclic_rows(m, 1, 1, 0) for m in invariants]),
-                        max_order)
+                        lambda: _product_rows([list(_metacyclic_rows(m, 1, 1, 0))
+                                               for m in invariants]), max_order)
 
 
 def group_from_table(mult_table: list[list[int]], name: str = "table-group",
                      max_order: int = DEFAULT_MAX_ORDER) -> Group:
-    """Equal entries are made one int object; one outside 0..order-1 is left as it is."""
-    ints = {i: i for i in range(len(mult_table))}
+    ints = {i: i for i in range(len(mult_table))}  # one int object per value; others stay
     return _built_group(name, len(mult_table),
                         lambda: [tuple(map(ints.get, r, r)) for r in mult_table], max_order)
 
