@@ -23,6 +23,14 @@ def euler_phi(n: int) -> int:
     return count
 
 
+@lru_cache(maxsize=64)  # the divisors of one exponent: at most 40 below the order cap
+def ramanujan_sums(o: int) -> tuple[int, ...]:
+    """c_o(m) = Tr_{Q(zeta_o)/Q}(zeta_o^m), m < o (Hardy and Wright, ch. 16): the m-th powers of
+    all o-th roots of unity sum to o or 0, and c_d(m), d | o, sums those of order d."""
+    divisors = [d for d in range(1, o) if o % d == 0]
+    return tuple(o * (m == 0) - sum(ramanujan_sums(d)[m % d] for d in divisors) for m in range(o))
+
+
 def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
     """Exact division of integer polynomials; den must be monic."""
     num = list(num)

@@ -98,12 +98,14 @@ def involution_count_identity(table: "CharacterTable") -> tuple[bool, dict]:
 
 
 def indicator_report(table: "CharacterTable") -> IndicatorReport:
-    """Indicators, the conjugate pairs, read through the inverse classes, and the ledger."""
-    indicators = tuple(_indicators(table, table.root_mults))
+    """Indicators, the conjugate pairs, read through the inverse classes, and the ledger.
+    An indicator is rational, so it is read on the first row of each Galois orbit."""
+    rows = table.root_mults
+    orbit = {i: o for o in table.orbits for i in o.members}
+    nus = dict(zip(table.orbits, _indicators(table, [rows[o.members[0]] for o in table.orbits])))
+    indicators = tuple(nus[orbit[i]] for i in range(len(rows)))
     real = tuple(i for i, nu in enumerate(indicators) if nu == 1)
     symp = tuple(i for i, nu in enumerate(indicators) if nu == -1)
-    rows = table.root_mults
-    orbit = {i: o.members for o in table.orbits for i in o.members}
     conj = table.classes.class_inverse  # conj chi(g) = chi(g^-1), the twist by -1
     pairs = []
     paired = set()
@@ -111,7 +113,7 @@ def indicator_report(table: "CharacterTable") -> IndicatorReport:
         if nu != 0 or i in paired:
             continue
         bar = tuple(rows[i][c] for c in conj)
-        j = next((j for j in orbit[i] if rows[j] == bar), None)
+        j = next((j for j in orbit[i].members if rows[j] == bar), None)
         if j is None:
             raise ComputationError("conjugate character missing from the table")
         if j == i or indicators[j] != 0:

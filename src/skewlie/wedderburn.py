@@ -25,10 +25,10 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from math import gcd, isqrt
-from operator import add, mod, mul
+from operator import add, getitem, mod, mul
 from typing import Callable, Sequence
 
-from .cyclotomic import reduce_root_vector, twist_root_vector
+from .cyclotomic import euler_phi, ramanujan_sums, reduce_root_vector, twist_root_vector
 from .errors import ComputationError, SpecError
 from .groups import ConjugacyData, Group, _per_group, conjugacy_classes, exponent, generators
 from .indicators import IndicatorReport, indicator_report
@@ -336,11 +336,11 @@ def _unit_power_maps(group: Group) -> tuple[tuple[int, ...], ...]:
 class CharacterTable:
     """Exact character table with values in Q(zeta_conductor).
 
-    ``root_mults[i][j]`` is the value of character i on class j as the integer
-    multiplicities of the eigenvalue roots of unity, the one form of a value
-    that the exact checks, ``to_json`` and text output read.  The results that
-    depend on G alone, not on an involution, are computed on first use and
-    kept on the table.
+    ``root_mults[i][j]`` is the value of character i on class j as the multiplicities of
+    the eigenvalues of rho(g), o-th roots of unity for g of order o: the checks reject
+    any other vector as malformed, even of the same value.  ``to_json`` and text output
+    read it too.  The results that depend on G alone, not on an involution, are computed
+    on first use and kept on the table.
     """
 
     group: Group
@@ -486,36 +486,55 @@ def character_table(group: Group, prime: int | None = None) -> CharacterTable:
 # ---------------------------------------------------------------------------
 
 def table_orthogonality(table: CharacterTable) -> bool:
-    """Exact row orthogonality of a square character table.
+    """Exact row orthogonality of a square character table: X (DP) X^T = |G| I, with D the
+    class sizes and P the inversion of the classes, which on a square X gives the column
+    relations too, so they are not checked again (README, "How the checks are exact").
 
-    With X the s x s table, D the diagonal of class sizes and P the permutation
-    of the classes by inversion, the row relations say X (DP) X^T = |G| I.  So X
-    is invertible with inverse (DP) X^T / |G|, and X^T X = |G| (DP)^-1: those are
-    the column relations.  That is why the table must be square, s rows of s
-    values, and why the column relations are not checked again.
+    With chi the first row of each Galois orbit and g the first class, of order o, of each
+    rational class R: (i) chi read through the unit power maps gives exactly the rows of its
+    orbit, by identity or else by value; (ii) chi(g^k) is chi(g) twisted by each unit k mod
+    o; (iii) chi(g) sits on the multiples of e/o.  Then the pairs (chi, each row of an orbit
+    from chi's on) decide the table, and R adds |K_g| #R / phi(o) Tr(chi(g) psi(g^-1)) to
+    each, Tr(zeta_o^m) = c_o(m): times phi(e), chi's covector against psi's values at g^-1.
     """
-    e = table.conductor
-    n = table.group.order
-    s = len(table.classes)
-    sizes = table.classes.sizes()
-    inv = table.classes.class_inverse
-    if len(table.root_mults) != s or any(len(row) != s for row in table.root_mults):
+    e, n, s = table.conductor, table.group.order, len(table.classes)
+    rows, orbits, pms = table.root_mults, table.orbits, _unit_power_maps(table.group)
+    if len(rows) != s or any(len(row) != s for row in rows) or not any(  # (i)
+            all(len(members := {keys[m] for m in o.members}) == len(o.members) and members
+                == {tuple(map(keys[o.members[0]].__getitem__, pm)) for pm in pms} for o in orbits)
+            for keys in ([tuple(map(id, row)) for row in rows], rows)):
         return False
-    # each value as its nonzero root multiplicities (t, m): m copies of zeta_e^t
-    terms = table.rendered_rows(lambda mv: [(t, m) for t, m in enumerate(mv) if m])
-
-    def equals(i: int, j: int) -> bool:
-        """Whether sum_k |K_k| chi_i(K_k) chi_j(K_k^-1) is |G| for i = j and 0 otherwise."""
-        acc = [0] * e
-        for k in range(s):
-            w, y = sizes[k], terms[j][inv[k]]
-            for t, a in terms[i][k]:
-                for u, b in y:
-                    acc[(t + u) % e] += w * a * b
-        red = reduce_root_vector(e, acc)
-        return not any(red[1:]) and red[0] == (n if i == j else 0)
-
-    return all(equals(i, j) for i in range(s) for j in range(i, s))
+    phi, classes, unit_cuts, gather, layout = euler_phi(e), [], [], [], []  # per unit k; per R
+    for powers, twins in _rational_classes(table.group):
+        o, base, cut = len(powers), len(gather), slice(None, None, e // len(powers))
+        layout.append((powers[1 % o], powers[-1], cut, ramanujan_sums(o),
+                       len(table.classes.classes[powers[-1]]) * len(twins) * phi // euler_phi(o)))
+        for k in filter(lambda k: gcd(k, o) == 1, range(1, o + 1)):  # chi(g^(1/k)) is chi(g)
+            gather += (base + u * k % o for u in range(o))  # twisted by 1/k: at u, chi(g) at u k
+            classes.append(powers[pow(k, -1, o) % o])
+            unit_cuts.append(cut)
+    covectors, blocks = [], {}  # blocks: (g, id of chi(g)) -> chi's part of the covector
+    for chi in (rows[orbit.members[0]] for orbit in orbits):  # (iii) by the zeros off e/o, (ii)
+        cells = list(map(chi.__getitem__, classes))
+        read = list(chain.from_iterable(map(getitem, cells, unit_cuts)))
+        if (sum(map(tuple.count, cells, repeat(0))) != e * len(cells) - len(read) + read.count(0)
+                or read != list(map(read.__getitem__, gather))):
+            return False
+        covectors.append([])
+        for g, _, cut, c, w in layout:  # chi(g) zeta_o^u has the trace sum_t chi(g)_t c_o(t + u)
+            if (block := blocks.get((g, id(chi[g])))) is None:
+                block = blocks[g, id(chi[g])] = [0] * len(c)
+                for t in filter(chi[g][cut].__getitem__, range(len(c))):
+                    block[:] = map(add, block, map(mul, repeat(w * chi[g][cut][t]), c[t:] + c[:t]))
+            covectors[-1] += block
+    _, inverses, cuts, _, _ = zip(*layout)
+    for b, orbit in enumerate(orbits):
+        for m in orbit.members:
+            flat = list(chain.from_iterable(map(getitem, map(rows[m].__getitem__, inverses), cuts)))
+            if (list(map(sum, map(map, repeat(mul), covectors[:b + 1], repeat(flat))))
+                    != [0] * b + [phi * n if m == orbit.members[0] else 0]):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -570,43 +589,44 @@ class CentralIdempotent:
 
 
 def rational_idempotents(table: CharacterTable) -> list[CentralIdempotent]:
-    """E = |G| e = d sum_chi chi(K_j^-1) on class j, over each Galois orbit of degree d."""
-    e = table.conductor
-    cd = table.classes
+    """E = |G| e = d sum_{chi in O} chi(K_j^-1) = d |O| Tr(chi(K_j^-1)) / phi(e) on class j, once
+    per rational class, Tr(zeta_e^t) = c_e(t): the units mod e twist the first row chi of each
+    Galois orbit O, of degree d, to each row of O phi(e)/|O| times."""
+    c, phi = ramanujan_sums(table.conductor), euler_phi(table.conductor)
     idems = []
     for oi, orbit in enumerate(table.orbits):
-        coords = []
-        for j in range(len(cd)):
-            acc = [sum(col) for col in zip(*(table.root_mults[i][cd.class_inverse[j]]
-                                             for i in orbit.members))]
-            value = reduce_root_vector(e, acc)
-            if any(value[1:]):
+        row, coords = table.root_mults[orbit.members[0]], {}
+        for powers, twins in _rational_classes(table.group):  # powers[-1]: the class of g^-1
+            value, rem = divmod(orbit.dim_q * sum(map(mul, row[powers[-1]], c)), orbit.degree * phi)
+            if rem:
                 raise ComputationError("expected a rational value")
-            coords.append(orbit.degree * value[0])
-        idems.append(CentralIdempotent(table.group, tuple(coords), oi))
+            coords.update((j, value) for j, _ in twins)
+        idems.append(CentralIdempotent(table.group, tuple(map(coords.get, range(len(row)))), oi))
     return idems
 
 
 def idempotent_axioms_hold(idems: Sequence[CentralIdempotent]) -> bool:
     """sum e_i = 1 and e_i e_j = delta_ij e_i.
 
-    Each e_i is stored as the integer class function E_i = |G| e_i, so it is
-    central with coefficients in (1/|G|)Z by representation.  The check is in
-    the class algebra: sum E_i = |G|*1 and E_i^2 = |G| E_i, multiplied through
-    the class matrices.  Orthogonality follows: in each field factor of
-    Z(QG), of characteristic 0, every e_i is 0 or 1 and they sum to 1.
+    E_i = |G| e_i is an integer class function, so e_i is central by representation.  Checked:
+    sum E_i = |G|*1, E_i constant on each rational class, and E_i^2 = |G| E_i at one z per
+    rational class, sum_x E_i(x) E_i(x^-1 z).  The rational class sums span the span of the
+    e_i, a subalgebra (Berman-Witt), so that is E_i^2 = |G| E_i everywhere.  Orthogonality
+    follows: in each field factor of Z(QG) every e_i is 0 or 1, and they sum to 1.
     """
     if not idems:
         return False
-    group = idems[0].group
-    s = len(conjugacy_classes(group))
-    coords = [ci.coords for ci in idems]
-    if [sum(col) for col in zip(*coords)] != [group.order] + [0] * (s - 1):
+    group, coords = idems[0].group, [ci.coords for ci in idems]
+    cd, rational = conjugacy_classes(group), [list(dict(tw)) for _, tw in _rational_classes(group)]
+    columns = list(zip(*coords))  # each class -> the values of all E_i there
+    if (list(map(sum, columns)) != [group.order] + [0] * (len(cd) - 1)
+            or any(columns[c] != columns[cs[0]] for cs in rational for c in cs)):
         return False
-    for ei in coords:  # E_i^2 = sum_b E_i[b] (K_b E_i)
-        square = _combine(ei, [tuple(enumerate(_combine(ei, class_matrix(group, b), s))) if x
-                               else () for b, x in enumerate(ei)], s)
-        if square != [group.order * x for x in ei]:
+    products = [[group.mult[y][cd.class_reps[cs[0]]] for y in group.inv] for cs in rational]
+    for ei in coords:
+        f = list(map(ei.__getitem__, cd.class_of))
+        if any(sum(map(mul, f, map(f.__getitem__, col))) != group.order * ei[cs[0]]
+               for cs, col in zip(rational, products)):  # col[x] = x^-1 z
             return False
     return True
 

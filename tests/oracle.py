@@ -8,12 +8,15 @@ minor search, spans through division-based Gaussian elimination.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from functools import reduce
+from itertools import chain, combinations, compress, permutations, product
 from math import gcd, isqrt, prod
 
 from skewlie import SpecError, conjugacy_classes
 from skewlie.cyclotomic import euler_phi, power_basis_table, reduce_root_vector
+from skewlie.errors import ComputationError
 from skewlie.groups import _split_product_args
+from skewlie.wedderburn import CentralIdempotent, _combine, class_matrix
 
 
 def permutation_sign(perm) -> int:
@@ -888,3 +891,174 @@ def table_by_entries(spec):
         return permutation_table([[1, 0] + list(range(2, n)), cycle] if n > 1 else [], n)
     three = [1, 2, 0] + list(range(3, n))
     return permutation_table([three] + {3: [], 4: [[0, 2, 3, 1]], 5: [cycle]}[n], n)
+
+
+# The table-level routines as they were before the orbit and rational-class sums: every
+# pair of rows over every class, every member of every orbit, every class matrix.
+
+def table_orthogonality_by_pairs(table) -> bool:
+    """Exact row orthogonality of a square character table.
+
+    With X the s x s table, D the diagonal of class sizes and P the permutation
+    of the classes by inversion, the row relations say X (DP) X^T = |G| I.  So X
+    is invertible with inverse (DP) X^T / |G|, and X^T X = |G| (DP)^-1: those are
+    the column relations.  That is why the table must be square, s rows of s
+    values, and why the column relations are not checked again.
+    """
+    e = table.conductor
+    n = table.group.order
+    s = len(table.classes)
+    sizes = table.classes.sizes()
+    inv = table.classes.class_inverse
+    if len(table.root_mults) != s or any(len(row) != s for row in table.root_mults):
+        return False
+    # each value as its nonzero root multiplicities (t, m): m copies of zeta_e^t
+    terms = table.rendered_rows(lambda mv: [(t, m) for t, m in enumerate(mv) if m])
+
+    def equals(i: int, j: int) -> bool:
+        """Whether sum_k |K_k| chi_i(K_k) chi_j(K_k^-1) is |G| for i = j and 0 otherwise."""
+        acc = [0] * e
+        for k in range(s):
+            w, y = sizes[k], terms[j][inv[k]]
+            for t, a in terms[i][k]:
+                for u, b in y:
+                    acc[(t + u) % e] += w * a * b
+        red = reduce_root_vector(e, acc)
+        return not any(red[1:]) and red[0] == (n if i == j else 0)
+
+    return all(equals(i, j) for i in range(s) for j in range(i, s))
+
+
+def rational_idempotents_by_sums(table):
+    """E = |G| e = d sum_chi chi(K_j^-1) on class j, over each Galois orbit of degree d."""
+    e = table.conductor
+    cd = table.classes
+    idems = []
+    for oi, orbit in enumerate(table.orbits):
+        coords = []
+        for j in range(len(cd)):
+            acc = [sum(col) for col in zip(*(table.root_mults[i][cd.class_inverse[j]]
+                                             for i in orbit.members))]
+            value = reduce_root_vector(e, acc)
+            if any(value[1:]):
+                raise ComputationError("expected a rational value")
+            coords.append(orbit.degree * value[0])
+        idems.append(CentralIdempotent(table.group, tuple(coords), oi))
+    return idems
+
+
+def idempotent_axioms_by_class_matrices(idems) -> bool:
+    """sum e_i = 1 and e_i e_j = delta_ij e_i.
+
+    Each e_i is stored as the integer class function E_i = |G| e_i, so it is
+    central with coefficients in (1/|G|)Z by representation.  The check is in
+    the class algebra: sum E_i = |G|*1 and E_i^2 = |G| E_i, multiplied through
+    the class matrices.  Orthogonality follows: in each field factor of
+    Z(QG), of characteristic 0, every e_i is 0 or 1 and they sum to 1.
+    """
+    if not idems:
+        return False
+    group = idems[0].group
+    s = len(conjugacy_classes(group))
+    coords = [ci.coords for ci in idems]
+    if [sum(col) for col in zip(*coords)] != [group.order] + [0] * (s - 1):
+        return False
+    for ei in coords:  # E_i^2 = sum_b E_i[b] (K_b E_i)
+        square = _combine(ei, [tuple(enumerate(_combine(ei, class_matrix(group, b), s))) if x
+                               else () for b, x in enumerate(ei)], s)
+        if square != [group.order * x for x in ei]:
+            return False
+    return True
+
+
+def indicators_by_rows(table):
+    """The indicator of every row, from one power map at 2."""
+    e = table.conductor
+    sizes = table.classes.sizes()
+    weights: dict[int, int] = {}  # squared class -> total size of the classes squaring to it
+    for j, k in enumerate(table.power_map(2)):
+        weights[k] = weights.get(k, 0) + sizes[j]
+    out = []
+    for row in table.root_mults:
+        acc = [0] * e
+        for k, w in weights.items():
+            for t in compress(range(e), row[k]):  # the nonzero entries only
+                acc[t] += w * row[k][t]
+        red = reduce_root_vector(e, acc)
+        if any(red[1:]):
+            raise ComputationError("indicator sum is not rational (table bug)")
+        value, rem = divmod(red[0], table.group.order)
+        if rem or value not in (-1, 0, 1):
+            raise ComputationError(
+                f"indicator {red[0]}/{table.group.order} outside {{-1,0,1}} (table bug)")
+        out.append(value)
+    return tuple(out)
+
+
+def _charpoly(m):
+    """det(x I - m) of an integer matrix, lowest degree first, by Faddeev and LeVerrier:
+    with N_1 = I, c_(r-k) = -tr(m N_k)/k and N_(k+1) = m N_k + c_(r-k) I, all exact."""
+    r = len(m)
+    coeffs = [0] * r + [1]
+    mn = [[0] * r for _ in range(r)]  # m N_0, N_0 = 0
+    for k in range(1, r + 1):
+        nk = [[x + (coeffs[r - k + 1] if i == j else 0) for j, x in enumerate(row)]
+              for i, row in enumerate(mn)]
+        mn = [[sum(a * nk[l][j] for l, a in enumerate(row)) for j in range(r)] for row in m]
+        coeffs[r - k], rem = divmod(-sum(mn[i][i] for i in range(r)), k)
+        assert not rem, "Faddeev-LeVerrier division is not exact"
+    return coeffs
+
+
+def rational_components_by_class_algebra(mult, inv, seed=0):
+    """The rational central primitive idempotents of QG from the multiplication table
+    alone, with no character table: sorted pairs (E, dim), E = |G| e on every element and
+    dim = dim_Q QGe = E(1).
+
+    The sums R_A of the rational classes span the span of the e_i.  Their structure
+    constants a[A][B][C], the coefficient of R_C in R_A R_B, are read at one z of each
+    R_C as #{x in R_A : x^-1 z in R_B}: one pass over G per rational class.  With
+    fixed-seed integers c_A, X = sum_A c_A R_A acts on that span with integer eigenvalues,
+    sum_A c_A |R_A| chi(R_A)/chi(1) on e_i, so each of absolute value at most
+    sum_A |c_A| |R_A|, and a scan of that range finds them all.  When they are r distinct
+    values, e_i = prod_(j != i) (X - lambda_j)/(lambda_i - lambda_j)."""
+    n = len(mult)
+    class_of = {g: cls for cls in conjugation_orbits(mult, inv) for g in cls}
+    part, rational = {}, []  # element -> its rational class, and the rational classes
+    for x in range(n):
+        if x in part:
+            continue
+        powers, y = [0], x
+        while y != 0:
+            powers.append(y)
+            y = mult[y][x]
+        o = len(powers)
+        members = sorted(set().union(*(class_of[powers[k % o]] for k in range(1, o + 1)
+                                       if gcd(k, o) == 1)))
+        part.update(dict.fromkeys(members, len(rational)))
+        rational.append(members)
+    r = len(rational)
+    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for c, members in enumerate(rational):
+        z = members[0]
+        for x in range(n):
+            a[part[x]][part[mult[inv[x]][z]]][c] += 1
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 99) for _ in range(r)]
+    m = [[sum(w * a[i][b][c] for i, w in enumerate(weights)) for b in range(r)] for c in range(r)]
+    bound = sum(w * len(members) for w, members in zip(weights, rational))
+    poly = _charpoly(m)
+    roots = [lam for lam in range(-bound, bound + 1)
+             if reduce(lambda acc, coef: acc * lam + coef, reversed(poly), 0) == 0]
+    assert len(roots) == r, "the combination does not separate the components"
+    out = []
+    for lam in roots:
+        v = [Fraction(int(part[0] == c)) for c in range(r)]  # the identity, R_0 = {1}
+        for mu in roots:
+            if mu != lam:
+                v = [(sum(x * y for x, y in zip(m[c], v)) - mu * v[c]) / (lam - mu)
+                     for c in range(r)]
+        big = [n * v[part[g]] for g in range(n)]
+        assert all(x.denominator == 1 for x in big), "|G| e is not integral"
+        out.append((tuple(map(int, big)), int(big[0])))
+    return sorted(out)

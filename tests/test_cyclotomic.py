@@ -13,6 +13,7 @@ from skewlie.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     power_basis_table,
+    ramanujan_sums,
     reduce_root_vector,
     twist_root_vector,
     value_text,
@@ -168,3 +169,13 @@ def test_power_basis_table_cache_is_bounded():
         assert power_basis_table.cache_info().currsize <= bound
     assert power_basis_table(60) == first
     assert reduce_root_vector(60, [1] * 60) == [0] * euler_phi(60)
+
+
+def test_ramanujan_sums_are_the_reduced_sums_of_the_twists():
+    """c_o(m) is the rational value of the sum of the twists of zeta_o^m by the units mod o."""
+    for o in range(1, 61):
+        for m in range(o):
+            twists = [twist_root_vector(tuple(int(t == m) for t in range(o)), k, o)
+                      for k in range(1, o + 1) if gcd(k, o) == 1]
+            total = reduce_root_vector(o, [sum(col) for col in zip(*twists)])
+            assert total == [ramanujan_sums(o)[m]] + [0] * (euler_phi(o) - 1), (o, m)

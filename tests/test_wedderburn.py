@@ -48,11 +48,16 @@ from oracle import (
     cyclotomic_values,
     fraction_columns,
     galois_orbits_by_twists,
+    idempotent_axioms_by_class_matrices,
     idempotent_axioms_by_convolution,
     idempotent_coeffs,
+    indicators_by_rows,
+    rational_components_by_class_algebra,
+    rational_idempotents_by_sums,
     skew_dim_by_rank,
     structure_constants_by_products,
     table_by_kernels,
+    table_orthogonality_by_pairs,
 )
 
 ORACLE_LIMIT = 24
@@ -571,6 +576,7 @@ def test_random_groups_against_oracles(g):
         assert all(report.checks.values()), (g.name, inv.to_json(), report.checks)
         assert report.skew_dim == skew_dim_by_rank(g.mult, fraction_columns(inv), one), g.name
     _assert_centers_match_oracle(g, t, constants, oriented)
+    _assert_table_results_match_the_pairwise_oracles(g, t)
 
 
 def _axiom_mutants(idems):
@@ -1142,3 +1148,207 @@ def test_a_wrong_power_map_fails_the_build(monkeypatch, spec):
     monkeypatch.setattr(wedderburn, "_unit_power_maps", swapped)
     with pytest.raises(ComputationError, match="Galois twist mod p matches no eigenvector"):
         character_table(build_group(spec))
+
+
+# four metacyclic groups with irrational characters of degree 3, 5 and 3 and a center
+# of degree 2 under a cyclic quotient of order 8
+METACYCLIC_WIDE = ("metacyclic:13,3,3,0", "metacyclic:11,5,3,0", "metacyclic:9,3,4,0",
+                   "metacyclic:3,8,2,0")
+
+
+def _assert_table_results_match_the_pairwise_oracles(g, t):
+    """The sums by Galois orbit and rational class against the routines they replaced:
+    every pair of rows over every class, every member of every orbit, every class
+    matrix, every row's indicator."""
+    assert table_orthogonality(t) and table_orthogonality_by_pairs(t), g.name
+    idems = t.idempotents
+    assert [ci.coords for ci in idems] == [ci.coords for ci in rational_idempotents_by_sums(t)], g.name
+    assert idempotent_axioms_hold(idems) and idempotent_axioms_by_class_matrices(idems), g.name
+    assert t.indicators.indicators == indicators_by_rows(t), g.name
+
+
+def test_table_results_match_the_pairwise_oracles():
+    for g in catalog_groups() + [build_group(spec) for spec in ORACLE_WIDE + METACYCLIC_WIDE]:
+        _assert_table_results_match_the_pairwise_oracles(g, character_table(g))
+
+
+def _components_match_the_class_algebra(g, t) -> bool:
+    """r, each E_i on every element and each dim_q against the table-free oracle."""
+    got = sorted((tuple(ci.coords[k] for k in t.classes.class_of), t.orbits[ci.orbit_index].dim_q)
+                 for ci in t.idempotents)
+    return got == rational_components_by_class_algebra(g.mult, g.inv)
+
+
+def test_components_match_the_rational_class_algebra():
+    for g in catalog_groups() + [build_group(spec) for spec in ORACLE_WIDE + METACYCLIC_WIDE]:
+        assert _components_match_the_class_algebra(g, character_table(g)), g.name
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "dihedral:15", "metacyclic:13,3,3,0"])
+def test_the_rational_class_algebra_rejects_merged_orbits(spec):
+    """orbit_of with the first two orbits, both of linear characters, under one label."""
+    from dataclasses import replace
+
+    g = build_group(spec)
+    t = character_table(g)
+    first, second = (t.orbit_of[o.members[0]] for o in t.orbits[:2])
+    assert t.orbits[0].degree == t.orbits[1].degree == 1
+    merged = replace(t, orbit_of=tuple(first if x == second else x for x in t.orbit_of))
+    assert len(merged.orbits) == len(t.orbits) - 1
+    try:
+        matches = _components_match_the_class_algebra(g, merged)
+    except ComputationError:  # d |O| Tr(chi) / phi(e) is no integer
+        matches = False
+    assert not matches
+
+
+def _with_rows(table, changes):
+    """The table with the cells (row, class) -> value of ``changes``."""
+    from dataclasses import replace
+
+    rows = [list(row) for row in table.root_mults]
+    for (i, j), value in changes.items():
+        rows[i][j] = value
+    return replace(table, root_mults=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:5", "cyclic:12", "metacyclic:7,3,2,0"])
+def test_orthogonality_rejects_a_changed_value_in_a_row_after_the_first(spec):
+    """A row of an orbit, not its first, takes the first row's value on one class where
+    they differ: it is no longer the first row read through a unit power map."""
+    t = character_table(build_group(spec))
+    orbit = next(o for o in t.orbits if len(o.members) > 1)
+    first, m = orbit.members[:2]
+    j = next(j for j, (a, b) in enumerate(zip(t.root_mults[first], t.root_mults[m])) if a != b)
+    changed = _with_rows(t, {(m, j): t.root_mults[first][j]})
+    assert not table_orthogonality(changed)
+    assert not table_orthogonality_by_pairs(changed)
+
+
+@pytest.mark.parametrize("n", [5, 7, 11])
+def test_orthogonality_rejects_a_broken_twin_in_a_first_row(n):
+    """cyclic:n, n prime, with the value on a^c moved to a^(1/c mod n) in every row.  The
+    move commutes with inversion, so the row relations still hold and the pairwise routine
+    accepts the table; it turns the twist by k into the twist by 1/k, so each orbit is still
+    its first row read through the unit power maps, (i), and every value still sits on the
+    multiples of e/o, (iii).  The sums read chi(a) and psi(a^-1), which do not move.  But
+    chi(a^2) is no longer the twist of chi(a) by 2: only the twist check (ii) sees it."""
+    g = build_group(f"cyclic:{n}")
+    t = character_table(g)
+    cls = t.classes.class_of
+    changed = _with_rows(t, {(i, cls[c]): row[cls[pow(c, -1, n)]]
+                             for i, row in enumerate(t.root_mults) for c in range(1, n)})
+    maps = wedderburn._unit_power_maps(g)
+    for orbit in changed.orbits:
+        first = changed.root_mults[orbit.members[0]]
+        assert ({tuple(map(first.__getitem__, pm)) for pm in maps}
+                == {changed.root_mults[m] for m in orbit.members})
+    assert table_orthogonality_by_pairs(changed)
+    assert not table_orthogonality(changed)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:6", "dihedral:6", "dicyclic:3"])
+def test_orthogonality_rejects_a_value_off_the_multiples_of_e_over_o(spec):
+    """1 + (1 + zeta_e + ... + zeta_e^(e-1)) = 1 on an involution class, for the trivial
+    character: the same value, but not as eigenvalue multiplicities, which sit on the
+    square roots of 1.  The pairwise routine reads values and accepts it; invariant (iii)
+    rejects the cell as malformed."""
+    g = build_group(spec)
+    t = character_table(g)
+    e = t.conductor
+    c = next(powers[1] for powers, _ in wedderburn._rational_classes(g) if len(powers) == 2)
+    one = (1,) + (0,) * (e - 1)
+    trivial = t.root_mults.index((one,) * len(t))
+    assert e > 2 and t.orbit_of.count(t.orbit_of[trivial]) == 1
+    changed = _with_rows(t, {(trivial, c): (2,) + (1,) * (e - 1)})
+    assert table_orthogonality_by_pairs(changed)
+    assert not table_orthogonality(changed)
+
+
+def test_orthogonality_rejects_a_change_only_the_stabilizer_sees():
+    """dicyclic:2 = Q8: chi(i) = 0 -> 2i in the row of degree 2, one orbit of one row.
+    The class of i is a rational class of one class, i^3 = i^-1 is conjugate to i, and
+    2i sits on the multiples of e/o = 1: of the three invariants only the twist by the
+    stabilizer, k = 3, sees the change, and so do the sums."""
+    g = build_group("dicyclic:2")
+    t = character_table(g)
+    row = t.orbits[-1].members[0]
+    assert t.degrees[row] == 2 and t.conductor == 4
+    c = next(powers[1] for powers, twins in wedderburn._rational_classes(g)
+             if len(powers) == 4 and len(twins) == 1)
+    assert t.root_mults[row][c] == (0, 1, 0, 1)  # i + i^3 = 0
+    changed = _with_rows(t, {(row, c): (0, 2, 0, 0)})
+    assert table_orthogonality(t)
+    assert not table_orthogonality(changed)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:5", "cyclic:12", "metacyclic:7,3,2,0"])
+def test_idempotent_axioms_reject_a_change_inside_a_rational_class(spec):
+    """E_0 + 1 and E_1 - 1 on a second class of a rational class: the sum is kept, and E_0
+    and E_1 are no longer constant on that rational class."""
+    g = build_group(spec)
+    idems = list(character_table(g).idempotents)
+    c = next(cls for _, twins in wedderburn._rational_classes(g) if len(twins) > 1
+             for cls, _ in twins[1:])
+    shifted = [CentralIdempotent(g, tuple(x + (k == c) * (1 if i == 0 else -1 if i == 1 else 0)
+                                          for k, x in enumerate(ci.coords)), ci.orbit_index)
+               for i, ci in enumerate(idems)]
+    assert idempotent_axioms_hold(idems)
+    assert not idempotent_axioms_hold(shifted)
+    assert not idempotent_axioms_by_class_matrices(shifted)
+
+
+def test_idempotent_axioms_reject_a_class_function_off_the_rational_classes():
+    """cyclic:5 with 5 moved from the class of a^4 to that of a^2 in E_0, and back in E_1:
+    the sum is kept, and E_i^2 = |G| E_i still holds at the one element of each rational
+    class where the check reads it, so only the check that each E_i is constant on the
+    rational classes sees the change."""
+    g = build_group("cyclic:5")
+    cd = conjugacy_classes(g)
+    idems = list(character_table(g).idempotents)
+    move = [0] * len(cd)
+    move[cd.class_of[2]], move[cd.class_of[4]] = 5, -5
+    shifted = [CentralIdempotent(g, tuple(x + sign * y for x, y in zip(ci.coords, move)), k)
+               for k, (ci, sign) in enumerate(zip(idems, (1, -1)))]
+    read = [cd.class_reps[twins[0][0]] for _, twins in wedderburn._rational_classes(g)]
+    for e in map(idempotent_coeffs, shifted):
+        square = convolve(g.mult, e, e)
+        assert [square[z] for z in read] == [e[z] for z in read]
+        assert square != e
+    assert not idempotent_axioms_hold(shifted)
+    assert not idempotent_axioms_by_class_matrices(shifted)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:30", "dihedral:24"])
+def test_decompositions_build_no_class_matrix_the_table_did_not(spec):
+    g = build_group(spec)
+    t = character_table(g)
+
+    def matrices():
+        return {key for key in g.derived
+                if isinstance(key, tuple) and key[0] is wedderburn.class_matrix.__wrapped__}
+
+    built = matrices()
+    for _, inv in builtin_involutions(g):
+        assert decomposition_report(g, inv, table=t).all_checks_pass
+    assert matrices() == built
+
+
+@pytest.mark.parametrize("spec", ["cyclic:120", "dihedral:128"])
+def test_table_results_peak_below_the_table_build(spec):
+    """Under tracemalloc, the idempotents, indicators and checks of a table hold at most
+    what the build of that table held at its peak."""
+    import tracemalloc
+
+    g = build_group(spec)
+    tracemalloc.start()
+    try:
+        t = character_table(g)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert t.idempotents and t.indicators and all(t.checks.values())
+        results = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert results <= build, (results, build)
