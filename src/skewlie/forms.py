@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, repeat
 from math import gcd
-from operator import add, mul, ne
+from operator import add, itemgetter, mul, ne
 from typing import Iterator
 
 from .errors import ComputationError, SpecError
@@ -75,7 +75,7 @@ def _symmetry_of(gram: list[list[int]]) -> str:
 
 def _require_group_induced(inv: Involution, what: str) -> None:
     """Group-induced involutions are exactly those with one signed entry per column."""
-    if any(len(col) != 1 for col in inv.scaled_columns[1]):
+    if inv.signed_permutation is None:
         raise SpecError(f"{what} needs a group-induced involution")
 
 
@@ -187,23 +187,44 @@ def skew_adjoint_space(r: AdjointRealization) -> list[list[int]]:
     return row_basis(null_space(set(_skew_adjoint_rows(r)), r.involution.group.order)[1])
 
 
+def _blocks_solve(inv: Involution, r: AdjointRealization) -> bool:
+    """Part (a) on each block: d B_x[g] = sum c B_x[h] over (h, c) in (d sigma)(g), g moved."""
+    d, scaled = inv.scaled_columns
+    moved = [(g, terms) for g, terms in enumerate(scaled) if terms != ((g, d),)]
+    return all(all(_equals_combination(d, block[g], terms, block.__getitem__)
+                   for g, terms in moved) for block in _skew_adjoint_blocks(r))
+
+
+def _pairs_solve(inv: Involution, r: AdjointRealization) -> bool:
+    """Part (a) for sigma(g) = e g': B_x[g] = e B_x[g'] over all (x, y), once per pair {g, g'}
+    (sigma^2 = 1 gives g' the sign e too), and B_x[g] = 0 for sigma(g) = -g.  Row g is two
+    gathers of the gram, h(gx, y) and h(x, gy), read only for n > 1 (sigma(1) = 1), where
+    itemgetter(*mult[g]) gives tuples."""
+    gram, mult = r.form.int_gram, inv.group.mult
+
+    def row(g: int) -> list[int]:
+        return list(map(add, chain.from_iterable(map(gram.__getitem__, mult[g])),
+                        chain.from_iterable(map(itemgetter(*mult[g]), gram))))
+
+    pairs = ((g, k, e) for g, (k, e) in enumerate(zip(*inv.signed_permutation))
+             if k > g or k == g and e < 0)
+    return all(row(g) == row(k) if e > 0 else not any(map(add, row(g), row(k))) for g, k, e in pairs)
+
+
 def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> bool:
     """The defining system of the form cuts out exactly the skew elements.
 
     Let N be its solution space and S the span of the g - sigma(g).  S lies in N
     when each d*(g - sigma(g)), with d*sigma in integers, solves every one of the
-    n^2 rows, read on every block B_x (for sigma induced by G one comparison of two
-    rows per g), not derived from the adjoint identity.  N = S then follows once the
-    rank of the system reaches n - dim S mod a prime, since the rank mod p never
-    exceeds the rank over Q.  Short of that, the exact rank of its distinct rows
-    decides: N = S exactly when it is n - dim S.
+    n^2 rows, read on every block B_x (for sigma induced by G, one comparison over
+    all (x, y) per pair {g, sigma(g)}), not derived from the adjoint identity.  N = S
+    then follows once the rank of the system reaches n - dim S mod a prime, since the
+    rank mod p never exceeds the rank over Q.  Short of that, the exact rank of its
+    distinct rows decides: N = S exactly when it is n - dim S.
     """
-    d, scaled = inv.scaled_columns
-    moved = [(g, terms) for g, terms in enumerate(scaled) if terms != ((g, d),)]
-    for block in _skew_adjoint_blocks(r):
-        if not all(_equals_combination(d, block[g], terms, block.__getitem__)
-                   for g, terms in moved):
-            return False
+    solves = _pairs_solve if inv.signed_permutation else _blocks_solve
+    if not solves(inv, r):
+        return False
     target = inv.group.order - inv.skew_dim
     return (rank_mod_p_reaches(_skew_adjoint_rows(r), target)
             or len(_echelon(set(_skew_adjoint_rows(r)))) == target)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import SpecError
@@ -99,6 +100,8 @@ class Involution:
         sigma(gh) = sigma(h) sigma(g) for every h: sigma(g(hs)) = sigma(s)
         sigma(gh) = sigma(s) sigma(h) sigma(g) = sigma(hs) sigma(g).
         """
+        if self.signed_permutation and _signed_axioms_hold(self.group, *self.signed_permutation):
+            return  # else the loops below find the first failure and name it
         mult = self.group.mult
         d, cols = self.scaled_columns
         if d != 1 and (d < 1 or gcd(d, *(c for col in cols for _, c in col)) != 1):
@@ -181,6 +184,14 @@ class Involution:
         return {"kind": LINEAR, "matrix": matrix}
 
     @cached_property
+    def signed_permutation(self) -> tuple[list[int], list[int]] | None:
+        """(perm, signs) with sigma(g) = signs[g] perm[g] if d = 1 and each column is one
+        entry +-1, as for a group-induced sigma; else None."""
+        d, cols = self.scaled_columns
+        signed = d == 1 and all(len(col) == 1 and col[0][1] in (1, -1) for col in cols)
+        return ([col[0][0] for col in cols], [col[0][1] for col in cols]) if signed else None
+
+    @cached_property
     def class_sum_images(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Row j: d*sigma(K_j) for the class sum K_j, central again, as its nonzero
         (k, integer coefficient on the representative of class k)."""
@@ -205,6 +216,18 @@ class Involution:
     def validate(self) -> "Involution":
         """The axioms were checked at construction; kept for callers that chain it."""
         return self
+
+
+def _signed_axioms_hold(group: Group, perm: list[int], signs: list[int]) -> bool:
+    """sigma(g) = e_g g' squares to 1, g'' = g and e_g' = e_g, and reverses the products gs
+    for s = 1 and s in S, s'g' = (gs)' and e_s e_g = e_gs: one gather per column gs of s."""
+    mult = group.mult
+    columns = ((s, list(map(itemgetter(s), mult))) for s in (0, *generators(group)))
+    return (list(map(perm.__getitem__, perm)) == list(range(len(perm)))
+            and list(map(signs.__getitem__, perm)) == signs
+            and all(list(map(mult[perm[s]].__getitem__, perm)) == list(map(perm.__getitem__, gs))
+                    and list(map(signs.__getitem__, gs)) == list(map(signs[s].__mul__, signs))
+                    for s, gs in columns))
 
 
 def _sparse_sum(terms) -> tuple:

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import add, mod, mul, sub
 from typing import Iterable, Sequence
 
-MODULUS = 2**61 - 1  # a Mersenne prime
+MODULUS = 2**26 - 5  # a prime: products of two residues fit two 30-bit int digits
 _WORDS = 1 if sys.byteorder == "little" else -1  # slot 0 first, in native byte order
 
 

@@ -68,19 +68,17 @@ def _table_integrity(summary: VerificationSummary, group: Group, table: Characte
     summary.add(name, "complex-dimension-identity", ok, str(detail))
 
 
-def _forms_checks(summary: VerificationSummary, group: Group, label: str,
-                  inv: Involution, seed: int) -> None:
+def _file_form_checks(summary: VerificationSummary, group: Group, label: str,
+                      checks: dict[str, bool]) -> None:
     """The three checks that `skewlie form` reports for this involution."""
-    checks = form_checks(realize_adjoint_form(inv, seed=seed))
     summary.add(group.name, f"form-nonsingular[{label}]", checks["nonsingular"])
     summary.add(group.name, f"adjoint-identity[{label}]", checks["adjoint_identity"])
     summary.add(group.name, f"skew-solution-space[{label}]",
                 checks["eq_1_2_matches_skew_span"])
 
 
-def _lattice_check(summary: VerificationSummary, group: Group) -> None:
+def _lattice_check(summary: VerificationSummary, group: Group, inv: Involution) -> None:
     # the expected side is the HNF of the generators alone, not the saturation
-    inv = Involution.canonical(group)
     lattice = integral_skew_lattice(inv)
     gens = skew_lattice_generators(inv)
     expected = hnf(gens)
@@ -94,8 +92,14 @@ def verify_group(group: Group, summary: VerificationSummary, seed: int = 0) -> N
         group.name, "component-dimensions",
         sum(o.dim_q for o in table.orbits) == group.order,
     )
+    with_forms = group.order <= FORMS_ORDER_LIMIT
+    per_sigma: dict = {}  # the report and form checks of each distinct sigma, for every label
     for label, inv in catalog.builtin_involutions(group):
-        report = decomposition_report(group, inv, table=table)
+        if inv.scaled_columns not in per_sigma:
+            per_sigma[inv.scaled_columns] = (
+                decomposition_report(group, inv, table=table),
+                form_checks(realize_adjoint_form(inv, seed=seed)) if with_forms else None)
+        report, checks = per_sigma[inv.scaled_columns]
         summary.add(
             group.name, f"skew-decomposition[{label}]",
             report.checks["theorem2_identity"],
@@ -106,6 +110,7 @@ def verify_group(group: Group, summary: VerificationSummary, seed: int = 0) -> N
             report.checks["idempotent_axioms"],
         )
         if label == "canonical":
+            canonical = inv
             fixed = all(c.paired_with is None for c in report.components)
             summary.add(group.name, "canonical-fixes-components", fixed)
             symplectic_neg = all(
@@ -114,10 +119,10 @@ def verify_group(group: Group, summary: VerificationSummary, seed: int = 0) -> N
                 for m in table.orbits[c.component_id].members
             )
             summary.add(group.name, "symplectic-indicator", symplectic_neg)
-        if group.order <= FORMS_ORDER_LIMIT:
-            _forms_checks(summary, group, label, inv, seed)
-    if group.order <= FORMS_ORDER_LIMIT:
-        _lattice_check(summary, group)
+        if with_forms:
+            _file_form_checks(summary, group, label, checks)
+    if with_forms:
+        _lattice_check(summary, group, canonical)
 
 
 def run_verification(selector: str | None = None, seed: int = 0,
@@ -132,5 +137,6 @@ def run_verification(selector: str | None = None, seed: int = 0,
             report = decomposition_report(group, inv)
             summary.add(label, "skew-decomposition", report.checks["theorem2_identity"])
             summary.add(label, "idempotent-axioms", report.checks["idempotent_axioms"])
-            _forms_checks(summary, group, label, inv, seed)
+            _file_form_checks(summary, group, label,
+                              form_checks(realize_adjoint_form(inv, seed=seed)))
     return summary

@@ -15,7 +15,7 @@ from math import gcd, isqrt, prod
 from skewlie import SpecError, conjugacy_classes
 from skewlie.cyclotomic import euler_phi, power_basis_table, reduce_root_vector
 from skewlie.errors import ComputationError
-from skewlie.groups import _split_product_args
+from skewlie.groups import _split_product_args, generators
 from skewlie.wedderburn import CentralIdempotent, _combine, class_matrix
 
 
@@ -492,6 +492,32 @@ def involution_axioms_hold(mult, matrix) -> bool:
             if prod != col[mult[g][h]]:
                 return False
     return True
+
+
+def axiom_failure_by_sparse_sums(group, scaled_columns):
+    """The SpecError text that constructing an Involution on ``scaled_columns`` (d, the
+    sparse columns of d*sigma) must raise, or None: the lowest-terms check of d, then
+    sigma(sigma(g)) = g for each g in order, then sigma(gs) = sigma(s) sigma(g) for s = 1
+    and each s of the generating set, g in order, every image a sum of sparse terms."""
+    def total(terms):
+        acc = {}
+        for k, c in terms:
+            acc[k] = acc.get(k, 0) + c
+        return {k: c for k, c in acc.items() if c}
+
+    mult = group.mult
+    d, cols = scaled_columns
+    if d != 1 and (d < 1 or gcd(d, *(c for col in cols for _, c in col)) != 1):
+        return f"d = {d} is not the least common denominator of sigma"
+    for g, col in enumerate(cols):
+        if total((k, c * a) for h, a in col for k, c in cols[h]) != {g: d * d}:
+            return f"not an involution at element {g}"
+    for s in (0, *generators(group)):
+        for g, col in enumerate(cols):
+            product = total((mult[i][j], a * b) for i, a in cols[s] for j, b in col)
+            if product != {h: d * c for h, c in cols[mult[g][s]]}:
+                return f"not an anti-homomorphism at pair ({g},{s})"
+    return None
 
 
 def convolve(mult, a, b):

@@ -60,18 +60,19 @@ def test_only_the_table_build_imports_the_root_vector_twist():
 CONSTRAINT_BUILDERS = {
     "forms": ("_functional_space", "_draw_gram", "_equals_combination",
               "_skew_adjoint_blocks", "_skew_adjoint_rows", "skew_adjoint_space",
-              "adjoint_space_matches_skew_span", "check_adjoint_identity"),
+              "_blocks_solve", "_pairs_solve", "adjoint_space_matches_skew_span",
+              "check_adjoint_identity"),
     "linalg": ("_echelon", "row_basis", "null_space", "rank_mod_p_reaches", "reduce_mod_p"),
-    "involutions": ("eigen_rows", "__post_init__", "_sparse_sum"),
+    "involutions": ("eigen_rows", "__post_init__", "_signed_axioms_hold", "_sparse_sum"),
     "wedderburn": ("_trace", "component_skew_dim"),
 }
 
 
 def test_form_constraints_are_built_in_integers():
     """The constraint builders of the forms, the gram draw, the row comparisons, the
-    skew-span certificate, the rank mod p, the rows g -+ sigma(g), the involution
-    axioms on d*sigma and the one trace of a component, on QG or on its center, call no
-    Fraction( and read no ZERO."""
+    skew-span certificate in both of its readings, the rank mod p, the rows g -+ sigma(g),
+    the involution axioms on d*sigma and on a signed permutation, and the one trace of a
+    component, on QG or on its center, call no Fraction( and read no ZERO."""
     for module, wanted in CONSTRAINT_BUILDERS.items():
         tree = ast.parse((SRC / f"{module}.py").read_text())
         builders = {node.name: node for node in ast.walk(tree)

@@ -360,6 +360,29 @@ def test_the_certificate_matches_the_exact_route():
                 assert adjoint_space_matches_skew_span(inv, case) == exact, (label, seed)
 
 
+def test_the_pair_reading_matches_the_block_reading():
+    """Part (a) of the certificate for a group-induced sigma, one comparison over all
+    (x, y) per pair {g, sigma(g)}, agrees with the x-major blocks on every group-induced
+    form case that `verify` realizes, seeds 0-2, and on every one-entry change of those
+    grams.  The cases include cyclic:1, where no element moves, and oriented involutions
+    with sigma(g) = -g, where the pair reading needs a zero row."""
+    cases = [(label, inv) for label, inv in _form_cases(FORMS_ORDER_LIMIT)
+             if inv.signed_permutation]
+    assert len(cases) == 160 and cases[0][1].group.order == 1
+    assert any(k == g and e < 0 for _, inv in cases
+               for g, (k, e) in enumerate(zip(*inv.signed_permutation)))
+    outcomes = set()
+    for label, inv in cases:
+        for seed in (0, 1, 2):
+            r = realize_adjoint_form(inv, seed=seed)
+            assert forms._pairs_solve(inv, r) and forms._blocks_solve(inv, r), (label, seed)
+            for case in _one_entry_changes(r):
+                solved = forms._pairs_solve(inv, case)
+                assert solved == forms._blocks_solve(inv, case), (label, seed)
+                outcomes.add(solved)
+    assert outcomes == {True, False}
+
+
 def _counting_exact_ranks(monkeypatch) -> list:
     """The rows of every exact rank that forms takes: for the skew-span certificate the
     distinct rows of the system, a set; for nonsingular the integer gram, a list."""

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     apply,
+    axiom_failure_by_sparse_sums,
     bracket,
     bracket_closed,
     convolve,
@@ -24,9 +25,13 @@ from skewlie import (
     sign_characters,
     skew_space,
 )
-from skewlie.catalog import (algebra_unit_inverse, builtin_involutions,
-                             conjugated_canonical_involution, s3_conjugated_fixture)
+from skewlie import involutions
+from skewlie.catalog import (algebra_unit_inverse, builtin_involutions, c3c3_swap_involution,
+                             catalog_groups, conjugated_canonical_involution,
+                             klein_swap_involution, klein_swap_linear_involution,
+                             s3_conjugated_fixture)
 from skewlie.groups import generators
+from test_wedderburn import ORACLE_WIDE
 
 
 def coeffs(g, *terms):
@@ -424,3 +429,46 @@ def test_axioms_are_checked_on_every_generator_and_on_one():
     assert not involution_axioms_hold(trivial.mult, [[-1]])
     with pytest.raises(SpecError, match="anti-homomorphism"):
         Involution.oriented(trivial, [-1])
+
+
+def test_signed_permutations_pass_as_the_sparse_sum_reference_does():
+    """Every built-in involution of the catalog and ORACLE_WIDE and the three
+    group-induced fixtures is a signed permutation that the gathers accept, and the
+    sparse-sum reference of the axioms finds no failure in it."""
+    groups = catalog_groups() + [build_group(spec) for spec in ORACLE_WIDE]
+    cases = [inv for group in groups for _, inv in builtin_involutions(group)]
+    cases += [make()[1] for make in (klein_swap_involution, klein_swap_linear_involution,
+                                     c3c3_swap_involution)]
+    for inv in cases:
+        assert involutions._signed_axioms_hold(inv.group, *inv.signed_permutation)
+        assert axiom_failure_by_sparse_sums(inv.group, inv.scaled_columns) is None
+
+
+@pytest.mark.parametrize("spec, kind, perm, signs, message", [
+    # a 3-cycle on the transpositions of S3: not involutive
+    ("symmetric:3", "anti_automorphism", [0, 2, 3, 1, 4, 5], None,
+     "not an involution at element 1"),
+    # -1 on two of the eight elements of C2^3: no sign character is -1 on fewer than four
+    ("abelian:2,2,2", "oriented", None, [1, 1, 1, 1, 1, 1, -1, -1],
+     "not an anti-homomorphism at pair (4,2)"),
+    # the identity map of S3 squares to 1 but keeps the order of products
+    ("symmetric:3", "anti_automorphism", [0, 1, 2, 3, 4, 5], None,
+     "not an anti-homomorphism at pair (2,1)"),
+    # the generator swap of C2 x C2 times a character it does not fix reverses
+    # products, but sigma(sigma(a)) = -a: only the signs of the square see it
+    ("abelian:2,2", "linear", [0, 2, 1, 3], [1, -1, 1, -1],
+     "not an involution at element 1"),
+])
+def test_a_failing_signed_permutation_names_what_the_reference_names(spec, kind, perm, signs,
+                                                                       message):
+    """The gathers reject each mutant, and construction raises the sparse-sum
+    reference's text, naming the same element g or pair (g, s)."""
+    group = build_group(spec)
+    perm = perm or list(group.inv)
+    signs = signs or [1] * group.order
+    scaled = (1, tuple(((k, e),) for k, e in zip(perm, signs)))
+    assert not involutions._signed_axioms_hold(group, perm, signs)
+    assert axiom_failure_by_sparse_sums(group, scaled) == message
+    with pytest.raises(SpecError) as err:
+        Involution(group, kind, scaled)
+    assert str(err.value) == message

@@ -67,3 +67,44 @@ def test_table_results_computed_once_per_table(monkeypatch):
     verify_group(build_group("dihedral:4"), summary)
     assert summary.all_pass
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_each_distinct_sigma_is_decomposed_and_realized_once(monkeypatch):
+    """On dihedral:4 the trivial sign character gives the canonical involution again,
+    as oriented:++++++++.  decomposition_report and realize_adjoint_form run once per
+    distinct sigma, and every label still gets its lines, in order, all passing."""
+    import skewlie.verify as verify
+    from skewlie import build_group, decomposition_report
+    from skewlie.catalog import builtin_involutions
+    from skewlie.verify import VerificationSummary, verify_group
+
+    group = build_group("dihedral:4")
+    labelled = builtin_involutions(group)
+    distinct = {inv.scaled_columns for _, inv in labelled}
+    assert len(distinct) == len(labelled) - 1 == 4
+    calls = {"decomposition_report": 0, "realize_adjoint_form": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(verify, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    summary = VerificationSummary()
+    verify_group(group, summary)
+    assert calls == dict.fromkeys(calls, len(distinct))
+    assert summary.all_pass
+
+    expected = ["orthogonality", "degree-squares", "degrees-divide-order", "class-count",
+                "involution-count", "complex-dimension-identity", "component-dimensions"]
+    details = {}
+    for label, inv in labelled:
+        report = decomposition_report(group, inv)
+        details[f"skew-decomposition[{label}]"] = (
+            f"components={report.sum_components} skew={report.skew_dim}")
+        expected += [f"skew-decomposition[{label}]", f"idempotent-axioms[{label}]"]
+        if label == "canonical":
+            expected += ["canonical-fixes-components", "symplectic-indicator"]
+        expected += [f"form-nonsingular[{label}]", f"adjoint-identity[{label}]",
+                     f"skew-solution-space[{label}]"]
+    expected.append("integral-skew-lattice")
+    assert [line.name for line in summary.lines] == expected
+    assert {line.name: line.detail for line in summary.lines if line.name in details} == details
