@@ -13,7 +13,6 @@ from .forms import (
     AdjointRealization,
     BilinearForm,
     adjoint_space_matches_skew_span,
-    canonical_regular_form,
     check_adjoint_identity,
     form_report,
     integral_skew_lattice,
@@ -39,7 +38,6 @@ from .indicators import (
 from .involutions import (
     AlgebraElement,
     Involution,
-    SkewSpaceReport,
     skew_space,
 )
 from .linalg import hnf
@@ -77,12 +75,10 @@ __all__ = [
     "Group",
     "IndicatorReport",
     "Involution",
-    "SkewSpaceReport",
     "SkewlieError",
     "SpecError",
     "adjoint_space_matches_skew_span",
     "build_group",
-    "canonical_regular_form",
     "character_table",
     "check_adjoint_identity",
     "class_structure_constants",

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .errors import ComputationError, SpecError
 from .groups import generators
-from .involutions import ZERO, Involution, eigen_rows
+from .involutions import Involution, eigen_rows
 from .linalg import _echelon, hnf, null_space, rank_mod_p_reaches, row_basis
 from .serialize import frac_str
 
@@ -73,31 +73,11 @@ def _symmetry_of(gram: list[list[int]]) -> str:
     raise ComputationError("gram matrix is neither symmetric nor skew-symmetric")
 
 
-def _require_group_induced(inv: Involution, what: str) -> None:
-    """Group-induced involutions are exactly those with one signed entry per column."""
-    if inv.signed_permutation is None:
-        raise SpecError(f"{what} needs a group-induced involution")
-
-
-def canonical_regular_form(inv: Involution) -> AdjointRealization:
-    """The coefficient-of-identity form of a group-induced involution: h(g, h) is the
-    identity coefficient of sigma(g) h, a signed permutation matrix, so symmetric and
-    nonsingular by construction.  One entry in every column forces d = 1 and coefficients +-1."""
-    _require_group_induced(inv, "canonical regular form")
-    n = inv.group.order
-    gram = [[0] * n for _ in range(n)]
-    for g, ((k, c),) in enumerate(inv.scaled_columns[1]):
-        gram[g][inv.group.inv[k]] = c
-    if _symmetry_of(gram) != SYMMETRIC:
-        raise ComputationError("coefficient-of-identity form came out non-symmetric")
-    return AdjointRealization(BilinearForm(SYMMETRIC, gram), inv, tuple([ONE] + [ZERO] * (n - 1)))
-
-
 def _functional_space(inv: Involution, want: str) -> tuple[int, list[list[int]]]:
     """Functionals lam with lam(sigma(g)h) = +-lam(sigma(h)g), i.e. lam(x -+ sigma(x)) = 0
-    for x = sigma(h)g; h = 1 gives every x = g, as sigma(1) = 1: the n rows g -+ sigma(g),
-    as the (L, B) of ``null_space``."""
-    return null_space(eigen_rows(inv, -1 if want == SYMMETRIC else 1), inv.group.order)
+    for x = sigma(h)g; h = 1 gives every x = g, as sigma(1) = 1: the (L, B) of ``null_space``
+    of the n rows g -+ sigma(g), read as the involution's basis of their span."""
+    return null_space(inv.skew_basis if want == SYMMETRIC else inv.sym_basis, inv.group.order)
 
 
 def realize_adjoint_form(inv: Involution, seed: int = 0) -> AdjointRealization:
@@ -231,20 +211,22 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> b
 
 
 def skew_lattice_generators(inv: Involution) -> list[list[int]]:
-    """The nonzero integer rows g - sigma(g) of a group-induced involution."""
-    _require_group_induced(inv, "integral lattice")
+    """The nonzero integer rows g - sigma(g) of a group-induced involution, the ones with
+    one signed entry per column."""
+    if inv.signed_permutation is None:
+        raise SpecError("integral lattice needs a group-induced involution")
     return [row for row in eigen_rows(inv, -1) if any(row)]
 
 
 def integral_skew_lattice(inv: Involution) -> list[list[int]]:
-    """HNF basis of ZG intersected with the skew-adjoint solution space.
-
-    Saturation via HNF of the integer generators {g - sigma(g)} stacked with
-    the canonical integer basis of the rational solution space, whose rows are
-    primitive.
+    """HNF basis of ZG^- = ZG intersected with QG^-: the HNF of the generators g - sigma(g)
+    stacked with ``inv.skew_basis``.  For sigma(g) = e g' the distinct rows are g - e g' and,
+    for sigma(g) = -g, 2g, so the basis rows are g - e g' and g, with pivots 1: an integer x
+    in QG^- is the sum of x_c times the row of pivot c, so they span ZG^- and the saturation
+    is exact.
     """
     gens = skew_lattice_generators(inv)
-    space = skew_adjoint_space(canonical_regular_form(inv))
+    space = inv.skew_basis
     lattice = hnf(gens + space)
     if len(lattice) != len(space):
         raise ComputationError("integral lattice rank differs from the rational space")

@@ -47,9 +47,8 @@ class Group:
         return k
 
     def is_abelian(self) -> bool:
-        n = self.order
-        mult = self.mult
-        return all(mult[a][b] == mult[b][a] for a in range(n) for b in range(a + 1, n))
+        """Every class one element: read off the classes, which are kept on the group."""
+        return len(conjugacy_classes(self)) == self.order
 
     def to_json(self) -> dict:
         return {

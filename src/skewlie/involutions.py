@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import SpecError
 from .groups import Group, conjugacy_classes, generators
-from .linalg import _echelon, row_basis
+from .linalg import row_basis
 from .serialize import frac_str
 
 ZERO = Fraction(0)
@@ -80,10 +80,9 @@ class Involution:
     sigma: ``columns[g]`` is d*sigma(g) as a tuple of (index, int) pairs, sorted
     by index with no zero coefficient.  Group-induced involutions are the case
     d = 1 with one entry, +1 or -1, per column; ``kind`` is only the JSON label.
-    ``class_sum_images`` (d*sigma on the center) and ``skew_dim`` are computed on
-    first use.  A ``SkewSpaceReport`` is not kept here: it points back at the
-    involution, and the cycle would keep both alive until the collector's next
-    full pass.
+    ``class_sum_images`` (d*sigma on the center) and the canonical integer bases
+    ``skew_basis`` and ``sym_basis`` of the -1 and +1 eigenspaces are computed on
+    first use and kept: every reader of QG^- or QG^+ reads them.
     """
 
     group: Group
@@ -209,9 +208,35 @@ class Involution:
         return tuple(out)
 
     @cached_property
+    def skew_basis(self) -> list[list[int]]:
+        """QG^- as ``linalg.row_basis`` of the rows d g - (d sigma)(g): the RREF rows, each
+        primitive with a positive pivot.  That basis of a subspace is unique."""
+        return row_basis(eigen_rows(self, -1))
+
+    @cached_property
+    def sym_basis(self) -> list[list[int]]:
+        """QG^+ as ``linalg.row_basis`` of the rows d g + (d sigma)(g)."""
+        return row_basis(eigen_rows(self, 1))
+
+    @property
     def skew_dim(self) -> int:
-        """Dimension of the skew elements: the integer rank of the rows g - sigma(g)."""
-        return len(_echelon(eigen_rows(self, -1)))
+        return len(self.skew_basis)
+
+    @property
+    def sym_dim(self) -> int:
+        return len(self.sym_basis)
+
+    @property
+    def fixed_plus(self) -> int:
+        """The number of g with sigma(g) = g."""
+        d, cols = self.scaled_columns
+        return sum(1 for g, col in enumerate(cols) if col == ((g, d),))
+
+    @property
+    def fixed_minus(self) -> int:
+        """The number of g with sigma(g) = -g."""
+        d, cols = self.scaled_columns
+        return sum(1 for g, col in enumerate(cols) if col == ((g, -d),))
 
     def validate(self) -> "Involution":
         """The axioms were checked at construction; kept for callers that chain it."""
@@ -253,40 +278,8 @@ def eigen_rows(inv: Involution, s: int) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class SkewSpaceReport:
-    """The -1 and +1 eigenspaces of an involution on QG; their canonical integer bases
-    (``linalg.row_basis``: the RREF rows, each primitive with a positive pivot) and
-    ``sym_dim`` are built on first read."""
-
-    involution: Involution
-    skew_dim: int
-    fixed_plus: int
-    fixed_minus: int
-
-    @cached_property
-    def skew_basis(self) -> list[list[int]]:
-        return row_basis(eigen_rows(self.involution, -1))
-
-    @cached_property
-    def sym_basis(self) -> list[list[int]]:
-        return row_basis(eigen_rows(self.involution, 1))
-
-    @cached_property
-    def sym_dim(self) -> int:
-        return len(self.sym_basis)
-
-
-def skew_space(inv: Involution) -> SkewSpaceReport:
-    """Split QG into symmetric and skew-symmetric parts under the involution.
-
-    skew_dim is the integer rank of the rows g - sigma(g); the integer bases are
-    unique, so the split is canonical.
-    """
-    d, cols = inv.scaled_columns
-    return SkewSpaceReport(
-        involution=inv,
-        skew_dim=inv.skew_dim,
-        fixed_plus=sum(1 for g, col in enumerate(cols) if col == ((g, d),)),
-        fixed_minus=sum(1 for g, col in enumerate(cols) if col == ((g, -d),)),
-    )
+def skew_space(inv: Involution) -> Involution:
+    """The involution itself, which keeps its split of QG into symmetric and skew parts;
+    ``skew_dim``, the integer rank of the rows g - sigma(g), is computed here on first use."""
+    inv.skew_dim  # the rank, kept on inv
+    return inv

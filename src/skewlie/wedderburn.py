@@ -21,7 +21,7 @@ component of QG: its kind on its center, its type from its skew dimension.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from math import gcd, isqrt
@@ -657,7 +657,7 @@ class ComponentReport:
     paired_with: int | None = None
 
     def to_json(self) -> dict:
-        fields = asdict(self)
+        fields = dict(vars(self))
         return {"id": fields.pop("component_id"), **fields}
 
 
@@ -797,7 +797,7 @@ def decomposition_report(group: Group, inv: Involution,
     if table is None:
         table = character_table(group)
     components = classify_components(table, inv)
-    ssr = skew_space(inv)
+    skew_dim = skew_space(inv).skew_dim
     total = sum(c.skew_dim_q for c in components)
     if sum(o.dim_q for o in table.orbits) != group.order:
         raise ComputationError("component dimensions do not sum to |G|")
@@ -806,7 +806,7 @@ def decomposition_report(group: Group, inv: Involution,
         involution=inv,
         table=table,
         components=tuple(components),
-        skew_dim=ssr.skew_dim,
+        skew_dim=skew_dim,
         sum_components=total,
-        checks={"theorem2_identity": total == ssr.skew_dim, **table.checks},
+        checks={"theorem2_identity": total == skew_dim, **table.checks},
     )

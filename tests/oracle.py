@@ -15,6 +15,7 @@ from math import gcd, isqrt, prod
 from skewlie import SpecError, conjugacy_classes
 from skewlie.cyclotomic import euler_phi, power_basis_table, reduce_root_vector
 from skewlie.errors import ComputationError
+from skewlie.forms import AdjointRealization, BilinearForm
 from skewlie.groups import _split_product_args, generators
 from skewlie.wedderburn import CentralIdempotent, _combine, class_matrix
 
@@ -389,6 +390,23 @@ def skew_adjoint_space_by_fractions(mult, gram):
     rows = [[gram[mult[z][x]][y] + gram[x][mult[z][y]] for z in range(n)]
             for x in range(n) for y in range(n)]
     return division_rref(nullspace_rows(rows))
+
+
+def canonical_regular_form(inv) -> AdjointRealization:
+    """The coefficient-of-identity form of a group-induced involution, the lattice's second
+    route to QG^-: h(g, h) is the identity coefficient of sigma(g) h, a signed permutation
+    matrix, so symmetric and nonsingular by construction.  One entry in every column forces
+    d = 1 and coefficients +-1."""
+    if inv.signed_permutation is None:
+        raise SpecError("canonical regular form needs a group-induced involution")
+    n = inv.group.order
+    gram = [[0] * n for _ in range(n)]
+    for g, ((k, c),) in enumerate(inv.scaled_columns[1]):
+        gram[g][inv.group.inv[k]] = c
+    if gram != [list(col) for col in zip(*gram)]:
+        raise ComputationError("coefficient-of-identity form came out non-symmetric")
+    return AdjointRealization(BilinearForm("symmetric", gram), inv,
+                              tuple(Fraction(int(g == 0)) for g in range(n)))
 
 
 def conjugation_orbits(mult, inv):

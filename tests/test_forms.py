@@ -2,7 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -10,6 +10,7 @@ from oracle import (
     adjoint_identity_by_fractions,
     adjoint_identity_by_triples,
     apply,
+    canonical_regular_form,
     convolve,
     fraction_columns,
     functional_space_by_fractions,
@@ -27,8 +28,8 @@ from skewlie import (
     SpecError,
     adjoint_space_matches_skew_span,
     build_group,
-    canonical_regular_form,
     check_adjoint_identity,
+    decomposition_report,
     form_report,
     integral_skew_lattice,
     realize_adjoint_form,
@@ -36,7 +37,7 @@ from skewlie import (
     skew_adjoint_space,
     skew_space,
 )
-from skewlie import forms, linalg
+from skewlie import forms, involutions, linalg
 from skewlie.catalog import (
     builtin_involutions,
     catalog_groups,
@@ -45,6 +46,7 @@ from skewlie.catalog import (
     linear_fixtures,
     s3_conjugated_fixture,
 )
+from skewlie.forms import form_checks, skew_lattice_generators
 from skewlie.groups import generators
 from skewlie.involutions import eigen_rows
 from skewlie.linalg import MODULUS, hnf, rank_mod_p_reaches
@@ -321,8 +323,10 @@ def test_every_one_entry_change_fails_the_skew_span_check():
 
 
 def test_every_constraint_row_is_built_and_reduced(monkeypatch):
-    """The n functional rows g -+ sigma(g) and every distinct one of the n^2
-    skew-adjoint rows reach the solver, and the solver's elimination reads them all."""
+    """The n functional rows g -+ sigma(g) reach _echelon once, when the involution
+    builds its basis of their span, and null_space reads that basis; every distinct
+    one of the n^2 skew-adjoint rows reaches the solver, and its elimination reads
+    them all."""
     solved, read = [], []
     null_space, echelon = forms.null_space, linalg._echelon
 
@@ -334,17 +338,68 @@ def test_every_constraint_row_is_built_and_reduced(monkeypatch):
         read.append(list(rows))
         return echelon(read[-1])
 
+    _, inv = s3_conjugated_fixture()
     monkeypatch.setattr(forms, "null_space", counting_space)
     monkeypatch.setattr(linalg, "_echelon", counting_echelon)
-    _, inv = s3_conjugated_fixture()
     r = realize_adjoint_form(inv, seed=0)
     skew_adjoint_space(r)
     rows = list(forms._skew_adjoint_rows(r))
     assert len(rows) == 36
-    assert [len(x) for x in solved] == [6, len(set(rows))]
-    assert solved[0] == eigen_rows(inv, -1 if r.form.symmetry == "symmetric" else 1)
+    sign = -1 if r.form.symmetry == "symmetric" else 1
+    basis = inv.skew_basis if sign < 0 else inv.sym_basis
+    assert read[0] == eigen_rows(inv, sign) and read.count(read[0]) == 1
+    assert [len(x) for x in solved] == [len(basis), len(set(rows))]
+    assert solved[0] == basis
     assert set(solved[1]) == set(rows)
     assert all(x in read for x in solved)
+
+
+def test_the_rows_g_minus_sigma_g_are_eliminated_once(monkeypatch):
+    """On one sigma of dihedral:4, the report, the realized form, its checks and the
+    lattice reduce the n rows g - sigma(g) once, for the involution's basis, and the
+    lattice solves no skew-adjoint system."""
+    read, echelon = [], linalg._echelon
+
+    def counting(rows):
+        read.append(list(rows))
+        return echelon(read[-1])
+
+    def no_system(r):
+        raise AssertionError("the lattice solved a skew-adjoint system")
+
+    for module in (linalg, forms, involutions):
+        monkeypatch.setattr(module, "_echelon", counting, raising=False)
+    group = build_group("dihedral:4")
+    label, inv = builtin_involutions(group)[-1]
+    assert decomposition_report(group, inv).all_checks_pass
+    assert all(form_checks(realize_adjoint_form(inv, seed=0)).values())
+    monkeypatch.setattr(forms, "skew_adjoint_space", no_system)
+    assert integral_skew_lattice(inv)
+    assert read.count(eigen_rows(inv, -1)) == 1, label
+
+
+def _pivot_product(rows) -> int:
+    return prod(next(x for x in row if x) for row in rows)
+
+
+def test_the_lattice_matches_the_route_through_the_coefficient_of_identity_form():
+    """Every built-in involution of the catalog groups of order <= 24 and the three
+    group-induced fixtures: the skew-adjoint space of the oracle's coefficient-of-identity
+    form is sigma's skew basis, and saturating the generators g - sigma(g) against it
+    gives the lattice.  hnf(gens) has index 2^fixed_minus in it, with the same pivot
+    columns: where sigma(g) = -g the lattice holds g and the generators only 2g."""
+    cases = [(f"{group.name} {label}", inv) for group in catalog_groups(max_order=24)
+             for label, inv in builtin_involutions(group)]
+    fixtures = [(label, inv) for label, _, inv in linear_fixtures() if inv.signed_permutation]
+    assert len(fixtures) == 3
+    for label, inv in cases + fixtures:
+        space = skew_adjoint_space(canonical_regular_form(inv))
+        assert space == inv.skew_basis, label
+        gens = skew_lattice_generators(inv)
+        lattice = integral_skew_lattice(inv)
+        assert hnf(gens + space) == lattice, label
+        assert _pivot_product(hnf(gens)) == 2 ** inv.fixed_minus * _pivot_product(lattice), label
+    assert any(inv.fixed_minus for _, inv in cases)
 
 
 def test_the_certificate_matches_the_exact_route():

@@ -58,6 +58,17 @@ def test_permutation_generators_give_s3():
     assert not g.is_abelian()
 
 
+def test_is_abelian_matches_every_pair():
+    """One class per element exactly when every pair commutes, on every catalog group
+    of order <= 60: both answers occur."""
+    seen = set()
+    for g in catalog_groups(max_order=60):
+        commute = all(g.mult[a][b] == g.mult[b][a] for a in range(g.order) for b in range(a))
+        assert g.is_abelian() == commute, g.name
+        seen.add(commute)
+    assert seen == {True, False}
+
+
 def test_builtin_family_orders():
     assert build_group("dihedral:4").order == 8
     assert build_group("dicyclic:3").order == 12
