@@ -40,7 +40,6 @@ from .involutions import (
     Involution,
     skew_space,
 )
-from .linalg import hnf
 from .wedderburn import (
     CentralIdempotent,
     CharacterTable,
@@ -92,7 +91,6 @@ __all__ = [
     "form_report",
     "fs_indicator",
     "galois_orbits",
-    "hnf",
     "indicator_report",
     "integral_skew_lattice",
     "involution_count_identity",

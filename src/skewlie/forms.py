@@ -21,8 +21,8 @@ from typing import Iterator
 
 from .errors import ComputationError, SpecError
 from .groups import generators
-from .involutions import Involution, eigen_rows
-from .linalg import _echelon, hnf, null_space, rank_mod_p_reaches, row_basis
+from .involutions import Involution
+from .linalg import _echelon, null_space, rank_mod_p_reaches, row_basis
 from .serialize import frac_str
 
 SYMMETRIC = "symmetric"
@@ -210,26 +210,15 @@ def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> b
             or len(_echelon(set(_skew_adjoint_rows(r)))) == target)
 
 
-def skew_lattice_generators(inv: Involution) -> list[list[int]]:
-    """The nonzero integer rows g - sigma(g) of a group-induced involution, the ones with
-    one signed entry per column."""
+def integral_skew_lattice(inv: Involution) -> list[list[int]]:
+    """Basis of ZG^- = ZG intersected with QG^-, read off ``inv.skew_basis``.  For sigma(g) =
+    e g' its RREF rows are g - e g' for g < g' and g for sigma(g) = -g, with pivots 1: an
+    integer x in QG^- is the sum of x_c times the row of pivot c, so they span ZG^-."""
     if inv.signed_permutation is None:
         raise SpecError("integral lattice needs a group-induced involution")
-    return [row for row in eigen_rows(inv, -1) if any(row)]
-
-
-def integral_skew_lattice(inv: Involution) -> list[list[int]]:
-    """HNF basis of ZG^- = ZG intersected with QG^-: the HNF of the generators g - sigma(g)
-    stacked with ``inv.skew_basis``.  For sigma(g) = e g' the distinct rows are g - e g' and,
-    for sigma(g) = -g, 2g, so the basis rows are g - e g' and g, with pivots 1: an integer x
-    in QG^- is the sum of x_c times the row of pivot c, so they span ZG^- and the saturation
-    is exact.
-    """
-    gens = skew_lattice_generators(inv)
-    space = inv.skew_basis
-    lattice = hnf(gens + space)
-    if len(lattice) != len(space):
-        raise ComputationError("integral lattice rank differs from the rational space")
+    lattice = inv.skew_basis
+    if any(next(filter(None, row)) != 1 for row in lattice):
+        raise ComputationError("integral lattice basis has a pivot other than 1")
     return lattice
 
 

@@ -144,6 +144,8 @@ class Involution:
             raise SpecError("linear involution matrix must be |G| x |G|")
         parse = cache(Fraction)  # one Fraction per distinct entry
         try:
+            if any(type(x) is bool for row in matrix for x in row):  # True would hit a cached 1
+                raise TypeError
             m = [list(map(parse, row)) for row in matrix]
         except (TypeError, ValueError, ArithmeticError):
             raise SpecError("linear involution matrix entries must be rationals") from None

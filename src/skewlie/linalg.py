@@ -136,40 +136,3 @@ def null_space(rows: Iterable[Sequence[int]], n: int) -> tuple[int, list[list[in
                 v[c] = -row[f] * (den // row[c])
             basis.append(v)
     return den, basis
-
-
-def hnf(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form over the integers.
-
-    Pivots are positive, entries above each pivot are reduced into [0, pivot),
-    and zero rows are dropped; the integer row span is preserved.
-    """
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        while True:
-            nz = [k for k in range(r, nrows) if rows[k][c]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda k: (abs(rows[k][c]), k))
-            k0, k1 = nz[0], nz[1]
-            q = rows[k1][c] // rows[k0][c]
-            rows[k1] = [a - q * b for a, b in zip(rows[k1], rows[k0])]
-        nz = [k for k in range(r, nrows) if rows[k][c]]
-        if not nz:
-            continue
-        k = nz[0]
-        rows[r], rows[k] = rows[k], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        for k in range(r):
-            q = rows[k][c] // rows[r][c]
-            if q:
-                rows[k] = [a - q * b for a, b in zip(rows[k], rows[r])]
-        r += 1
-    return [row for row in rows[:r]]
-

@@ -5,12 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import catalog
-from .forms import (form_checks, integral_skew_lattice, realize_adjoint_form,
-                    skew_lattice_generators)
+from .forms import form_checks, integral_skew_lattice, realize_adjoint_form
 from .groups import Group
 from .indicators import complex_dimension_identity, involution_count_identity
 from .involutions import Involution
-from .linalg import hnf
 from .wedderburn import CharacterTable, character_table, decomposition_report
 
 FORMS_ORDER_LIMIT = 24
@@ -78,10 +76,17 @@ def _file_form_checks(summary: VerificationSummary, group: Group, label: str,
 
 
 def _lattice_check(summary: VerificationSummary, group: Group, inv: Involution) -> None:
-    # the expected side is the HNF of the generators alone, not the saturation
+    """The expected side is ZG^- in closed form, read from sigma(g) = e g' in increasing g:
+    g - e g' for each g < g', and g alone for each g' = g with e = -1."""
     lattice = integral_skew_lattice(inv)
-    gens = skew_lattice_generators(inv)
-    expected = hnf(gens)
+    expected = []
+    for g, (h, e) in enumerate(zip(*inv.signed_permutation)):
+        if h > g or (h == g and e == -1):
+            row = [0] * group.order
+            row[g] = 1
+            if h > g:
+                row[h] = -e
+            expected.append(row)
     summary.add(group.name, "integral-skew-lattice", lattice == expected)
 
 

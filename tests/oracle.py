@@ -11,12 +11,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, compress, permutations, product
 from math import gcd, isqrt, prod
+from typing import Sequence
 
 from skewlie import SpecError, conjugacy_classes
 from skewlie.cyclotomic import euler_phi, power_basis_table, reduce_root_vector
 from skewlie.errors import ComputationError
 from skewlie.forms import AdjointRealization, BilinearForm
 from skewlie.groups import _split_product_args, generators
+from skewlie.involutions import Involution, eigen_rows
 from skewlie.wedderburn import CentralIdempotent, _combine, class_matrix
 
 
@@ -148,6 +150,55 @@ def in_integer_row_span(h, row) -> bool:
             return False
         row = [x - q * y for x, y in zip(row, basis_row)]
     return not any(row)
+
+
+# ---------------------------------------------------------------------------
+# the integral skew lattice by Euclidean row reduction: ZG^- is the HNF of the
+# generators g - sigma(g) stacked with a rational basis of QG^-
+# ---------------------------------------------------------------------------
+
+def hnf(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form over the integers.
+
+    Pivots are positive, entries above each pivot are reduced into [0, pivot),
+    and zero rows are dropped; the integer row span is preserved.
+    """
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        while True:
+            nz = [k for k in range(r, nrows) if rows[k][c]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda k: (abs(rows[k][c]), k))
+            k0, k1 = nz[0], nz[1]
+            q = rows[k1][c] // rows[k0][c]
+            rows[k1] = [a - q * b for a, b in zip(rows[k1], rows[k0])]
+        nz = [k for k in range(r, nrows) if rows[k][c]]
+        if not nz:
+            continue
+        k = nz[0]
+        rows[r], rows[k] = rows[k], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for k in range(r):
+            q = rows[k][c] // rows[r][c]
+            if q:
+                rows[k] = [a - q * b for a, b in zip(rows[k], rows[r])]
+        r += 1
+    return [row for row in rows[:r]]
+
+
+def skew_lattice_generators(inv: Involution) -> list[list[int]]:
+    """The nonzero integer rows g - sigma(g) of a group-induced involution, the ones with
+    one signed entry per column."""
+    if inv.signed_permutation is None:
+        raise SpecError("integral lattice needs a group-induced involution")
+    return [row for row in eigen_rows(inv, -1) if any(row)]
 
 
 # ---------------------------------------------------------------------------

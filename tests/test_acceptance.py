@@ -7,7 +7,7 @@ lines; every assertion is an exact equality, never a tolerance.
 import time
 
 import pytest
-from oracle import apply, bracket_closed, convolve, rank
+from oracle import apply, bracket_closed, convolve, hnf, rank
 
 from skewlie import (
     Involution,
@@ -26,7 +26,6 @@ from skewlie import (
     table_orthogonality,
 )
 from skewlie.catalog import builtin_involutions, catalog_groups, linear_fixtures
-from skewlie.linalg import hnf
 from skewlie.serialize import dumps
 from skewlie.wedderburn import idempotent_axioms_hold
 

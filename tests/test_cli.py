@@ -190,6 +190,7 @@ def test_malformed_involution_json_exits_one(capsys):
         ('{"kind": "anti_automorphism", "map": [0.0, 1.0]}', "integers"),
         ('{"kind": "linear", "matrix": [["x", "0"], ["0", "1"]]}', "rationals"),
         ('{"kind": "linear", "matrix": [[Infinity, 0], [0, 1]]}', "rationals"),
+        ('{"kind": "linear", "matrix": [[true, false], [false, true]]}', "rationals"),
         ('{"kind": "linear", "matrix": 5}', "|G| x |G|"),
         ('{"kind": "oriented", "alpha": [1.0, -1.0]}', "+1 or -1"),
         ('{"kind": "linear", "matrix": ' + "[" * 10**5 + "]" * 10**5 + "}", "nested too deeply"),

@@ -10,8 +10,9 @@ and sigma scaled once to integers, and so are the rank certificate of the skew
 span, the axiom checks of an involution and the trace formula of a component.
 The linear algebra module is integers only: an exact subspace has one
 representation, its canonical integer basis, and every elimination mod a prime
-reduces its rows through one routine.  No module of the package or of the
-tests imports a name it never reads.
+reduces its rows through one routine.  The integral skew lattice is read from
+the involution's basis of QG^-, not solved for: no module defines or imports an
+HNF.  No module of the package or of the tests imports a name it never reads.
 """
 
 import ast
@@ -55,6 +56,15 @@ def test_no_true_division_in_the_package():
 def test_only_the_table_build_imports_the_root_vector_twist():
     modules = sorted(SRC.glob("*.py"))
     assert [p.stem for p in modules if _imports_name(p, "twist_root_vector")] == ["wedderburn"]
+
+
+
+def test_no_module_defines_or_imports_hnf():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert "hnf" not in defined and not _imports_name(path, "hnf"), path.name
 
 
 CONSTRAINT_BUILDERS = {

@@ -14,6 +14,7 @@ from oracle import (
     convolve,
     fraction_columns,
     functional_space_by_fractions,
+    hnf,
     identity,
     mat,
     over_pivots,
@@ -22,8 +23,10 @@ from oracle import (
     realize_by_fractions,
     row_space_equal,
     skew_adjoint_space_by_fractions,
+    skew_lattice_generators,
 )
 from skewlie import (
+    ComputationError,
     Involution,
     SpecError,
     adjoint_space_matches_skew_span,
@@ -46,10 +49,10 @@ from skewlie.catalog import (
     linear_fixtures,
     s3_conjugated_fixture,
 )
-from skewlie.forms import form_checks, skew_lattice_generators
+from skewlie.forms import form_checks
 from skewlie.groups import generators
 from skewlie.involutions import eigen_rows
-from skewlie.linalg import MODULUS, hnf, rank_mod_p_reaches
+from skewlie.linalg import MODULUS, rank_mod_p_reaches
 from skewlie.verify import FORMS_ORDER_LIMIT
 
 
@@ -237,6 +240,19 @@ def test_lattice_needs_group_induced():
         integral_skew_lattice(linear)
 
 
+def test_the_lattice_guards_its_pivots():
+    """The lattice is the involution's skew basis, returned only if every pivot is 1; a
+    forged basis with a pivot of 2 spans a sublattice of index 2 and is refused."""
+    inv = Involution.oriented(build_group("cyclic:2"), [1, -1])
+    assert integral_skew_lattice(inv) is inv.skew_basis
+    vars(inv)["skew_basis"] = [[0, 2]]
+    with pytest.raises(ComputationError, match="pivot"):
+        integral_skew_lattice(inv)
+    _, linear = s3_conjugated_fixture()
+    with pytest.raises(SpecError, match="group-induced"):
+        integral_skew_lattice(linear)
+
+
 def test_oriented_lattice_is_saturated():
     # alpha(a) = -1 on C2: sigma(a) = -a, so a itself is integral skew,
     # while the g - sigma(g) generators only reach 2a
@@ -397,6 +413,7 @@ def test_the_lattice_matches_the_route_through_the_coefficient_of_identity_form(
         assert space == inv.skew_basis, label
         gens = skew_lattice_generators(inv)
         lattice = integral_skew_lattice(inv)
+        assert lattice == inv.skew_basis, label
         assert hnf(gens + space) == lattice, label
         assert _pivot_product(hnf(gens)) == 2 ** inv.fixed_minus * _pivot_product(lattice), label
     assert any(inv.fixed_minus for _, inv in cases)

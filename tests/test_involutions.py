@@ -148,7 +148,7 @@ def test_linear_matrix_must_be_involutive(c3):
 
 
 @pytest.mark.parametrize("bad", ["x", "1/0", "", None, float("nan"), float("inf"),
-                                 [1], {"a": 1}, (), 1j])
+                                 [1], {"a": 1}, (), 1j, True, False])
 def test_every_bad_linear_entry_raises_one_message(c3, bad):
     """Entries are parsed once per distinct value; a bad one, hashable or not, first
     or after good ones it does not equal, raises the same SpecError."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracle import (
     division_rref,
+    hnf,
     identity,
     in_integer_row_span,
     mat,
@@ -21,7 +22,6 @@ from oracle import (
 from skewlie.linalg import (
     MODULUS,
     _echelon,
-    hnf,
     null_space,
     pack,
     rank_mod_p_reaches,

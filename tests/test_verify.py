@@ -108,3 +108,29 @@ def test_each_distinct_sigma_is_decomposed_and_realized_once(monkeypatch):
     expected.append("integral-skew-lattice")
     assert [line.name for line in summary.lines] == expected
     assert {line.name: line.detail for line in summary.lines if line.name in details} == details
+
+
+def test_the_lattice_line_holds_under_every_group_induced_sigma(monkeypatch):
+    """verify's closed-form ZG^- agrees with the lattice under every built-in sigma of every
+    catalog group and the three group-induced fixtures.  A lattice that skips the
+    saturation, the HNF of the generators g - sigma(g) alone, reaches only 2g where
+    sigma(g) = -g, so the line must read false exactly where fixed_minus > 0."""
+    import skewlie.verify as verify
+    from oracle import hnf, skew_lattice_generators
+    from skewlie.catalog import builtin_involutions, linear_fixtures
+
+    cases = [(group, inv) for group in catalog_groups() for _, inv in builtin_involutions(group)]
+    cases += [(group, inv) for _, group, inv in linear_fixtures() if inv.signed_permutation]
+    assert len(cases) == 196
+
+    def lines():
+        summary = verify.VerificationSummary()
+        for group, inv in cases:
+            verify._lattice_check(summary, group, inv)
+        return [line.ok for line in summary.lines]
+
+    assert all(lines())
+    monkeypatch.setattr(verify, "integral_skew_lattice",
+                        lambda inv: hnf(skew_lattice_generators(inv)))
+    assert lines() == [not inv.fixed_minus for _, inv in cases]
+    assert sum(1 for _, inv in cases if inv.fixed_minus) == 52
