@@ -50,6 +50,8 @@ def _load_json(spec: str):
         return json.loads(spec if inline else Path(spec).read_text())
     except RecursionError:
         raise SpecError("JSON input is nested too deeply") from None
+    except ValueError as exc:  # not JSON, a file not in UTF-8, or an integer past int()'s cap
+        raise SpecError(str(exc)) from None
 
 
 def _resolve_group(spec: str, max_order: int):
@@ -220,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.max_order is None:
             args.max_order = _env_int(ENV_MAX_ORDER, DEFAULT_MAX_ORDER)
         return args.run(args)
-    except (SpecError, json.JSONDecodeError, OSError) as exc:
+    except (SpecError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except ComputationError as exc:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import add, itemgetter, mul, ne
 from typing import Iterator
@@ -142,18 +142,14 @@ def check_adjoint_identity(r: AdjointRealization) -> bool:
                for f in generators(r.involution.group) for x, gx in enumerate(gram))
 
 
-def _skew_adjoint_blocks(r: AdjointRealization) -> Iterator[list[list[int]]]:
-    """B_x[z][y] = h(zx, y) + h(x, zy) on the integer gram, one n x n block per x:
-    f satisfies the skew-adjoint condition exactly when sum_z f_z B_x[z] = 0 for all x."""
+def _skew_adjoint_rows(r: AdjointRealization) -> Iterator[tuple[int, ...]]:
+    """The rows (x, y) of the skew-adjoint system, x-major: the columns of the integer block
+    B_x[z][y] = h(zx, y) + h(x, zy), one n x n block per x.  f satisfies the skew-adjoint
+    condition exactly when sum_z f_z B_x[z] = 0 for all x."""
     gram = r.form.int_gram
     mult = r.involution.group.mult
     for x, gx in enumerate(gram):
-        yield [[a + gx[m] for a, m in zip(gram[mz[x]], mz)] for mz in mult]
-
-
-def _skew_adjoint_rows(r: AdjointRealization) -> Iterator[tuple[int, ...]]:
-    """The rows (x, y) of the skew-adjoint system, x-major: the columns of each block."""
-    return (row for block in _skew_adjoint_blocks(r) for row in zip(*block))
+        yield from zip(*[[a + gx[m] for a, m in zip(gram[mz[x]], mz)] for mz in mult])
 
 
 def skew_adjoint_space(r: AdjointRealization) -> list[list[int]]:
@@ -167,43 +163,36 @@ def skew_adjoint_space(r: AdjointRealization) -> list[list[int]]:
     return row_basis(null_space(set(_skew_adjoint_rows(r)), r.involution.group.order)[1])
 
 
-def _blocks_solve(inv: Involution, r: AdjointRealization) -> bool:
-    """Part (a) on each block: d B_x[g] = sum c B_x[h] over (h, c) in (d sigma)(g), g moved."""
-    d, scaled = inv.scaled_columns
-    moved = [(g, terms) for g, terms in enumerate(scaled) if terms != ((g, d),)]
-    return all(all(_equals_combination(d, block[g], terms, block.__getitem__)
-                   for g, terms in moved) for block in _skew_adjoint_blocks(r))
-
-
-def _pairs_solve(inv: Involution, r: AdjointRealization) -> bool:
-    """Part (a) for sigma(g) = e g': B_x[g] = e B_x[g'] over all (x, y), once per pair {g, g'}
-    (sigma^2 = 1 gives g' the sign e too), and B_x[g] = 0 for sigma(g) = -g.  Row g is two
-    gathers of the gram, h(gx, y) and h(x, gy), read only for n > 1 (sigma(1) = 1), where
-    itemgetter(*mult[g]) gives tuples."""
+def _skew_basis_solves(inv: Involution, r: AdjointRealization) -> bool:
+    """Part (a): each row b of ``inv.skew_basis``, of pivot c, solves all n^2 rows (x, y):
+    -b_c C(c) = sum b_z C(z) over z != c, for C(z) the column h(zx, y) + h(x, zy), two
+    gathers of the gram, read only for n > 1 (sigma(1) = 1), where itemgetter(*mult[z])
+    gives tuples.  A row with one entry, sigma(c) = -c, needs C(c) = 0."""
     gram, mult = r.form.int_gram, inv.group.mult
 
-    def row(g: int) -> list[int]:
-        return list(map(add, chain.from_iterable(map(gram.__getitem__, mult[g])),
-                        chain.from_iterable(map(itemgetter(*mult[g]), gram))))
+    def column(z: int) -> list[int]:
+        return list(map(add, chain.from_iterable(map(gram.__getitem__, mult[z])),
+                        chain.from_iterable(map(itemgetter(*mult[z]), gram))))
 
-    pairs = ((g, k, e) for g, (k, e) in enumerate(zip(*inv.signed_permutation))
-             if k > g or k == g and e < 0)
-    return all(row(g) == row(k) if e > 0 else not any(map(add, row(g), row(k))) for g, k, e in pairs)
+    def solves(row: list[int]) -> bool:
+        (c, pivot), *rest = compress(enumerate(row), row)
+        return _equals_combination(-pivot, column(c), rest, column) if rest else not any(column(c))
+
+    return all(map(solves, inv.skew_basis))
 
 
 def adjoint_space_matches_skew_span(inv: Involution, r: AdjointRealization) -> bool:
     """The defining system of the form cuts out exactly the skew elements.
 
-    Let N be its solution space and S the span of the g - sigma(g).  S lies in N
-    when each d*(g - sigma(g)), with d*sigma in integers, solves every one of the
-    n^2 rows, read on every block B_x (for sigma induced by G, one comparison over
-    all (x, y) per pair {g, sigma(g)}), not derived from the adjoint identity.  N = S
-    then follows once the rank of the system reaches n - dim S mod a prime, since the
-    rank mod p never exceeds the rank over Q.  Short of that, the exact rank of its
+    Let N be its solution space and S = QG^-, the span of the g - sigma(g).  S lies in N
+    when each row of ``inv.skew_basis``, a basis of S, solves every one of the n^2 rows;
+    read on the form, not derived from the adjoint identity.  For sigma(g) = e g' those
+    rows are g - e g' and g, so this is one comparison over all (x, y) per pair {g, g'}.
+    N = S then follows once the rank of the system reaches n - dim S mod a prime, since
+    the rank mod p never exceeds the rank over Q.  Short of that, the exact rank of its
     distinct rows decides: N = S exactly when it is n - dim S.
     """
-    solves = _pairs_solve if inv.signed_permutation else _blocks_solve
-    if not solves(inv, r):
+    if not _skew_basis_solves(inv, r):
         return False
     target = inv.group.order - inv.skew_dim
     return (rank_mod_p_reaches(_skew_adjoint_rows(r), target)

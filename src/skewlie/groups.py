@@ -173,11 +173,11 @@ def group_from_permutations(
     """Close permutation generators by breadth-first multiplication.  Column b of the
     table, b = b's for a generator s, is column b' read through right multiplication by s."""
     gens = []
-    for g in generators:
-        if sorted(g) != list(range(degree)):
+    for g in generators:  # the length first: a huge degree builds no list
+        if len(g) != degree or sorted(g) != list(range(degree)):
             raise SpecError(f"generator {g} is not a permutation of 0..{degree - 1}")
         gens.append(tuple(g))
-    ident = tuple(range(degree))
+    ident = tuple(range(degree)) if gens else ()  # no generators: the trivial group
     elems = [ident]
     index = {ident: 0}
     parent = [None]  # b -> (b', s) with elems[b] = elems[b'] * gens[s]
@@ -296,8 +296,8 @@ def build_group(spec, max_order: int = DEFAULT_MAX_ORDER) -> Group:
             raise SpecError("group JSON 'name' must be a string")
         if "mult_table" in spec:
             table = _int_rows(spec["mult_table"], "mult_table")
-            if "order" in spec and spec["order"] != len(table):
-                raise SpecError("declared order does not match the table size")
+            if "order" in spec and (type(spec["order"]) is not int or spec["order"] != len(table)):
+                raise SpecError("group JSON 'order' must be the table size, as an integer")
             return group_from_table(table, spec.get("name", "table-group"), max_order)
         if "permutation_generators" in spec:
             if type(spec.get("degree")) is not int:

@@ -23,6 +23,7 @@ from .linalg import row_basis
 from .serialize import frac_str
 
 ZERO = Fraction(0)
+MAX_EXPONENT = 4300  # in size; Fraction expands a string's power of ten, as int() its digits
 
 CANONICAL = "canonical"
 ORIENTED = "oriented"
@@ -142,7 +143,7 @@ class Involution:
         if (not isinstance(matrix, Sequence) or len(matrix) != n
                 or any(not isinstance(row, Sequence) or len(row) != n for row in matrix)):
             raise SpecError("linear involution matrix must be |G| x |G|")
-        parse = cache(Fraction)  # one Fraction per distinct entry
+        parse = cache(_rational)  # one Fraction per distinct entry
         try:
             if any(type(x) is bool for row in matrix for x in row):  # True would hit a cached 1
                 raise TypeError
@@ -243,6 +244,13 @@ class Involution:
     def validate(self) -> "Involution":
         """The axioms were checked at construction; kept for callers that chain it."""
         return self
+
+
+def _rational(x) -> Fraction:
+    """Fraction(x), but first refuse a string whose power of ten exceeds MAX_EXPONENT."""
+    if isinstance(x, str) and abs(int(x.lower().partition("e")[2] or 0)) > MAX_EXPONENT:
+        raise ValueError(x)
+    return Fraction(x)
 
 
 def _signed_axioms_hold(group: Group, perm: list[int], signs: list[int]) -> bool:

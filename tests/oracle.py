@@ -16,7 +16,7 @@ from typing import Sequence
 from skewlie import SpecError, conjugacy_classes
 from skewlie.cyclotomic import euler_phi, power_basis_table, reduce_root_vector
 from skewlie.errors import ComputationError
-from skewlie.forms import AdjointRealization, BilinearForm
+from skewlie.forms import AdjointRealization, BilinearForm, _equals_combination
 from skewlie.groups import _split_product_args, generators
 from skewlie.involutions import Involution, eigen_rows
 from skewlie.wedderburn import CentralIdempotent, _combine, class_matrix
@@ -441,6 +441,24 @@ def skew_adjoint_space_by_fractions(mult, gram):
     rows = [[gram[mult[z][x]][y] + gram[x][mult[z][y]] for z in range(n)]
             for x in range(n) for y in range(n)]
     return division_rref(nullspace_rows(rows))
+
+
+def skew_adjoint_blocks(r: AdjointRealization):
+    """B_x[z][y] = h(zx, y) + h(x, zy) on the integer gram, one n x n block per x:
+    f satisfies the skew-adjoint condition exactly when sum_z f_z B_x[z] = 0 for all x."""
+    gram = r.form.int_gram
+    mult = r.involution.group.mult
+    for x, gx in enumerate(gram):
+        yield [[a + gx[m] for a, m in zip(gram[mz[x]], mz)] for mz in mult]
+
+
+def blocks_solve(inv: Involution, r: AdjointRealization) -> bool:
+    """Part (a) of the skew-span certificate on sigma's columns, block by block:
+    d B_x[g] = sum c B_x[h] over (h, c) in (d sigma)(g), for every moved g and every x."""
+    d, scaled = inv.scaled_columns
+    moved = [(g, terms) for g, terms in enumerate(scaled) if terms != ((g, d),)]
+    return all(all(_equals_combination(d, block[g], terms, block.__getitem__)
+                   for g, terms in moved) for block in skew_adjoint_blocks(r))
 
 
 def canonical_regular_form(inv) -> AdjointRealization:

@@ -1,10 +1,15 @@
 import hashlib
+import io
 import json
 import resource
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlie import build_group, character_table
 from skewlie.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
@@ -218,12 +223,32 @@ def test_malformed_group_json_exits_one(capsys):
         ('{"mult_table": [[0, 1], [1, 0]], "name": 5}', "'name' must be a string"),
         ('{"permutation_generators": [[1, 0]], "degree": 2, "name": [1]}', "'name' must be a string"),
         ('{"mult_table": [[0]], "name": null}', "'name' must be a string"),
+        ('{"mult_table": [[0]], "order": true}', "'order' must be the table size"),
+        ('{"mult_table": [[0]], "order": 1.0}', "'order' must be the table size"),
     ]
     for spec, message in cases:
         code, out, err = run_cli(capsys, "group-info", "--group", spec)
         assert code == EXIT_INPUT, spec
         assert out == ""
         assert err.startswith("error: ") and message in err, err
+
+
+def test_an_integer_literal_past_the_digit_limit_exits_one(capsys):
+    """json reads an integer literal through int(), which refuses more than
+    sys.get_int_max_str_digits() digits with a ValueError."""
+    huge = "9" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run_cli(capsys, "decompose", "--group", "cyclic:2", "--involution",
+                             '{"kind": "oriented", "alpha": [1, ' + huge + "]}")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1, err
+
+
+def test_a_json_file_not_in_utf8_exits_one(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_bytes(b'\xff\xfe{"mult_table": [[0]]}')
+    code, out, err = run_cli(capsys, "group-info", "--group", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1, err
 
 
 def test_max_order_env(capsys, monkeypatch):
@@ -367,6 +392,23 @@ def test_order_cap_is_read_before_the_table_is_built(spec):
     assert proc.stdout == ""
 
 
+def test_a_huge_permutation_degree_builds_no_list():
+    """A generator of another length is refused before list(range(degree)) is built,
+    and no generators give the trivial group, so a degree of 10^9 needs no tuple of
+    10^9 points under the child's address-space cap."""
+    cap = 256 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    for gens, code in (("[]", EXIT_OK), ("[[0]]", EXIT_INPUT)):
+        spec = '{"permutation_generators": ' + gens + ', "degree": 1000000000}'
+        cmd = [sys.executable, "-m", "skewlie", "group-info", "--group", spec]
+        proc = subprocess.run(cmd, capture_output=True, text=True, preexec_fn=limit, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.count("\n") == (code != EXIT_OK), proc.stderr
+
+
 def test_usage_errors_exit_one(capsys):
     """argparse's own exit code 2 would read as a failed check."""
     for argv in (["chartab"], ["nosuchcommand"], ["decompose", "--group"],
@@ -408,3 +450,73 @@ def test_commands_take_only_the_flags_they_read(capsys):
                 raise AssertionError(f"{argv} accepted {flag}")
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     capsys.readouterr()
+
+
+GROUP_SPECS = [{"mult_table": [[0, 1], [1, 0]], "order": 2, "name": "c2"},
+               {"permutation_generators": [[1, 0, 2], [0, 2, 1]], "degree": 3}]
+INVOLUTION_SPECS = [{"kind": "canonical"}, {"kind": "oriented", "alpha": [1, -1]},
+                    {"kind": "anti_automorphism", "map": [0, 1]},
+                    {"kind": "linear", "matrix": [["1", "0"], ["0", "-1/1"]]}]
+DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
+# JSON texts put in place of one value: type swaps, huge integers, long numeric strings,
+# exponents and deep nesting
+REPLACEMENTS = ["null", "true", "false", "0", "2", "-1", "1.0", '"x"', '""', "[]", "{}",
+                "[[0]]", DIGITS, "-" + DIGITS, "1" + "0" * 40, f'"{DIGITS}"', '"1e16000000"',
+                '"-1E-16000000"', '"2.5e4300"', f'"0.{DIGITS}"', "1e16000000", "-1e-400",
+                "[" * 10**4 + "]" * 10**4, "[" * 200 + "1" + "]" * 200]
+MARK = "\x00raw\x00"
+CALL_SECONDS = 0.5
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid group or involution spec with one value replaced or one unknown key added,
+    as JSON text, and the command that reads it."""
+    group = draw(st.booleans())
+    spec = json.loads(json.dumps(draw(st.sampled_from(GROUP_SPECS if group
+                                                      else INVOLUTION_SPECS))))
+    parent, key = None, None
+    node = spec
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        parent, key = node, draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                 else range(len(node))))
+        node = parent[key]
+    raw = draw(st.sampled_from(REPLACEMENTS))
+    if isinstance(node, dict) and draw(st.booleans()):
+        node["unknown"] = MARK
+    elif parent is None:
+        spec = MARK
+    else:
+        parent[key] = MARK
+    command = draw(st.sampled_from(["group-info", "decompose", "form"] if group
+                                   else ["decompose", "form"]))
+    return group, command, json.dumps(spec).replace(json.dumps(MARK), raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_specs(), st.sampled_from(["inline", "file", "latin-1"]))
+def test_mutated_json_specs_exit_with_a_message(tmp_path_factory, case, carrier):
+    """Every mutation of a valid spec, inline or in a .json file, the file in UTF-8 or
+    with a byte that is not, exits 0, 1 or 2 in well under a second; on failure stderr
+    is one line of message, never a traceback."""
+    group, command, text = case
+    spec = text
+    if carrier != "inline":
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_bytes(text.encode() + ("é".encode(carrier) if carrier == "latin-1"
+                                          else b""))
+        spec = str(path)
+    argv = [command, f"--group={spec}"] if group else [command, "--group=cyclic:2",
+                                                        f"--involution={spec}"]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_CHECK), argv
+    assert elapsed < CALL_SECONDS, (argv[:3], elapsed)
+    if code != EXIT_OK:
+        message = err.getvalue()
+        assert message.count("\n") == 1 and message.endswith("\n"), message
+        assert message.startswith(("error: ", "check failure: ")), message
+        assert "Traceback" not in message

@@ -12,7 +12,7 @@ The linear algebra module is integers only: an exact subspace has one
 representation, its canonical integer basis, and every elimination mod a prime
 reduces its rows through one routine.  The integral skew lattice is read from
 the involution's basis of QG^-, not solved for: no module defines or imports an
-HNF.  No module of the package or of the tests imports a name it never reads.
+HNF; and in the forms only the lattice asks whether sigma is group-induced.  No module of the package or of the tests imports a name it never reads.
 """
 
 import ast
@@ -69,9 +69,8 @@ def test_no_module_defines_or_imports_hnf():
 
 CONSTRAINT_BUILDERS = {
     "forms": ("_functional_space", "_draw_gram", "_equals_combination",
-              "_skew_adjoint_blocks", "_skew_adjoint_rows", "skew_adjoint_space",
-              "_blocks_solve", "_pairs_solve", "adjoint_space_matches_skew_span",
-              "check_adjoint_identity"),
+              "_skew_adjoint_rows", "skew_adjoint_space", "_skew_basis_solves",
+              "adjoint_space_matches_skew_span", "check_adjoint_identity"),
     "linalg": ("_echelon", "row_basis", "null_space", "rank_mod_p_reaches", "reduce_mod_p"),
     "involutions": ("eigen_rows", "__post_init__", "_signed_axioms_hold", "_sparse_sum"),
     "wedderburn": ("_trace", "component_skew_dim"),
@@ -80,7 +79,7 @@ CONSTRAINT_BUILDERS = {
 
 def test_form_constraints_are_built_in_integers():
     """The constraint builders of the forms, the gram draw, the row comparisons, the
-    skew-span certificate in both of its readings, the rank mod p, the rows g -+ sigma(g),
+    skew-span certificate, part (a) on sigma's skew basis, the rank mod p, the rows g -+ sigma(g),
     the involution axioms on d*sigma and on a signed permutation, and the one trace of a
     component, on QG or on its center, call no Fraction( and read no ZERO."""
     for module, wanted in CONSTRAINT_BUILDERS.items():
@@ -91,6 +90,17 @@ def test_form_constraints_are_built_in_integers():
         for name, fn in builders.items():
             names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
             assert not names & {"Fraction", "ZERO"}, name
+
+
+def test_only_the_lattice_reads_the_signed_permutation_in_forms():
+    """Part (a) of the skew-span certificate reads sigma through its skew basis, for every
+    sigma, so no second route for a group-induced sigma comes back; the lattice alone
+    asks whether sigma is group-induced."""
+    tree = ast.parse((SRC / "forms.py").read_text())
+    readers = [fn.name for fn in tree.body if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
+               if any(isinstance(node, ast.Attribute) and node.attr == "signed_permutation"
+                      for node in ast.walk(fn))]
+    assert readers == ["integral_skew_lattice"]
 
 
 def _calls(module: str, function: str) -> set[str]:

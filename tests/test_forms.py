@@ -10,6 +10,7 @@ from oracle import (
     adjoint_identity_by_fractions,
     adjoint_identity_by_triples,
     apply,
+    blocks_solve,
     canonical_regular_form,
     convolve,
     fraction_columns,
@@ -26,6 +27,7 @@ from oracle import (
     skew_lattice_generators,
 )
 from skewlie import (
+    AlgebraElement,
     ComputationError,
     Involution,
     SpecError,
@@ -44,6 +46,7 @@ from skewlie import forms, involutions, linalg
 from skewlie.catalog import (
     builtin_involutions,
     catalog_groups,
+    conjugated_canonical_involution,
     klein_swap_involution,
     klein_swap_linear_involution,
     linear_fixtures,
@@ -432,25 +435,44 @@ def test_the_certificate_matches_the_exact_route():
                 assert adjoint_space_matches_skew_span(inv, case) == exact, (label, seed)
 
 
-def test_the_pair_reading_matches_the_block_reading():
-    """Part (a) of the certificate for a group-induced sigma, one comparison over all
-    (x, y) per pair {g, sigma(g)}, agrees with the x-major blocks on every group-induced
-    form case that `verify` realizes, seeds 0-2, and on every one-entry change of those
-    grams.  The cases include cyclic:1, where no element moves, and oriented involutions
-    with sigma(g) = -g, where the pair reading needs a zero row."""
+def _conjugated_cases():
+    """The canonical involution of dihedral:6 and alternating:4 conjugated by three fixed
+    units u = 5 + sum (g + g^-1), each fixed by it, so the images have several terms."""
+    for spec in ("dihedral:6", "alternating:4"):
+        group = build_group(spec)
+        for elements in ((6,), (1, 7), (6, 8)):
+            coeffs = [5] + [0] * (group.order - 1)
+            for g in elements:
+                coeffs[g] += 1
+                coeffs[group.inv[g]] += 1
+            unit = AlgebraElement(group, coeffs)
+            yield f"{spec} conjugated by {elements}", conjugated_canonical_involution(group, unit)
+
+
+def test_the_basis_reading_matches_the_block_reading():
+    """Part (a) of the certificate on sigma's skew basis, one comparison of gathered columns
+    per basis row, agrees with the oracle's x-major blocks on sigma's columns: on every
+    group-induced form case that `verify` realizes, the S3 fixture and six conjugated
+    involutions, seeds 0-2, and on every one-entry change of those grams.  The cases
+    include cyclic:1, where no element moves, oriented involutions with sigma(g) = -g,
+    where a basis row has one entry and its column must vanish, and rows of several terms."""
     cases = [(label, inv) for label, inv in _form_cases(FORMS_ORDER_LIMIT)
              if inv.signed_permutation]
     assert len(cases) == 160 and cases[0][1].group.order == 1
     assert any(k == g and e < 0 for _, inv in cases
                for g, (k, e) in enumerate(zip(*inv.signed_permutation)))
+    linear = [(label, inv) for label, _, inv in linear_fixtures() if not inv.signed_permutation]
+    linear += _conjugated_cases()
+    assert len(linear) == 7 and not any(inv.signed_permutation for _, inv in linear)
+    assert any(len(list(filter(None, row))) > 2 for _, inv in linear for row in inv.skew_basis)
     outcomes = set()
-    for label, inv in cases:
+    for label, inv in cases + linear:
         for seed in (0, 1, 2):
             r = realize_adjoint_form(inv, seed=seed)
-            assert forms._pairs_solve(inv, r) and forms._blocks_solve(inv, r), (label, seed)
+            assert forms._skew_basis_solves(inv, r) and blocks_solve(inv, r), (label, seed)
             for case in _one_entry_changes(r):
-                solved = forms._pairs_solve(inv, case)
-                assert solved == forms._blocks_solve(inv, case), (label, seed)
+                solved = forms._skew_basis_solves(inv, case)
+                assert solved == blocks_solve(inv, case), (label, seed)
                 outcomes.add(solved)
     assert outcomes == {True, False}
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -158,6 +159,30 @@ def test_every_bad_linear_entry_raises_one_message(c3, bad):
         with pytest.raises(SpecError) as err:
             Involution.linear(c3, matrix)
         assert str(err.value) == "linear involution matrix entries must be rationals"
+
+
+@pytest.mark.parametrize("entry", ["1e16000000", "1E-16000000", "-1e+4301", "2.5e" + "9" * 5000])
+def test_a_huge_exponent_is_refused_before_it_is_expanded(c3, entry):
+    """Fraction would expand the power of ten exactly, for tens of seconds at 1e16000000."""
+    matrix = [["1" if a == b else "0" for b in range(3)] for a in range(3)]
+    matrix[2][1] = entry
+    start = time.perf_counter()
+    with pytest.raises(SpecError) as err:
+        Involution.linear(c3, matrix)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == "linear involution matrix entries must be rationals"
+
+
+def test_exponents_up_to_the_limit_are_read_exactly(c3):
+    """Such entries are parsed, and the axioms, not the parse, refuse this matrix."""
+    entries = ("1e3", "-2.5E-2", "1/3", f"1e-{involutions.MAX_EXPONENT}")
+    assert list(map(involutions._rational, entries)) == [
+        1000, Fraction(-1, 40), Fraction(1, 3), Fraction(1, 10**involutions.MAX_EXPONENT)]
+    for entry in entries:
+        matrix = [["1" if a == b else "0" for b in range(3)] for a in range(3)]
+        matrix[2][1] = entry
+        with pytest.raises(SpecError, match="not an involution"):
+            Involution.linear(c3, matrix)
 
 
 def test_bad_spec_rejected_at_construction(c3, q8):
